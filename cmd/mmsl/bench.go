@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,7 +19,9 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/opt"
 	"repro/internal/split"
+	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -95,9 +98,22 @@ func writeReport(rep *benchReport, path string) error {
 	return nil
 }
 
-// checkServingAllocs is the bench-regression gate: every serving-path
-// (frame_*) result must not allocate more per op than the committed
-// baseline — steady-state frame encode/decode is pinned at zero.
+// pinnedAllocs reports whether a result's allocs/op are gated by -check:
+// the frame path and the checkpoint save/append path, the two things a
+// serving round does per message and per checkpoint.
+func pinnedAllocs(name string) bool {
+	for _, prefix := range []string{"frame_", "ckpt_save/", "journal_put/"} {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkServingAllocs is the bench-regression gate: every pinned
+// serving-path result must not allocate more per op than the committed
+// baseline — steady-state frame encode/decode and the train-state
+// encoder are pinned at zero, a journal put at its frame head and batch.
 func checkServingAllocs(results []benchResult, baselinePath string) error {
 	base := loadReport(baselinePath)
 	if base == nil {
@@ -110,7 +126,7 @@ func checkServingAllocs(results []benchResult, baselinePath string) error {
 	var failures []string
 	checked := 0
 	for _, r := range results {
-		if !strings.HasPrefix(r.Name, "frame_") {
+		if !pinnedAllocs(r.Name) {
 			continue
 		}
 		b, ok := baseline[r.Name]
@@ -124,7 +140,7 @@ func checkServingAllocs(results []benchResult, baselinePath string) error {
 		}
 	}
 	if checked == 0 {
-		return fmt.Errorf("bench: -check: baseline %s has no frame_* results to compare", baselinePath)
+		return fmt.Errorf("bench: -check: baseline %s has no pinned serving-path results to compare", baselinePath)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("bench: serving-path alloc regression:\n  %s", strings.Join(failures, "\n  "))
@@ -191,6 +207,51 @@ func measureFrameBench() ([]benchResult, error) {
 		}
 	})
 	return []benchResult{enc, dec}, nil
+}
+
+// measureCheckpointBench times the durable-checkpoint path on the
+// paper's one-pixel BS half (108,495 bytes): serialising it into a warm
+// buffer must not allocate, and a journal put — fsync included — must
+// cost its frame head and batch bookkeeping, never a copy of the blob.
+func measureCheckpointBench() ([]benchResult, error) {
+	cfg := split.DefaultConfig(split.ImageRF, 40)
+	bs := split.NewBSModel(rand.New(rand.NewSource(cfg.Seed)), cfg, 2)
+	params := bs.Params()
+	adam := opt.NewAdam(params, cfg.LR, cfg.Beta1, cfg.Beta2)
+	blob, err := split.AppendTrainState(nil, cfg.Fingerprint(), split.HalfBS, 7, params, adam)
+	if err != nil {
+		return nil, err
+	}
+	save := measure("ckpt_save/bs_half", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if blob, err = split.AppendTrainState(blob[:0], cfg.Fingerprint(), split.HalfBS, 7, params, adam); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	dir, err := os.MkdirTemp("", "mmsl-bench-journal")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	j, err := store.OpenJournal(filepath.Join(dir, "bench.journal"), store.JournalOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer j.Close()
+	put := measure("journal_put/ckpt_108k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// One key, replaced each time: the dead copies are compacted
+			// away at the default threshold, so the file stays bounded.
+			if err := j.PutCheckpoint("ue-0", 7, blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	return []benchResult{save, put}, nil
 }
 
 // cmdBench runs the engine micro/macro benchmarks in-process and emits
@@ -273,13 +334,18 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
+	ckptResults, err := measureCheckpointBench()
+	if err != nil {
+		return err
+	}
+	frameResults = append(frameResults, ckptResults...)
 	if *quick {
 		// Merge, don't clobber: keep any previously recorded engine
-		// results and replace only the frame-path entries re-measured
-		// here.
+		// results and replace only the pinned serving-path entries
+		// re-measured here.
 		if prev := loadReport(*out); prev != nil {
 			for _, r := range prev.Results {
-				if !strings.HasPrefix(r.Name, "frame_") {
+				if !pinnedAllocs(r.Name) {
 					rep.Results = append(rep.Results, r)
 				}
 			}

@@ -2,6 +2,7 @@ package split
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -204,46 +205,49 @@ const (
 	HalfBS byte = 'B'
 )
 
-// SaveTrainState writes a resumable snapshot of one session half.
-func SaveTrainState(w io.Writer, fp uint64, half byte, step int, params []*nn.Param, adam *opt.Adam) error {
+// AppendTrainState appends a resumable snapshot of one session half to
+// buf and returns the extended slice. Into a buffer that already has the
+// capacity (a reused one) it allocates nothing.
+func AppendTrainState(buf []byte, fp uint64, half byte, step int, params []*nn.Param, adam *opt.Adam) ([]byte, error) {
 	if step < 0 {
-		return fmt.Errorf("%w: negative step %d", ErrCheckpoint, step)
+		return nil, fmt.Errorf("%w: negative step %d", ErrCheckpoint, step)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(sessMagic[:]); err != nil {
-		return err
-	}
-	var hdr []byte
-	hdr = binary.BigEndian.AppendUint64(hdr, fp)
-	hdr = append(hdr, half)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(step))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(adam.StepCount()))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(params)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
+	buf = append(buf, sessMagic[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, fp)
+	buf = append(buf, half)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(step))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(adam.StepCount()))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(params)))
 	for i, p := range params {
-		name := []byte(p.Name)
-		if len(name) > 1<<15 {
-			return fmt.Errorf("%w: parameter name too long", ErrCheckpoint)
+		if len(p.Name) > 1<<15 {
+			return nil, fmt.Errorf("%w: parameter name too long", ErrCheckpoint)
 		}
-		var rec []byte
-		rec = binary.BigEndian.AppendUint16(rec, uint16(len(name)))
-		rec = append(rec, name...)
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-		if err := tensor.Encode(bw, p.Value, tensor.Depth64); err != nil {
-			return err
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Name)))
+		buf = append(buf, p.Name...)
+		var err error
+		if buf, err = tensor.Append(buf, p.Value, tensor.Depth64); err != nil {
+			return nil, err
 		}
 		m, v := adam.Moments(i)
-		for _, mom := range [][]float64{m, v} {
-			if err := tensor.Encode(bw, tensor.FromSlice(mom, len(mom)), tensor.Depth64); err != nil {
-				return err
-			}
-		}
+		buf = tensor.AppendVector(buf, m)
+		buf = tensor.AppendVector(buf, v)
 	}
-	return bw.Flush()
+	return buf, nil
+}
+
+// SaveTrainState writes the AppendTrainState snapshot to w. A
+// bytes.Buffer — what callers hand in — is appended to in place.
+func SaveTrainState(w io.Writer, fp uint64, half byte, step int, params []*nn.Param, adam *opt.Adam) error {
+	var buf []byte
+	if bb, ok := w.(*bytes.Buffer); ok {
+		buf = bb.AvailableBuffer()
+	}
+	buf, err := AppendTrainState(buf, fp, half, step, params, adam)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 // LoadTrainState restores a snapshot saved by SaveTrainState into the

@@ -26,12 +26,15 @@ import (
 //	recPrune      u16 idLen | id | u32 step  (checkpoint tombstone)
 //
 // Every append is fsynced before it is acknowledged, so an acknowledged
-// write survives a SIGKILL. Recovery replays the file and truncates at
-// the first torn or corrupt record — a crash mid-append loses at most
-// the unacknowledged tail, never an acknowledged record. Compaction
-// rewrites the live state (current aggregate base, retained retire
-// ring, undeleted checkpoints) into a temp sibling and swaps it in with
-// the same fsync-rename-dirsync dance as WriteFileAtomic.
+// write survives a SIGKILL. Appends are group-committed: records that
+// arrive while a Sync is in flight queue up, and the next leader writes
+// them all as adjacent ordinary frames under one Sync (see append).
+// Recovery replays the file and truncates at the first torn or corrupt
+// record — a crash mid-append loses at most the unacknowledged tail,
+// never an acknowledged record. Compaction rewrites the live state
+// (current aggregate base, retained retire ring, undeleted checkpoints)
+// into a temp sibling and swaps it in with the same fsync-rename-dirsync
+// dance as WriteFileAtomic.
 
 var journalMagic = [8]byte{'M', 'M', 'S', 'L', 'J', 'R', 'N', '1'}
 
@@ -69,20 +72,49 @@ type Journal struct {
 	compactBytes int64
 
 	mu       sync.Mutex
+	cond     *sync.Cond // on mu: a flush finished, or the queue was failed
 	f        File
 	lock     io.Closer // single-writer guard (nil on non-locking FS)
-	size     int64     // current file length (append offset)
+	size     int64     // current durable file length (append offset)
 	ckptLive int64     // total frame bytes of retrievable checkpoint records
 	ckpts    map[string]map[int]blobRegion
 	ring     *retireRing
 	st       Stats
 	closed   bool
+	poison   error // non-nil: the file handle is unusable, every write fails
+
+	// Group commit (see append): next collects the records waiting for a
+	// leader, flushing is set while a leader is writing with mu released.
+	next     *batch
+	flushing bool
+	spare    []pendingRec // a finished batch's record slice, for reuse
 
 	// retireOnly suppresses checkpoint-triggered compaction accounting
 	// asymmetries when the journal serves as Dir's retire log (no
 	// checkpoint records ever appended).
 	retireOnly bool
 }
+
+// batch is one group commit: the records one leader writes under one
+// Sync. Every appender of a batch shares its outcome.
+type batch struct {
+	recs []pendingRec
+	done bool
+	err  error
+}
+
+// pendingRec is one queued record. Its frame is head followed by tail;
+// tail is the caller's checkpoint blob, borrowed (not copied) until the
+// batch completes — the caller is parked in append for exactly that long.
+type pendingRec struct {
+	head, tail []byte
+	id         string         // recCheckpoint, recPrune
+	step       int            // recCheckpoint, recPrune
+	sess       *SessionRecord // recRetire
+}
+
+// size is the record's on-file footprint.
+func (r *pendingRec) size() int64 { return int64(len(r.head) + len(r.tail)) }
 
 // blobRegion locates one checkpoint blob inside the journal file.
 type blobRegion struct {
@@ -111,6 +143,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		ring:         newRetireRing(opts.Retain),
 		st:           Stats{Kind: "journal"},
 	}
+	j.cond = sync.NewCond(&j.mu)
 	if dir := filepath.Dir(path); dir != "." {
 		if err := fsys.MkdirAll(dir); err != nil {
 			return nil, fmt.Errorf("store: journal dir: %w", err)
@@ -240,8 +273,9 @@ func (j *Journal) writeHeader() error {
 	return nil
 }
 
-// apply indexes one replayed (or just-appended) record body. bodyOff is
-// the body's file offset, locating checkpoint blobs for later reads.
+// apply indexes one replayed record body (applyPending is its twin for a
+// record just committed, which needs no decoding). bodyOff is the body's
+// file offset, locating checkpoint blobs for later reads.
 func (j *Journal) apply(body []byte, bodyOff int64) error {
 	switch body[0] {
 	case recRetire:
@@ -312,52 +346,192 @@ func frameLen(id string, blob int) int64 {
 	return int64(recHdrLen + 1 + 2 + len(id) + 4 + blob)
 }
 
-// append durably adds one record. On any failure the file is cut back
-// to its pre-append length (best effort — the next append overwrites a
-// straggling partial frame regardless, and recovery drops it on reopen).
-func (j *Journal) append(typ byte, payload []byte) (bodyOff int64, err error) {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, typ)
-	body = append(body, payload...)
-	frame := make([]byte, 0, recHdrLen+len(body))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, crcTable))
-	frame = append(frame, body...)
-	if _, err := j.f.WriteAt(frame, j.size); err != nil {
-		j.f.Truncate(j.size)
-		return 0, fmt.Errorf("store: journal append: %w", err)
+// newFrame starts a record frame: the length and CRC fields reserved,
+// then the type byte and payload. The caller appends whatever else the
+// body holds and seals the frame.
+func newFrame(typ byte, payload []byte, extraCap int) []byte {
+	frame := make([]byte, recHdrLen, recHdrLen+1+len(payload)+extraCap)
+	frame = append(frame, typ)
+	return append(frame, payload...)
+}
+
+// checkpointHead is the frame of a recCheckpoint or recPrune record up to
+// and including the step — everything but a checkpoint's blob.
+func checkpointHead(typ byte, id string, step int) []byte {
+	head := newFrame(typ, nil, 2+len(id)+4)
+	head = appendString16(head, id)
+	return binary.BigEndian.AppendUint32(head, uint32(step))
+}
+
+// sealFrame fills in the length and CRC of a frame whose body is
+// head[recHdrLen:] followed by tail (nil when head holds the whole body).
+func sealFrame(head, tail []byte) {
+	binary.BigEndian.PutUint32(head, uint32(len(head)-recHdrLen+len(tail)))
+	crc := crc32.Update(crc32.Checksum(head[recHdrLen:], crcTable), crcTable, tail)
+	binary.BigEndian.PutUint32(head[4:], crc)
+}
+
+// writeFrame writes the frame head|tail at off. The blob goes to the
+// file straight from the caller's slice.
+func writeFrame(f File, off int64, head, tail []byte) error {
+	if _, err := f.WriteAt(head, off); err != nil {
+		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		j.f.Truncate(j.size)
-		return 0, fmt.Errorf("store: journal sync: %w", err)
+	if len(tail) > 0 {
+		if _, err := f.WriteAt(tail, off+int64(len(head))); err != nil {
+			return err
+		}
 	}
-	bodyOff = j.size + recHdrLen
-	j.size += int64(len(frame))
-	j.st.JournalBytes = j.size
-	j.st.Records++
-	return bodyOff, nil
+	return nil
+}
+
+// writable reports why the journal takes no more writes (nil: it does).
+func (j *Journal) writable() error {
+	if j.closed {
+		return os.ErrClosed
+	}
+	return j.poison
+}
+
+// append durably adds one sealed record and returns once the Sync
+// covering it has returned. Called with j.mu held; the lock is released
+// while waiting or flushing.
+//
+// Group commit: the record joins the queue. If a flush is in flight the
+// appender waits; otherwise it becomes the leader, takes the whole
+// queue, and commits it as one batch. The batch is therefore whatever
+// queued while the previous Sync ran — there is no commit delay, and a
+// lone writer goes straight through.
+func (j *Journal) append(rec pendingRec) error {
+	b := j.next
+	if b == nil {
+		b = &batch{recs: j.spare}
+		j.spare = nil
+		j.next = b
+	}
+	b.recs = append(b.recs, rec)
+	// An unfinished batch with no flush in flight is still j.next: only a
+	// leader (who sets flushing until the batch is done) or failQueued
+	// (who marks it done) ever takes it.
+	for !b.done {
+		if j.flushing {
+			j.cond.Wait()
+			continue
+		}
+		j.flush(b)
+	}
+	return b.err
+}
+
+// flush commits the queued batch as its leader: frames at consecutive
+// offsets, one Sync, and only then — back under j.mu — each record
+// applied to the index in file order, so nothing is readable before it
+// is durable. A failed write or Sync cuts the file back to its
+// pre-batch length and fails every appender in the batch. Called with
+// j.mu held; the I/O runs with it released (j.f and j.size stay put
+// meanwhile: everything that moves them waits on flushing).
+func (j *Journal) flush(b *batch) {
+	j.next = nil
+	j.flushing = true
+	f, base := j.f, j.size
+	j.mu.Unlock()
+
+	end := base
+	var err error
+	for i := range b.recs {
+		r := &b.recs[i]
+		if err = writeFrame(f, end, r.head, r.tail); err != nil {
+			err = fmt.Errorf("store: journal append: %w", err)
+			break
+		}
+		end += r.size()
+	}
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("store: journal sync: %w", err)
+		}
+	}
+	var truncErr error
+	if err != nil {
+		truncErr = f.Truncate(base)
+	}
+
+	j.mu.Lock()
+	if err == nil {
+		off := base
+		for i := range b.recs {
+			j.applyPending(&b.recs[i], off)
+			off += b.recs[i].size()
+		}
+		j.size = end
+		j.st.JournalBytes = end
+		j.st.Records += int64(len(b.recs))
+	} else if truncErr != nil && j.poison == nil {
+		// Whole frames of the failed batch may still sit past j.size. A
+		// later, shorter batch would leave some of them intact behind it
+		// for replay to resurrect, so the file takes no more appends.
+		j.poison = fmt.Errorf("store: journal unusable, failed batch not truncated away (%v): %w", truncErr, err)
+	}
+	clear(b.recs)
+	j.spare, b.recs = b.recs[:0], nil
+	b.err, b.done = err, true
+	j.flushing = false
+	j.cond.Broadcast()
+}
+
+// applyPending indexes one just-committed record whose frame starts at
+// frameOff.
+func (j *Journal) applyPending(r *pendingRec, frameOff int64) {
+	switch r.head[recHdrLen] {
+	case recRetire:
+		j.ring.push(*r.sess)
+	case recCheckpoint:
+		j.indexCheckpoint(r.id, r.step, blobRegion{
+			off:  frameOff + int64(len(r.head)),
+			size: len(r.tail),
+		})
+	case recPrune:
+		j.dropCheckpoint(r.id, r.step)
+	}
+}
+
+// failQueued fails every record still waiting for a leader. Called with
+// j.mu held; the batch in flight, if any, is not j.next and is untouched.
+func (j *Journal) failQueued(err error) {
+	if b := j.next; b != nil {
+		j.next = nil
+		b.recs = nil
+		b.err, b.done = err, true
+		j.cond.Broadcast()
+	}
+}
+
+// waitFlush blocks until no flush is in flight. Everything that swaps
+// or closes j.f calls it first. Called with j.mu held.
+func (j *Journal) waitFlush() {
+	for j.flushing {
+		j.cond.Wait()
+	}
 }
 
 // Kind implements Store.
 func (j *Journal) Kind() string { return "journal" }
 
-// PutCheckpoint implements Store.
+// PutCheckpoint implements Store. The blob is not copied: it is
+// checksummed in place and written to the file from the caller's slice.
 func (j *Journal) PutCheckpoint(id string, step int, blob []byte) error {
+	head := checkpointHead(recCheckpoint, id, step)
+	sealFrame(head, blob)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return os.ErrClosed
-	}
-	payload := appendString16(nil, id)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(step))
-	payload = append(payload, blob...)
-	bodyOff, err := j.append(recCheckpoint, payload)
-	if err != nil {
+	if err := j.writable(); err != nil {
 		return err
 	}
-	blobOff := 1 + 2 + len(id) + 4
-	j.indexCheckpoint(id, step, blobRegion{off: bodyOff + int64(blobOff), size: len(blob)})
-	return j.maybeCompact()
+	if err := j.append(pendingRec{head: head, tail: blob, id: id, step: step}); err != nil {
+		return err
+	}
+	j.maybeCompact()
+	return nil
 }
 
 // GetCheckpoint implements Store.
@@ -382,19 +556,19 @@ func (j *Journal) GetCheckpoint(id string, step int) ([]byte, error) {
 func (j *Journal) DeleteCheckpoint(id string, step int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return os.ErrClosed
+	if err := j.writable(); err != nil {
+		return err
 	}
 	if _, ok := j.ckpts[id][step]; !ok {
 		return nil
 	}
-	payload := appendString16(nil, id)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(step))
-	if _, err := j.append(recPrune, payload); err != nil {
+	head := checkpointHead(recPrune, id, step)
+	sealFrame(head, nil)
+	if err := j.append(pendingRec{head: head, id: id, step: step}); err != nil {
 		return err
 	}
-	j.dropCheckpoint(id, step)
-	return j.maybeCompact()
+	j.maybeCompact()
+	return nil
 }
 
 // CheckpointSteps implements Store.
@@ -411,16 +585,18 @@ func (j *Journal) CheckpointSteps(id string) ([]int, error) {
 
 // RetireSession implements Store.
 func (j *Journal) RetireSession(rec SessionRecord) error {
+	frame := newFrame(recRetire, encodeSession(rec), 0)
+	sealFrame(frame, nil)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return os.ErrClosed
-	}
-	if _, err := j.append(recRetire, encodeSession(rec)); err != nil {
+	if err := j.writable(); err != nil {
 		return err
 	}
-	j.ring.push(rec)
-	return j.maybeCompact()
+	if err := j.append(pendingRec{head: frame, sess: &rec}); err != nil {
+		return err
+	}
+	j.maybeCompact()
+	return nil
 }
 
 // RetiredSessions implements Store.
@@ -450,18 +626,22 @@ func (j *Journal) Stats() Stats {
 	return st
 }
 
-// Flush implements Store (appends are already synced; this is a no-op
-// kept for the interface's durability barrier).
+// Flush implements Store. Every acknowledged append is already synced;
+// this waits out a flush in flight and syncs once more as the
+// interface's durability barrier.
 func (j *Journal) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.waitFlush()
 	if j.closed {
 		return nil
 	}
 	return j.f.Sync()
 }
 
-// Close implements Store.
+// Close implements Store. Records still queued behind a flush in flight
+// fail with os.ErrClosed; the flush itself is waited out, and its
+// appenders keep their outcome.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -469,6 +649,8 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	j.failQueued(os.ErrClosed)
+	j.waitFlush()
 	err := j.f.Close()
 	closeLock(j.lock)
 	return err
@@ -478,19 +660,21 @@ func (j *Journal) Close() error {
 // least half of it is dead weight (pruned checkpoints, tombstones,
 // retire records fallen off the ring). Live data alone crossing the
 // threshold never triggers: compaction would not shrink it. Called with
-// j.mu held. A compaction failure leaves the old journal authoritative
-// and is deliberately swallowed: the triggering append already
-// succeeded durably, and the next append gets another chance.
-func (j *Journal) maybeCompact() error {
-	if j.size < j.compactBytes {
-		return nil
+// j.mu held, after the caller's own append was acknowledged. It skips
+// while another batch is being flushed (compaction swaps j.f; the next
+// append gets another chance). A compaction failure is deliberately
+// swallowed: the triggering append already succeeded durably, and
+// either the old journal is still authoritative or compactLocked has
+// poisoned the journal so the next write reports it.
+func (j *Journal) maybeCompact() {
+	if j.size < j.compactBytes || j.flushing || j.writable() != nil {
+		return
 	}
 	liveish := j.ckptLive + int64(journalHdrLen)
 	if !j.retireOnly && j.size-liveish <= j.size/2 {
-		return nil
+		return
 	}
 	j.compactLocked()
-	return nil
 }
 
 // Compact forces a compaction now (ops and tests; the automatic trigger
@@ -498,14 +682,18 @@ func (j *Journal) maybeCompact() error {
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return os.ErrClosed
+	j.waitFlush()
+	if err := j.writable(); err != nil {
+		return err
 	}
 	return j.compactLocked()
 }
 
 // compactLocked rewrites the live state into path+".compact" and swaps
-// it in. On any failure the old file stays authoritative.
+// it in. Called with j.mu held and no flush in flight; records still
+// queued are unaffected (they get their offsets when they are flushed).
+// On any failure before the rename the old file stays authoritative; a
+// failure to reopen after it poisons the journal.
 func (j *Journal) compactLocked() error {
 	tmpPath := j.path + ".compact"
 	tmp, err := j.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -521,40 +709,29 @@ func (j *Journal) compactLocked() error {
 	hdr := make([]byte, journalHdrLen)
 	copy(hdr, journalMagic[:])
 	binary.BigEndian.PutUint32(hdr[8:], journalVersion)
-	off := int64(0)
-	write := func(b []byte) error {
-		if _, err := tmp.WriteAt(b, off); err != nil {
+	if _, err := tmp.WriteAt(hdr, 0); err != nil {
+		return fail(err)
+	}
+	off := int64(journalHdrLen)
+	records := int64(0)
+	writeRec := func(head, tail []byte) error {
+		sealFrame(head, tail)
+		if err := writeFrame(tmp, off, head, tail); err != nil {
 			return err
 		}
-		off += int64(len(b))
+		off += int64(len(head) + len(tail))
+		records++
 		return nil
 	}
-	writeRec := func(typ byte, payload []byte) (bodyOff int64, err error) {
-		body := make([]byte, 0, 1+len(payload))
-		body = append(body, typ)
-		body = append(body, payload...)
-		frame := make([]byte, 0, recHdrLen+len(body))
-		frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, crcTable))
-		frame = append(frame, body...)
-		bodyOff = off + recHdrLen
-		return bodyOff, write(frame)
-	}
 
-	if err := write(hdr); err != nil {
-		return fail(err)
-	}
-	records := int64(0)
 	// Aggregate base first: replaces the folded-away retire records.
-	if _, err := writeRec(recAggregates, encodeAggregates(j.ring.base)); err != nil {
+	if err := writeRec(newFrame(recAggregates, encodeAggregates(j.ring.base), 0), nil); err != nil {
 		return fail(err)
 	}
-	records++
 	for _, rec := range j.ring.recs {
-		if _, err := writeRec(recRetire, encodeSession(rec)); err != nil {
+		if err := writeRec(newFrame(recRetire, encodeSession(rec), 0), nil); err != nil {
 			return fail(err)
 		}
-		records++
 	}
 	// Checkpoints in a deterministic order, blobs copied through memory.
 	ids := make([]string, 0, len(j.ckpts))
@@ -577,16 +754,12 @@ func (j *Journal) compactLocked() error {
 			if _, err := j.f.ReadAt(blob, reg.off); err != nil {
 				return fail(err)
 			}
-			payload := appendString16(nil, id)
-			payload = binary.BigEndian.AppendUint32(payload, uint32(step))
-			payload = append(payload, blob...)
-			bodyOff, err := writeRec(recCheckpoint, payload)
-			if err != nil {
+			head := checkpointHead(recCheckpoint, id, step)
+			m[step] = blobRegion{off: off + int64(len(head)), size: len(blob)}
+			if err := writeRec(head, blob); err != nil {
 				return fail(err)
 			}
-			m[step] = blobRegion{off: bodyOff + int64(1+2+len(id)+4), size: len(blob)}
 			newLive += frameLen(id, len(blob))
-			records++
 		}
 		newRegions[id] = m
 	}
@@ -607,10 +780,14 @@ func (j *Journal) compactLocked() error {
 	// Swap the open handle to the new file.
 	nf, err := j.fs.OpenFile(j.path, os.O_RDWR, 0o644)
 	if err != nil {
-		// The rename landed but the reopen failed: the store cannot
-		// continue against the old (now unlinked) handle safely for
-		// reads of compacted offsets, so surface the error.
-		return err
+		// The rename landed but the reopen failed: j.f is the old, now
+		// unlinked inode, and anything appended to it would be fsynced,
+		// acknowledged and gone at the next open. Everything
+		// acknowledged so far is in the new file; reads keep working off
+		// the old handle and its index, writes fail from here on.
+		j.poison = fmt.Errorf("store: journal unusable, reopen after compaction: %w", err)
+		j.failQueued(j.poison)
+		return j.poison
 	}
 	j.f.Close()
 	j.f = nf

@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -45,31 +48,116 @@ func buildJournal(t *testing.T, dir string) (path string, ends []int64) {
 	return path, ends
 }
 
+// journalFrames walks a journal image by its length prefixes — without
+// the journal's own replay code — and returns every frame's end offset
+// and body.
+func journalFrames(t *testing.T, whole []byte) (ends []int64, bodies [][]byte) {
+	t.Helper()
+	off := journalHdrLen
+	for off < len(whole) {
+		n := int(binary.BigEndian.Uint32(whole[off:]))
+		if off+recHdrLen+n > len(whole) {
+			t.Fatalf("frame at %d overruns the file", off)
+		}
+		bodies = append(bodies, whole[off+recHdrLen:off+recHdrLen+n])
+		off += recHdrLen + n
+		ends = append(ends, int64(off))
+	}
+	return ends, bodies
+}
+
+// buildConcurrentJournal writes a journal from several writers at once,
+// so its frames landed in group-commit batches in an order only the
+// file records.
+func buildConcurrentJournal(t *testing.T, dir string) (path string) {
+	t.Helper()
+	path = filepath.Join(dir, "store.journal")
+	j, err := OpenJournal(path, JournalOptions{Retain: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := fmt.Sprintf("w-%d", w)
+			for s := 1; s <= 3; s++ {
+				if err := j.PutCheckpoint(id, s, gcBlob(id, s)); err != nil {
+					t.Error(err)
+				}
+				if s > 1 {
+					if err := j.DeleteCheckpoint(id, s-1); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			if err := j.RetireSession(testRecord(w)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestCrashJournalTruncationSweep is the SIGKILL-equivalent sweep: the
 // journal is truncated at EVERY byte offset — every record boundary and
 // every mid-record position — and each truncation must recover to
 // exactly the records that were fully durable before the cut, then stay
-// writable.
+// writable. It runs over a journal written one acknowledged record at a
+// time and over one written by concurrent writers in group-commit
+// batches; the expected state at each cut is rebuilt from the file's own
+// frames, in file order.
 func TestCrashJournalTruncationSweep(t *testing.T) {
-	dir := t.TempDir()
-	path, ends := buildJournal(t, dir)
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(whole)) != ends[len(ends)-1] {
-		t.Fatalf("file is %d bytes, last ack at %d", len(whole), ends[len(ends)-1])
-	}
+	t.Run("sequential", func(t *testing.T) {
+		dir := t.TempDir()
+		path, acks := buildJournal(t, dir)
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each acknowledgement came exactly at a frame end.
+		if ends, _ := journalFrames(t, whole); !reflect.DeepEqual(ends, acks) {
+			t.Fatalf("frames end at %v, acknowledgements came at %v", ends, acks)
+		}
+		sweepTruncations(t, dir, whole)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		dir := t.TempDir()
+		whole, err := os.ReadFile(buildConcurrentJournal(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweepTruncations(t, dir, whole)
+	})
+}
 
-	// recovered(cut) = how many records were fully durable at cut bytes.
-	recovered := func(cut int64) int {
-		n := 0
-		for _, e := range ends {
-			if e <= cut {
-				n++
+func sweepTruncations(t *testing.T, dir string, whole []byte) {
+	ends, bodies := journalFrames(t, whole)
+	type key struct {
+		id   string
+		step int
+	}
+	// live(n) = the checkpoints retrievable after the first n frames.
+	live := func(n int) map[key][]byte {
+		m := make(map[key][]byte)
+		for _, body := range bodies[:n] {
+			if body[0] != recCheckpoint && body[0] != recPrune {
+				continue
+			}
+			r := recReader{b: body[1:]}
+			k := key{id: r.string16(), step: int(r.u32())}
+			if body[0] == recCheckpoint {
+				m[k] = r.b[r.off:]
+			} else {
+				delete(m, k)
 			}
 		}
-		return n
+		return m
 	}
 
 	for cut := 0; cut <= len(whole); cut++ {
@@ -81,16 +169,20 @@ func TestCrashJournalTruncationSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: open: %v", cut, err)
 		}
-		st := j.Stats()
-		if want := int64(recovered(int64(cut))); st.RecoveredRecords != want {
-			t.Fatalf("cut=%d: recovered %d records, want %d", cut, st.RecoveredRecords, want)
-		}
 		// A cut exactly at an acknowledged boundary (empty file, bare
 		// header, or any record end) is a valid journal — no torn tail,
 		// no recovery. Every other offset must count one.
+		recovered := 0
 		boundary := cut == 0 || cut == journalHdrLen
 		for _, e := range ends {
+			if e <= int64(cut) {
+				recovered++
+			}
 			boundary = boundary || int64(cut) == e
+		}
+		st := j.Stats()
+		if st.RecoveredRecords != int64(recovered) {
+			t.Fatalf("cut=%d: recovered %d records, want %d", cut, st.RecoveredRecords, recovered)
 		}
 		if boundary {
 			if st.Recoveries != 0 {
@@ -99,15 +191,15 @@ func TestCrashJournalTruncationSweep(t *testing.T) {
 		} else if st.Recoveries != 1 || st.TruncatedBytes == 0 {
 			t.Fatalf("cut=%d: recoveries = %d truncated = %d, want a recovery", cut, st.Recoveries, st.TruncatedBytes)
 		}
-		// Survivor state matches the acknowledged prefix: after all 6
-		// records, ue-0 holds only step 10.
-		if recovered(int64(cut)) == len(ends) {
-			blob, err := j.GetCheckpoint("ue-0", 10)
-			if err != nil || !bytes.Equal(blob, bytes.Repeat([]byte{0xCD}, 200)) {
-				t.Fatalf("cut=%d: checkpoint lost: %v", cut, err)
-			}
-			if _, err := j.GetCheckpoint("ue-0", 5); !IsNotFound(err) {
-				t.Fatalf("cut=%d: pruned checkpoint resurrected", cut)
+		// Survivor state matches the durable prefix: every checkpoint it
+		// put and did not prune, byte for byte, and nothing else.
+		want := live(recovered)
+		if st.LiveCheckpoints != int64(len(want)) {
+			t.Fatalf("cut=%d: %d live checkpoints, want %d", cut, st.LiveCheckpoints, len(want))
+		}
+		for k, blob := range want {
+			if got, err := j.GetCheckpoint(k.id, k.step); err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("cut=%d: checkpoint %s@%d: %v", cut, k.id, k.step, err)
 			}
 		}
 		// The recovered journal accepts appends and they persist.

@@ -46,9 +46,18 @@ func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 // Store is the durable backend behind a BSServer: checkpoint blobs keyed
 // by (session id, step), a bounded ring of retired-session records, and
 // monotonic lifetime aggregates. Implementations are safe for concurrent
-// use. Write methods are durable on return for the disk backends (the
-// data survives a SIGKILL immediately after); Mem is durable only as far
-// as the process.
+// use, and none keeps a blob slice past PutCheckpoint's return.
+//
+// Durability on return, by backend: Journal — every write method,
+// deletes included (a prune is a tombstone record under the same fsync
+// as any other). Dir — PutCheckpoint (fsync, rename, parent-directory
+// fsync) and RetireSession (its embedded journal), but DeleteCheckpoint
+// is a bare unlink with no directory fsync, so a pruned blob can
+// reappear after a power cut. Mem — nothing outlives the process.
+// Callers must therefore tolerate a resurrected pruned checkpoint; they
+// do: resume reads only the step its token names, failover adopts every
+// step the store lists, and a resumed session's final prune lists the
+// store too — a stale blob is dead weight, never a wrong answer.
 type Store interface {
 	// Kind names the backend: "mem", "dir" or "journal".
 	Kind() string

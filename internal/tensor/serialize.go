@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Wire format: uint8 rank, rank × uint32 dims, then the elements.
@@ -82,9 +83,7 @@ func Append(buf []byte, t *Tensor, d BitDepth) ([]byte, error) {
 	}
 	switch d {
 	case Depth64:
-		for _, v := range t.data {
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+		buf = appendFloat64s(buf, t.data)
 	case Depth32:
 		for _, v := range t.data {
 			buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(v)))
@@ -109,6 +108,25 @@ func Append(buf []byte, t *Tensor, d BitDepth) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// AppendVector appends data as a rank-1 Depth64 tensor — byte-identical
+// to Append(buf, FromSlice(data, len(data)), Depth64) without building
+// the tensor, so a caller serialising plain slices stays allocation-free.
+func AppendVector(buf []byte, data []float64) []byte {
+	buf = append(buf, byte(Depth64), 1)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	return appendFloat64s(buf, data)
+}
+
+// appendFloat64s appends the elements big-endian, growing buf once.
+func appendFloat64s(buf []byte, data []float64) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, 8*len(data))[:n+8*len(data)]
+	for i, v := range data {
+		binary.BigEndian.PutUint64(buf[n+8*i:], math.Float64bits(v))
+	}
+	return buf
 }
 
 func clamp01(v float64) float64 {

@@ -392,18 +392,23 @@ func (s *UESession) serveOnce(conn io.ReadWriteCloser, logf func(string, ...any)
 // saveCheckpoint snapshots the UE half at step into memory and, when
 // configured, to disk (atomically, via rename).
 func (s *UESession) saveCheckpoint(ue *UEPeer, step uint32) error {
-	var buf bytes.Buffer
-	if err := ue.SaveState(&buf, int(step)); err != nil {
+	// A fresh buffer each time — the previous snapshot may still be in a
+	// reader's hands — sized by the last one, which is the same length.
+	s.mu.Lock()
+	size := len(s.ckpt)
+	s.mu.Unlock()
+	blob, err := ue.AppendState(make([]byte, 0, size), int(step))
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.ckpt, s.ckptStep = buf.Bytes(), step
+	s.ckpt, s.ckptStep = blob, step
 	s.mu.Unlock()
 	if s.CheckpointDir == "" {
 		return nil
 	}
 	return store.WriteFileAtomic(s.ckptFile(), func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
+		_, err := w.Write(blob)
 		return err
 	})
 }

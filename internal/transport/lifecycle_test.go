@@ -410,8 +410,11 @@ func TestPeerCheckpointRestoreEquivalence(t *testing.T) {
 				t.Fatalf("restore BS: step %d err %v", got, err)
 			}
 		}
-		var midBuf bytes.Buffer
-		ue.OnCheckpoint = func(step uint32) error { return ue.SaveState(&midBuf, int(step)) }
+		var midBuf []byte
+		ue.OnCheckpoint = func(step uint32) (err error) {
+			midBuf, err = ue.AppendState(midBuf, int(step))
+			return err
+		}
 		serveErr := make(chan error, 1)
 		go func() { serveErr <- ue.Serve() }()
 		for s := from + 1; s <= to; s++ {
@@ -419,11 +422,10 @@ func TestPeerCheckpointRestoreEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if s == ckptAt {
-				var b bytes.Buffer
-				if err := bs.SaveState(&b, s); err != nil {
+				var err error
+				if bsMid, err = bs.AppendState(nil, s); err != nil {
 					t.Fatal(err)
 				}
-				bsMid = b.Bytes()
 				if err := WriteMessage(bsConn, &Message{Type: MsgCheckpoint, Step: uint32(s)}); err != nil {
 					t.Fatal(err)
 				}
@@ -437,15 +439,16 @@ func TestPeerCheckpointRestoreEquivalence(t *testing.T) {
 		}
 		ueConn.Close()
 		bsConn.Close()
-		ueMid = midBuf.Bytes()
-		var ub, bb bytes.Buffer
-		if err := ue.SaveState(&ub, to); err != nil {
+		ueMid = midBuf
+		ub, err := ue.AppendState(nil, to)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := bs.SaveState(&bb, to); err != nil {
+		bb, err := bs.AppendState(nil, to)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return ub.Bytes(), bb.Bytes(), ueMid, bsMid
+		return ub, bb, ueMid, bsMid
 	}
 
 	ueFull, bsFull, ueMid, bsMid := run(nil, nil, 0, steps)

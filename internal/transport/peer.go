@@ -79,13 +79,13 @@ func NewUEPeer(cfg split.Config, d *dataset.Dataset, conn io.ReadWriter) (*UEPee
 	return u, nil
 }
 
-// SaveState writes the UE half's resumable train state (parameters +
-// optimiser moments) labelled with the given training step.
-func (u *UEPeer) SaveState(w io.Writer, step int) error {
-	return split.SaveTrainState(w, u.Cfg.Fingerprint(), split.HalfUE, step, u.Model.Params(), u.adam)
+// AppendState appends the UE half's resumable train state (parameters +
+// optimiser moments), labelled with the given training step, to buf.
+func (u *UEPeer) AppendState(buf []byte, step int) ([]byte, error) {
+	return split.AppendTrainState(buf, u.Cfg.Fingerprint(), split.HalfUE, step, u.Model.Params(), u.adam)
 }
 
-// RestoreState loads a snapshot written by SaveState into this peer and
+// RestoreState loads a snapshot written by AppendState into this peer and
 // returns the step it was taken at.
 func (u *UEPeer) RestoreState(r io.Reader) (int, error) {
 	return split.LoadTrainState(r, u.Cfg.Fingerprint(), split.HalfUE, u.Model.Params(), u.adam)
@@ -286,13 +286,13 @@ func (b *BSPeer) release() {
 	b.arena.Release()
 }
 
-// SaveState writes the BS half's resumable train state (parameters +
-// optimiser moments) labelled with the given training step.
-func (b *BSPeer) SaveState(w io.Writer, step int) error {
-	return split.SaveTrainState(w, b.Cfg.Fingerprint(), split.HalfBS, step, b.Model.Params(), b.adam)
+// AppendState appends the BS half's resumable train state (parameters +
+// optimiser moments), labelled with the given training step, to buf.
+func (b *BSPeer) AppendState(buf []byte, step int) ([]byte, error) {
+	return split.AppendTrainState(buf, b.Cfg.Fingerprint(), split.HalfBS, step, b.Model.Params(), b.adam)
 }
 
-// RestoreState loads a snapshot written by SaveState into this freshly
+// RestoreState loads a snapshot written by AppendState into this freshly
 // constructed peer and returns the step it was taken at. The anchor
 // sampler is fast-forwarded past the restored steps' draws, so the
 // resumed run consumes exactly the mini-batches the uninterrupted run
