@@ -29,7 +29,7 @@ import (
 // pr2Baseline pins the PR-2 (pre-engine) measurements of the raw-codec
 // default-config train step, recorded with `go test -bench
 // BenchmarkTrainStep1Pixel -benchmem` on the reference runner before the
-// im2col/arena engine landed. Speedup and allocation-reduction columns in
+// kernel/arena engine landed. Speedup and allocation-reduction columns in
 // BENCH.json are computed against these numbers so the perf trajectory
 // has a fixed origin.
 var pr2Baseline = benchResult{
@@ -100,9 +100,11 @@ func writeReport(rep *benchReport, path string) error {
 
 // pinnedAllocs reports whether a result's allocs/op are gated by -check:
 // the frame path and the checkpoint save/append path, the two things a
-// serving round does per message and per checkpoint.
+// serving round does per message and per checkpoint, and the convolution
+// kernels, the UE half's per-step cost (DESIGN.md §6 accounts for every
+// one of their allocations).
 func pinnedAllocs(name string) bool {
-	for _, prefix := range []string{"frame_", "ckpt_save/", "journal_put/"} {
+	for _, prefix := range []string{"frame_", "ckpt_save/", "journal_put/", "conv_forward/", "conv_backward/"} {
 		if strings.HasPrefix(name, prefix) {
 			return true
 		}
@@ -110,11 +112,12 @@ func pinnedAllocs(name string) bool {
 	return false
 }
 
-// checkServingAllocs is the bench-regression gate: every pinned
-// serving-path result must not allocate more per op than the committed
-// baseline — steady-state frame encode/decode and the train-state
-// encoder are pinned at zero, a journal put at its frame head and batch.
-func checkServingAllocs(results []benchResult, baselinePath string) error {
+// checkPinnedAllocs is the bench-regression gate: every pinned result
+// must not allocate more per op than the committed baseline —
+// steady-state frame encode/decode and the train-state encoder are pinned
+// at zero, a journal put at its frame head and batch, the conv kernels at
+// their closure and pooled-scratch round trips.
+func checkPinnedAllocs(results []benchResult, baselinePath string) error {
 	base := loadReport(baselinePath)
 	if base == nil {
 		return fmt.Errorf("bench: -check: cannot read baseline %s", baselinePath)
@@ -140,12 +143,12 @@ func checkServingAllocs(results []benchResult, baselinePath string) error {
 		}
 	}
 	if checked == 0 {
-		return fmt.Errorf("bench: -check: baseline %s has no pinned serving-path results to compare", baselinePath)
+		return fmt.Errorf("bench: -check: baseline %s has no pinned results to compare", baselinePath)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("bench: serving-path alloc regression:\n  %s", strings.Join(failures, "\n  "))
+		return fmt.Errorf("bench: pinned alloc regression:\n  %s", strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("bench: serving-path allocs within baseline (%d results checked)\n", checked)
+	fmt.Printf("bench: pinned allocs within baseline (%d results checked)\n", checked)
 	return nil
 }
 
@@ -254,11 +257,61 @@ func measureCheckpointBench() ([]benchResult, error) {
 	return []benchResult{save, put}, nil
 }
 
+// measureConvBench times the convolution engine (the row kernels) against
+// the direct reference oracle on one paper mini-batch (B·L = 256 images
+// of 40×40, 3×3 same kernel). It runs on ONE tensor worker: the numbers
+// compare kernels, not fan-out, and allocs/op do not depend on -cpu (w ≥ 2
+// workers add w + 1 heap objects to every call).
+func measureConvBench() []benchResult {
+	defer tensor.SetWorkers(tensor.Workers())
+	tensor.SetWorkers(1)
+	rng := rand.New(rand.NewSource(1))
+	x := tensor.Randn(rng, 1, 256, 1, 40, 40)
+	k := tensor.Randn(rng, 0.3, 1, 1, 3, 3)
+	bias := []float64{0.1}
+	spec := tensor.Conv2DSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+
+	convDirect := measure("conv_forward/direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = tensor.Conv2DDirect(x, k, bias, spec)
+		}
+	})
+	convOut := tensor.New(256, 1, 40, 40)
+	convRows := measure("conv_forward/rows", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tensor.Conv2DInto(convOut, x, k, bias, spec)
+		}
+	})
+	convRows.SpeedupVs = convDirect.Name
+	convRows.Speedup = convDirect.NsPerOp / convRows.NsPerOp
+
+	grad := tensor.Ones(256, 1, 40, 40)
+	gradX, gradK := tensor.New(x.Shape()...), tensor.New(k.Shape()...)
+	gradB := make([]float64, 1)
+	backward := func(into func(gradX, gradK *tensor.Tensor, gradBias []float64, x, k, gradOut *tensor.Tensor, spec tensor.Conv2DSpec)) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gradK.Zero()
+				gradB[0] = 0
+				into(gradX, gradK, gradB, x, k, grad, spec)
+			}
+		}
+	}
+	backDirect := measure("conv_backward/direct", backward(tensor.Conv2DBackwardDirect))
+	backRows := measure("conv_backward/rows", backward(tensor.Conv2DBackwardInto))
+	backRows.SpeedupVs = backDirect.Name
+	backRows.Speedup = backDirect.NsPerOp / backRows.NsPerOp
+	return []benchResult{convDirect, convRows, backDirect, backRows}
+}
+
 // cmdBench runs the engine micro/macro benchmarks in-process and emits
 // ns/op, allocs/op and speedups — `-json` writes BENCH.json so CI keeps a
 // perf data point per commit. `-serve` runs the multi-UE saturation
 // benchmark instead; `-quick -check BENCH.json` is the CI regression
-// gate for the zero-alloc serving path.
+// gate for the zero-alloc serving path and the conv kernels' allocs.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "write results as JSON")
@@ -277,8 +330,8 @@ func cmdBench(args []string) error {
 	replicas := fs.Int("replicas", 1, "-fleet: shard the soak across this many BS replicas behind a coordinator (handover drill runs throughout)")
 	chaos := fs.Bool("chaos", false, "-fleet: run the chaos drill (uncontrolled replica kills with torn store writes, crash failover, rejoin; needs -replicas > 1)")
 	adminAddr := fs.String("admin", "", "-fleet: serve the control plane (/metrics, sessions, config) on this address for the soak's duration")
-	quick := fs.Bool("quick", false, "run only the frame-path benchmarks (-fleet: 64-UE smoke)")
-	check := fs.String("check", "", "fail if serving-path allocs/op exceed this committed BENCH.json")
+	quick := fs.Bool("quick", false, "run only the alloc-pinned benchmarks: frame path, checkpoint path, conv kernels (-fleet: 64-UE smoke)")
+	check := fs.String("check", "", "fail if pinned allocs/op exceed this committed BENCH.json")
 	perf := perfFlags(fs)
 	fs.Parse(args)
 	if err := perf.apply(nil); err != nil {
@@ -330,7 +383,7 @@ func cmdBench(args []string) error {
 		rep.Serve, rep.Fleet = prev.Serve, prev.Fleet
 	}
 
-	frameResults, err := measureFrameBench()
+	pinned, err := measureFrameBench()
 	if err != nil {
 		return err
 	}
@@ -338,10 +391,11 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	frameResults = append(frameResults, ckptResults...)
+	pinned = append(pinned, ckptResults...)
+	pinned = append(pinned, measureConvBench()...)
 	if *quick {
 		// Merge, don't clobber: keep any previously recorded engine
-		// results and replace only the pinned serving-path entries
+		// results and replace only the pinned entries
 		// re-measured here.
 		if prev := loadReport(*out); prev != nil {
 			for _, r := range prev.Results {
@@ -350,8 +404,8 @@ func cmdBench(args []string) error {
 				}
 			}
 		}
-		rep.Results = append(rep.Results, frameResults...)
-		for _, r := range frameResults {
+		rep.Results = append(rep.Results, pinned...)
+		for _, r := range pinned {
 			fmt.Printf("%-28s %14.0f %12d %12d\n", r.Name, r.NsPerOp, r.BytesOp, r.AllocsOp)
 		}
 		if *jsonOut {
@@ -360,58 +414,13 @@ func cmdBench(args []string) error {
 			}
 		}
 		if *check != "" {
-			return checkServingAllocs(frameResults, *check)
+			return checkPinnedAllocs(pinned, *check)
 		}
 		return nil
 	}
 
-	// Convolution: im2col engine vs the direct reference oracle, on one
-	// paper mini-batch (B·L = 256 images of 40×40, 3×3 same kernel).
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.Randn(rng, 1, 256, 1, 40, 40)
-	k := tensor.Randn(rng, 0.3, 1, 1, 3, 3)
-	bias := []float64{0.1}
-	spec := tensor.Conv2DSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-
-	convDirect := measure("conv_forward/direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = tensor.Conv2DDirect(x, k, bias, spec)
-		}
-	})
-	convOut := tensor.New(256, 1, 40, 40)
-	convIm2col := measure("conv_forward/im2col", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.Conv2DInto(convOut, x, k, bias, spec)
-		}
-	})
-	convIm2col.SpeedupVs = convDirect.Name
-	convIm2col.Speedup = convDirect.NsPerOp / convIm2col.NsPerOp
-
-	grad := tensor.Ones(256, 1, 40, 40)
-	gradX, gradK := tensor.New(x.Shape()...), tensor.New(k.Shape()...)
-	gradB := make([]float64, 1)
-	backDirect := measure("conv_backward/direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			gradK.Zero()
-			gradB[0] = 0
-			tensor.Conv2DBackwardDirect(gradX, gradK, gradB, x, k, grad, spec)
-		}
-	})
-	backIm2col := measure("conv_backward/im2col", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			gradK.Zero()
-			gradB[0] = 0
-			tensor.Conv2DBackwardInto(gradX, gradK, gradB, x, k, grad, spec)
-		}
-	})
-	backIm2col.SpeedupVs = backDirect.Name
-	backIm2col.Speedup = backDirect.NsPerOp / backIm2col.NsPerOp
-
 	// Blocked parallel matmul at the LSTM's packed-gate shape.
+	rng := rand.New(rand.NewSource(1))
 	a := tensor.Randn(rng, 1, 64, 101)
 	wm := tensor.Randn(rng, 1, 101, 128)
 	mm := tensor.New(64, 128)
@@ -461,8 +470,8 @@ func cmdBench(args []string) error {
 		return err
 	}
 
-	rep.Results = []benchResult{convDirect, convIm2col, backDirect, backIm2col, matmul, trainStep, joinLat, resumeLat}
-	rep.Results = append(rep.Results, frameResults...)
+	rep.Results = []benchResult{matmul, trainStep, joinLat, resumeLat}
+	rep.Results = append(rep.Results, pinned...)
 
 	if *jsonOut {
 		if err := writeReport(rep, *out); err != nil {
@@ -481,7 +490,7 @@ func cmdBench(args []string) error {
 	fmt.Printf("\ntrain step vs PR-2 baseline: %.2fx faster, %.1f%% fewer allocs/op\n",
 		trainStep.Speedup, reduction)
 	if *check != "" {
-		return checkServingAllocs(rep.Results, *check)
+		return checkPinnedAllocs(rep.Results, *check)
 	}
 	return nil
 }

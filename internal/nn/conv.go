@@ -12,8 +12,12 @@ type Conv2D struct {
 	K    *Param // kernel (Cout, Cin, KH, KW)
 	B    *Param // bias   (Cout)
 	Spec tensor.Conv2DSpec
-	in   *tensor.Tensor
+	// InputLayer marks a convolution whose input is data, not another
+	// layer's output: nothing consumes dL/d(input), so Backward neither
+	// computes it nor keeps a buffer for it, and returns nil.
+	InputLayer bool
 
+	in         *tensor.Tensor // the latest Forward's input, until Backward consumes it
 	out, gradX *tensor.Tensor // instance-owned scratch
 }
 
@@ -48,14 +52,23 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward accumulates kernel and bias gradients (directly into the
-// parameter accumulators) and returns the input gradient.
+// parameter accumulators) and returns the input gradient, nil for an
+// input layer. It consumes the cached input: the layer lets go of it, so
+// a caller that recycles its image stack is not pinned through the layer,
+// and a second Backward without a new Forward panics like a first one.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.in == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
-	c.gradX = tensor.EnsureShape(c.gradX, c.in.Shape()...)
-	tensor.Conv2DBackwardInto(c.gradX, c.K.Grad, c.B.Grad.Data(), c.in, c.K.Value, grad, c.Spec)
-	return c.gradX
+	in := c.in
+	c.in = nil
+	var gradX *tensor.Tensor
+	if !c.InputLayer {
+		c.gradX = tensor.EnsureShape(c.gradX, in.Shape()...)
+		gradX = c.gradX
+	}
+	tensor.Conv2DBackwardInto(gradX, c.K.Grad, c.B.Grad.Data(), in, c.K.Value, grad, c.Spec)
+	return gradX
 }
 
 // Params returns the kernel and bias parameters.

@@ -140,6 +140,51 @@ func TestConv2DLayerGradients(t *testing.T) {
 	checkLayerGradients(t, c, x, 1e-5)
 }
 
+// TestConv2DBackwardConsumesInput: Backward lets go of the cached input,
+// so Backward-before-Forward and Backward-twice both panic with the same
+// message, and an input-layer convolution returns no input gradient while
+// accumulating the parameter gradients an inner one does, bit for bit.
+func TestConv2DBackwardConsumesInput(t *testing.T) {
+	mustPanic := func(name string, c *Conv2D, grad *tensor.Tensor) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != "nn: Conv2D.Backward before Forward" {
+				t.Fatalf("%s: recovered %v, want the Backward-before-Forward panic", name, r)
+			}
+		}()
+		c.Backward(grad)
+	}
+	x := tensor.Randn(rand.New(rand.NewSource(11)), 1, 3, 1, 6, 6)
+	grad := tensor.Randn(rand.New(rand.NewSource(12)), 1, 3, 2, 6, 6)
+	inner := NewConv2DSame(rand.New(rand.NewSource(6)), 1, 2, 3)
+	input := NewConv2DSame(rand.New(rand.NewSource(6)), 1, 2, 3)
+	input.InputLayer = true
+
+	mustPanic("before Forward", inner, grad)
+	inner.Forward(x)
+	if inner.Backward(grad) == nil {
+		t.Fatal("an inner convolution returned no input gradient")
+	}
+	if inner.in != nil {
+		t.Fatal("Backward left the input reachable through the layer")
+	}
+	mustPanic("second Backward", inner, grad)
+
+	input.Forward(x)
+	if g := input.Backward(grad); g != nil || input.gradX != nil {
+		t.Fatalf("an input-layer convolution computed an input gradient: %v / %v", g, input.gradX)
+	}
+	mustPanic("second Backward, input layer", input, grad)
+	for i, p := range input.Params() {
+		want := inner.Params()[i].Grad.Data()
+		for j, v := range p.Grad.Data() {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("%s grad[%d] = %g as input layer, %g as inner layer", p.Name, j, v, want[j])
+			}
+		}
+	}
+}
+
 func TestAvgPoolLayerGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := NewAvgPool2D(2, 2)

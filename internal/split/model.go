@@ -35,6 +35,7 @@ type UEModel struct {
 // outputs visibly resemble the raw frames, and remains fully trainable.
 func NewUEModel(rng *rand.Rand, cfg Config, d *dataset.Dataset) *UEModel {
 	conv := nn.NewConv2DSame(rng, 1, 1, cfg.KernelSize)
+	conv.InputLayer = true // its input is the camera frames: no dL/d(pixels)
 	k := conv.K.Value.Data()
 	base := 1.0 / float64(len(k))
 	for i := range k {
@@ -64,9 +65,11 @@ func (u *UEModel) Forward(images *tensor.Tensor) *tensor.Tensor {
 	return u.Net.Forward(images)
 }
 
-// Backward consumes the cut-layer gradient received from the BS.
-func (u *UEModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return u.Net.Backward(grad)
+// Backward consumes the cut-layer gradient received from the BS,
+// accumulating the UE-side parameter gradients. The chain ends at the
+// convolution: it is the network's input layer.
+func (u *UEModel) Backward(grad *tensor.Tensor) {
+	u.Net.Backward(grad)
 }
 
 // Params returns the UE-side parameters (they never leave the UE).

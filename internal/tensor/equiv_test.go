@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -8,7 +9,7 @@ import (
 )
 
 // The bit-identity equivalence suite of the performance engine: the
-// im2col/GEMM convolution against the direct loop oracle, every worker
+// row-kernel convolution against the direct loop oracle, every worker
 // count against serial, and arena-backed buffers against fresh
 // allocations. Comparisons use math.Float64bits, so even sign-of-zero
 // differences would fail.
@@ -42,7 +43,10 @@ func bitsEqualSlice(t *testing.T, name string, got, want []float64) {
 // convCase is one convolution geometry of the equivalence sweep. The set
 // covers the repo's models (single-channel stride-1 same-padding at
 // every pooling-relevant size) plus multi-channel, strided, asymmetric
-// and unpadded cases the generic code paths must handle.
+// and unpadded cases the generic code paths must handle, and the row
+// kernels' edge code: kernel widths on both sides of the three-tap
+// unroll, images smaller than the kernel (no interior at all), and pads
+// from none to wider than the kernel.
 type convCase struct {
 	name             string
 	n, cin, h, w     int
@@ -68,6 +72,30 @@ func convCases() []convCase {
 			spec: Conv2DSpec{2, 1, 2, 1}, sparseGrad: true},
 		{name: "sparse_grad", n: 8, cin: 1, h: 16, w: 16, cout: 1, kh: 3, kw: 3,
 			spec: Conv2DSpec{1, 1, 1, 1}, sparseGrad: true, includeNegatives: true},
+		{name: "kw1", n: 3, cin: 1, h: 6, w: 7, cout: 1, kh: 3, kw: 1,
+			spec: Conv2DSpec{1, 1, 1, 0}},
+		{name: "kw2", n: 3, cin: 2, h: 6, w: 7, cout: 1, kh: 2, kw: 2,
+			spec: Conv2DSpec{1, 1, 1, 1}},
+		{name: "kw4", n: 9, cin: 1, h: 7, w: 11, cout: 2, kh: 3, kw: 4,
+			spec: Conv2DSpec{1, 1, 1, 2}, includeNegatives: true},
+		{name: "kw5_same", n: 4, cin: 1, h: 9, w: 9, cout: 1, kh: 5, kw: 5,
+			spec: Conv2DSpec{1, 1, 2, 2}, sparseGrad: true},
+		{name: "kw7_same", n: 2, cin: 2, h: 10, w: 12, cout: 3, kh: 7, kw: 7,
+			spec: Conv2DSpec{1, 1, 3, 3}},
+		{name: "image_smaller_than_kernel", n: 5, cin: 2, h: 2, w: 3, cout: 2, kh: 5, kw: 7,
+			spec: Conv2DSpec{1, 1, 2, 3}},
+		{name: "one_row_image", n: 4, cin: 1, h: 1, w: 13, cout: 2, kh: 3, kw: 3,
+			spec: Conv2DSpec{1, 1, 1, 1}},
+		{name: "one_column_image", n: 4, cin: 1, h: 13, w: 1, cout: 2, kh: 3, kw: 3,
+			spec: Conv2DSpec{1, 1, 1, 1}},
+		{name: "no_pad", n: 3, cin: 1, h: 8, w: 10, cout: 1, kh: 3, kw: 3,
+			spec: Conv2DSpec{1, 1, 0, 0}},
+		{name: "pad_wider_than_half_kernel", n: 3, cin: 1, h: 6, w: 8, cout: 1, kh: 3, kw: 3,
+			spec: Conv2DSpec{1, 1, 2, 2}},
+		{name: "pad_wider_than_kernel", n: 10, cin: 2, h: 5, w: 4, cout: 2, kh: 2, kw: 3,
+			spec: Conv2DSpec{1, 1, 3, 5}, includeNegatives: true},
+		{name: "multi_channel_kw5", n: 6, cin: 4, h: 7, w: 10, cout: 3, kh: 3, kw: 5,
+			spec: Conv2DSpec{1, 1, 1, 2}, sparseGrad: true, includeNegatives: true},
 	}
 }
 
@@ -96,8 +124,9 @@ func buildConvCase(tc convCase, seed int64) (x, k *Tensor, bias []float64, gradO
 	return x, k, bias, gradOut
 }
 
-// TestConvIm2colMatchesDirectForward: the default (im2col) forward equals
-// the direct oracle bit-for-bit on every geometry.
+// TestConvIm2colMatchesDirectForward: the engine's forward (row kernels
+// at stride 1, the direct nest otherwise) equals the direct oracle
+// bit-for-bit on every geometry. The name predates the row kernels.
 func TestConvIm2colMatchesDirectForward(t *testing.T) {
 	for _, tc := range convCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,29 +142,75 @@ func TestConvIm2colMatchesDirectForward(t *testing.T) {
 	}
 }
 
-// TestConvIm2colMatchesDirectBackward: im2col/col2im gradients equal the
-// direct oracle bit-for-bit — input, kernel and bias gradients.
+// checkConvBackwardMatchesDirect: the engine's input, kernel and bias
+// gradients equal the direct oracle's bit-for-bit, and a nil gradX ("not
+// wanted") leaves the kernel and bias gradients exactly as they are with
+// one.
+func checkConvBackwardMatchesDirect(t *testing.T, name string, x, k, gradOut *Tensor, spec Conv2DSpec) {
+	t.Helper()
+	cout := k.Dim(0)
+	gX, gK, gB := Conv2DBackward(x, k, gradOut, spec)
+	dX, dK := New(x.Shape()...), New(k.Shape()...)
+	dB := make([]float64, cout)
+	Conv2DBackwardDirect(dX, dK, dB, x, k, gradOut, spec)
+	bitsEqual(t, name+"gradX", gX, dX)
+	bitsEqual(t, name+"gradK", gK, dK)
+	bitsEqualSlice(t, name+"gradBias", gB, dB)
+
+	nK, nB := New(k.Shape()...), make([]float64, cout)
+	Conv2DBackwardInto(nil, nK, nB, x, k, gradOut, spec)
+	bitsEqual(t, name+"gradK without gradX", nK, dK)
+	bitsEqualSlice(t, name+"gradBias without gradX", nB, dB)
+}
+
+// TestConvIm2colMatchesDirectBackward: the engine's gradients equal the
+// direct oracle bit-for-bit on every geometry, with and without gradX.
+// The name predates the row kernels.
 func TestConvIm2colMatchesDirectBackward(t *testing.T) {
 	for _, tc := range convCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			x, k, _, gradOut := buildConvCase(tc, 23)
-			gX, gK, gB := Conv2DBackward(x, k, gradOut, tc.spec)
-			dX, dK := New(x.Shape()...), New(k.Shape()...)
-			dB := make([]float64, tc.cout)
-			Conv2DBackwardDirect(dX, dK, dB, x, k, gradOut, tc.spec)
-			bitsEqual(t, "gradX", gX, dX)
-			bitsEqual(t, "gradK", gK, dK)
-			bitsEqualSlice(t, "gradBias", gB, dB)
+			checkConvBackwardMatchesDirect(t, "", x, k, gradOut, tc.spec)
 		})
 	}
 }
 
-// TestWorkerCountInvariance: conv forward/backward and all three matmul
-// kernels produce bit-identical results for every worker-pool size —
-// the shard decomposition, not the worker count, fixes reduction order.
+// TestConvRandomGeometryMatchesDirect: 300 seeded draws of batch,
+// channels, image, kernel and pads (stride 1 on three draws of four, so
+// the row kernels take most of them) against the direct oracle. Images
+// are drawn from 1×1 up, so kernels overhanging the image, empty
+// interiors and output columns no tap reaches all occur.
+func TestConvRandomGeometryMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260930))
+	for draw := 0; draw < 300; draw++ {
+		tc := convCase{
+			n: 1 + rng.Intn(10), cin: 1 + rng.Intn(3), cout: 1 + rng.Intn(3),
+			h: 1 + rng.Intn(9), w: 1 + rng.Intn(12),
+			kh: 1 + rng.Intn(5), kw: 1 + rng.Intn(8),
+			spec:       Conv2DSpec{StrideH: 1, StrideW: 1},
+			sparseGrad: rng.Intn(3) == 0, includeNegatives: rng.Intn(2) == 0,
+		}
+		if rng.Intn(4) == 0 {
+			tc.spec.StrideH, tc.spec.StrideW = 1+rng.Intn(2), 1+rng.Intn(3)
+		}
+		// Pads from the smallest that leaves an output up to a full kernel
+		// and one beyond.
+		tc.spec.PadH = max(0, (tc.kh-tc.h+1)/2) + rng.Intn(tc.kh+2)
+		tc.spec.PadW = max(0, (tc.kw-tc.w+1)/2) + rng.Intn(tc.kw+2)
+		x, k, bias, gradOut := buildConvCase(tc, int64(draw))
+		name := fmt.Sprintf("draw %d %+v: ", draw, tc)
+		bitsEqual(t, name+"forward", Conv2D(x, k, bias, tc.spec), Conv2DDirect(x, k, bias, tc.spec))
+		checkConvBackwardMatchesDirect(t, name, x, k, gradOut, tc.spec)
+	}
+}
+
+// TestWorkerCountInvariance: conv forward/backward (with and without the
+// input gradient) and all three matmul kernels produce bit-identical
+// results for every worker-pool size — the shard decomposition, not the
+// worker count, fixes reduction order.
 func TestWorkerCountInvariance(t *testing.T) {
 	defer SetWorkers(0)
-	workerCounts := []int{1, 3, 8, runtime.NumCPU()}
+	workerCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, runtime.NumCPU()}
 
 	rng := rand.New(rand.NewSource(31))
 	a := Randn(rng, 1, 33, 17)
@@ -144,8 +219,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 	bt := Randn(rng, 1, 29, 17)
 
 	type result struct {
-		mm, mmA, mmB, fwd, gX, gK *Tensor
-		gB                        []float64
+		mm, mmA, mmB, fwd, gX, gK, nilK *Tensor
+		gB, nilB                        []float64
 	}
 	tc := convCases()[0]
 	x, k, bias, gradOut := buildConvCase(tc, 47)
@@ -157,6 +232,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		r.mmB = MatMulTransB(a, bt)
 		r.fwd = Conv2D(x, k, bias, tc.spec)
 		r.gX, r.gK, r.gB = Conv2DBackward(x, k, gradOut, tc.spec)
+		r.nilK, r.nilB = New(k.Shape()...), make([]float64, tc.cout)
+		Conv2DBackwardInto(nil, r.nilK, r.nilB, x, k, gradOut, tc.spec)
 		return r
 	}
 
@@ -175,6 +252,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		bitsEqual(t, "gradX", r.gX, ref.gX)
 		bitsEqual(t, "gradK", r.gK, ref.gK)
 		bitsEqualSlice(t, "gradBias", r.gB, ref.gB)
+		bitsEqual(t, "gradK without gradX", r.nilK, ref.gK)
+		bitsEqualSlice(t, "gradBias without gradX", r.nilB, ref.gB)
 	}
 }
 

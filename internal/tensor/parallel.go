@@ -65,11 +65,12 @@ const minParallelFLOPs = 1 << 15
 // decide whether the shards run on the worker pool or inline on the
 // caller's goroutine. Either way every shard executes exactly once, so
 // outputs (including shard-ordered reductions) are identical.
+//
+// The fan-out is what a hot operation still allocates in steady state:
+// the WaitGroup and one closure per worker, w + 1 heap objects for w ≥ 2
+// workers and none for one (DESIGN.md §6 has the per-operation totals).
 func parallelFor(n, flopsPerTask int, f func(shard, stride int)) {
-	w := Workers()
-	if w > n {
-		w = n
-	}
+	w := min(Workers(), n)
 	if w <= 1 || n*flopsPerTask < minParallelFLOPs {
 		for s := 0; s < numShards; s++ {
 			f(s, numShards)
@@ -79,12 +80,12 @@ func parallelFor(n, flopsPerTask int, f func(shard, stride int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for wk := 0; wk < w; wk++ {
-		go func(wk int) {
+		go func() {
 			defer wg.Done()
 			for s := wk; s < numShards; s += w {
 				f(s, numShards)
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 }
