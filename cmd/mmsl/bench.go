@@ -100,11 +100,12 @@ func writeReport(rep *benchReport, path string) error {
 
 // pinnedAllocs reports whether a result's allocs/op are gated by -check:
 // the frame path and the checkpoint save/append path, the two things a
-// serving round does per message and per checkpoint, and the convolution
-// kernels, the UE half's per-step cost (DESIGN.md §6 accounts for every
-// one of their allocations).
+// serving round does per message and per checkpoint, the convolution
+// kernels, the UE half's per-step cost, and the whole training step,
+// whose count is its fan-outs (DESIGN.md §6 accounts for every one of
+// their allocations).
 func pinnedAllocs(name string) bool {
-	for _, prefix := range []string{"frame_", "ckpt_save/", "journal_put/", "conv_forward/", "conv_backward/"} {
+	for _, prefix := range []string{"frame_", "ckpt_save/", "journal_put/", "conv_forward/", "conv_backward/", "train_step/"} {
 		if strings.HasPrefix(name, prefix) {
 			return true
 		}
@@ -307,6 +308,42 @@ func measureConvBench() []benchResult {
 	return []benchResult{convDirect, convRows, backDirect, backRows}
 }
 
+// measureTrainStep is the headline macro-benchmark: one raw-codec
+// default-config split training step (Img+RF, 1-pixel pooling) over the
+// simulated channel, the same measurement as the PR-2 baseline. Like the
+// conv kernels it runs on ONE tensor worker, so that its allocs/op count
+// the step's fan-outs (one closure each) whatever -cpu says.
+func measureTrainStep() (benchResult, error) {
+	defer tensor.SetWorkers(tensor.Workers())
+	tensor.SetWorkers(1)
+	sc := experiments.Scale{
+		Frames: 1500, TrainFrac: 0.75, MaxEpochs: 3,
+		StepsPerEpoch: 20, ValBatch: 96, Seed: 1,
+	}
+	env, err := experiments.NewEnv(sc)
+	if err != nil {
+		return benchResult{}, err
+	}
+	tr, err := env.NewTrainer(split.ImageRF, 40, split.NewPaperSimLink(9))
+	if err != nil {
+		return benchResult{}, err
+	}
+	if _, err := tr.Step(); err != nil { // warm the scratch buffers
+		return benchResult{}, err
+	}
+	trainStep := measure("train_step/raw_1pixel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := tr.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	trainStep.SpeedupVs = pr2Baseline.Name
+	trainStep.Speedup = pr2Baseline.NsPerOp / trainStep.NsPerOp
+	return trainStep, nil
+}
+
 // cmdBench runs the engine micro/macro benchmarks in-process and emits
 // ns/op, allocs/op and speedups — `-json` writes BENCH.json so CI keeps a
 // perf data point per commit. `-serve` runs the multi-UE saturation
@@ -393,6 +430,11 @@ func cmdBench(args []string) error {
 	}
 	pinned = append(pinned, ckptResults...)
 	pinned = append(pinned, measureConvBench()...)
+	trainStep, err := measureTrainStep()
+	if err != nil {
+		return err
+	}
+	pinned = append(pinned, trainStep)
 	if *quick {
 		// Merge, don't clobber: keep any previously recorded engine
 		// results and replace only the pinned entries
@@ -431,35 +473,6 @@ func cmdBench(args []string) error {
 		}
 	})
 
-	// The headline macro-benchmark: one raw-codec default-config split
-	// training step (Img+RF, 1-pixel pooling) over the simulated channel
-	// — the same measurement as the PR-2 baseline.
-	sc := experiments.Scale{
-		Frames: 1500, TrainFrac: 0.75, MaxEpochs: 3,
-		StepsPerEpoch: 20, ValBatch: 96, Seed: 1,
-	}
-	env, err := experiments.NewEnv(sc)
-	if err != nil {
-		return err
-	}
-	tr, err := env.NewTrainer(split.ImageRF, 40, split.NewPaperSimLink(9))
-	if err != nil {
-		return err
-	}
-	if _, err := tr.Step(); err != nil { // warm the scratch buffers
-		return err
-	}
-	trainStep := measure("train_step/raw_1pixel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	trainStep.SpeedupVs = pr2Baseline.Name
-	trainStep.Speedup = pr2Baseline.NsPerOp / trainStep.NsPerOp
-
 	// Session lifecycle latency: one fresh join (handshake +
 	// provisioning + ack) and one checkpoint-resume (handshake +
 	// provisioning + train-state restore + sampler fast-forward + ack)
@@ -470,7 +483,7 @@ func cmdBench(args []string) error {
 		return err
 	}
 
-	rep.Results = []benchResult{matmul, trainStep, joinLat, resumeLat}
+	rep.Results = []benchResult{matmul, joinLat, resumeLat}
 	rep.Results = append(rep.Results, pinned...)
 
 	if *jsonOut {

@@ -71,6 +71,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return gradX
 }
 
+// Release returns the layer's scratch to the shared pool.
+func (c *Conv2D) Release() {
+	c.in = nil
+	tensor.Release(&c.out, &c.gradX)
+}
+
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.K, c.B} }
 
@@ -100,6 +106,9 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.AvgPool2DBackwardInto(p.gradX, grad, p.PH, p.PW)
 	return p.gradX
 }
+
+// Release returns the layer's scratch to the shared pool.
+func (p *AvgPool2D) Release() { tensor.Release(&p.out, &p.gradX) }
 
 // Params returns nil; pooling has no parameters.
 func (p *AvgPool2D) Params() []*Param { return nil }

@@ -45,6 +45,9 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return p.gradX
 }
 
+// Release returns the layer's scratch to the shared pool.
+func (p *MaxPool2D) Release() { tensor.Release(&p.out, &p.gradX) }
+
 // Params returns nil; pooling has no parameters.
 func (p *MaxPool2D) Params() []*Param { return nil }
 

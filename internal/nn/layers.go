@@ -11,6 +11,9 @@ import (
 // Layers own their forward/backward scratch: each instance keeps its
 // output and gradient buffers across calls (re-headered only when the
 // incoming shape changes), so steady-state training allocates nothing.
+// The buffers come from the shared tensor pool, and a layer's Release
+// hands them back, so that a session's model does not leave megabytes of
+// garbage behind for the next session to allocate beside.
 // Layer instances are single-threaded — the existing Layer contract —
 // which is exactly what makes instance-owned scratch safe. The returned
 // tensors are therefore only valid until the instance's next
@@ -73,6 +76,12 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.dx = tensor.EnsureShape(d.dx, d.in.Dim(0), d.in.Dim(1))
 	tensor.MatMulTransBInto(d.dx, grad, d.W.Value)
 	return d.dx
+}
+
+// Release returns the layer's scratch to the shared pool.
+func (d *Dense) Release() {
+	d.in = nil
+	tensor.Release(&d.out, &d.dx, &d.wg)
 }
 
 // Params returns the weight and bias parameters.
@@ -226,6 +235,9 @@ func (a *Activation) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return a.gout
 }
+
+// Release returns the layer's scratch to the shared pool.
+func (a *Activation) Release() { tensor.Release(&a.out, &a.gout) }
 
 // Params returns nil; activations have no parameters.
 func (a *Activation) Params() []*Param { return nil }

@@ -69,6 +69,17 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// Release returns the scratch of every layer that keeps some to the
+// shared tensor pool; the next Forward takes up new scratch. Tensors the
+// layers returned earlier must no longer be in use.
+func (s *Sequential) Release() {
+	for _, l := range s.Layers {
+		if r, ok := l.(interface{ Release() }); ok {
+			r.Release()
+		}
+	}
+}
+
 // Params returns the concatenated parameters of all layers.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

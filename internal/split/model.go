@@ -72,6 +72,10 @@ func (u *UEModel) Backward(grad *tensor.Tensor) {
 	u.Net.Backward(grad)
 }
 
+// Release returns the layers' scratch buffers to the shared tensor pool,
+// for the next session's model to take up; a later Forward re-acquires.
+func (u *UEModel) Release() { u.Net.Release() }
+
 // Params returns the UE-side parameters (they never leave the UE).
 func (u *UEModel) Params() []*nn.Param { return u.Net.Params() }
 
@@ -126,6 +130,16 @@ func (b *BSModel) Forward(seq *tensor.Tensor) *tensor.Tensor {
 // returning the (B, L, D) gradient whose image part crosses the downlink.
 func (b *BSModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return b.Core.Backward(b.Head.Backward(grad))
+}
+
+// Release returns the scratch of the core (the GRU ablation keeps its
+// own) and of the head to the shared tensor pool; a later Forward
+// re-acquires.
+func (b *BSModel) Release() {
+	if r, ok := b.Core.(interface{ Release() }); ok {
+		r.Release()
+	}
+	b.Head.Release()
 }
 
 // Params returns the BS-side parameters.

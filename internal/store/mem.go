@@ -59,13 +59,17 @@ func (m *Mem) GetCheckpoint(id string, step int) ([]byte, error) {
 func (m *Mem) DeleteCheckpoint(id string, step int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.deleteLocked(id, step)
+	return nil
+}
+
+func (m *Mem) deleteLocked(id string, step int) {
 	if c := m.ckpts[id]; c != nil {
 		delete(c, step)
 		if len(c) == 0 {
 			delete(m.ckpts, id)
 		}
 	}
-	return nil
 }
 
 // CheckpointSteps implements Store.
@@ -80,11 +84,21 @@ func (m *Mem) CheckpointSteps(id string) ([]int, error) {
 	return steps, nil
 }
 
-// RetireSession implements Store.
+// RetireSession implements Store. A completed session's terminal
+// checkpoint lives as long as its record: nothing resumes a session that
+// ran to its end, so when the ring drops the record the blob goes with
+// it, and memory is bounded by retain, not by the sessions ever served.
+// Failed, drained, migrated and superseded sessions keep their resume
+// material, and so does an id that a newer record in the ring shows was
+// taken up again.
 func (m *Mem) RetireSession(rec SessionRecord) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ring.push(rec)
+	for _, old := range m.ring.push(rec) {
+		if old.Cause == CauseDetached && !old.Resumable && !m.ring.holds(old.ID) {
+			m.deleteLocked(old.ID, int(old.Steps))
+		}
+	}
 	m.st.Records++
 	return nil
 }

@@ -156,6 +156,12 @@ type SessionRecord struct {
 	BytesOut    int64
 	Err         string
 
+	// Resumable marks a clean detach that is no completion: a drain, which
+	// leaves the checkpoint at Steps behind as resume material. It is not
+	// part of the durable encoding; only Mem, the one backend that lets
+	// go of a completed session's terminal checkpoint, reads it.
+	Resumable bool
+
 	// Hello essentials, enough to re-materialize an admin-facing
 	// snapshot (seed, environment and negotiated codec).
 	Seed     int64
@@ -251,14 +257,27 @@ func newRetireRing(retain int) *retireRing {
 	return &retireRing{retain: retain}
 }
 
-func (r *retireRing) push(rec SessionRecord) {
+// push appends rec and returns the records that thereby left the ring.
+func (r *retireRing) push(rec SessionRecord) (dropped []SessionRecord) {
 	r.recs = append(r.recs, rec)
 	if over := len(r.recs) - r.retain; over > 0 {
-		for _, old := range r.recs[:over] {
+		dropped = r.recs[:over]
+		for _, old := range dropped {
 			r.base.add(old)
 		}
 		r.recs = append([]SessionRecord(nil), r.recs[over:]...)
 	}
+	return dropped
+}
+
+// holds reports whether the ring still lists a record of the given id.
+func (r *retireRing) holds(id string) bool {
+	for i := range r.recs {
+		if r.recs[i].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *retireRing) list() []SessionRecord {

@@ -251,3 +251,57 @@ func TestEndCauseStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestMemBoundsCompletedCheckpoints: Mem lets go of a completed session's
+// terminal checkpoint when its retire record leaves the ring, so memory
+// follows retain and not the number of sessions ever served; anything a
+// later incarnation could resume from stays — the checkpoint of a failed
+// or drained session, and that of an id the ring shows was taken up again.
+func TestMemBoundsCompletedCheckpoints(t *testing.T) {
+	const retain = 8
+	m := NewMem(retain)
+	finish := func(id string, steps int, cause EndCause, resumable bool) {
+		t.Helper()
+		if err := m.PutCheckpoint(id, steps, []byte(id)); err != nil {
+			t.Fatal(err)
+		}
+		rec := SessionRecord{ID: id, Epoch: 1, Cause: cause, Steps: uint32(steps), Resumable: resumable}
+		if err := m.RetireSession(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3*retain; i++ {
+		finish(fmt.Sprintf("done-%d", i), 40, CauseDetached, false)
+	}
+	if live := m.Stats().LiveCheckpoints; live > retain {
+		t.Fatalf("%d completed sessions left %d live checkpoints, want at most %d", 3*retain, live, retain)
+	}
+	if _, err := m.GetCheckpoint(fmt.Sprintf("done-%d", 3*retain-1), 40); err != nil {
+		t.Fatalf("terminal checkpoint of a session still in the ring: %v", err)
+	}
+
+	// An id that completes, is taken up again and fails: when the old
+	// completed record leaves the ring the newer one is still in it, and
+	// when that leaves too it is a failure's. Neither blob may go.
+	finish("again", 5, CauseDetached, false)
+	for i := 0; i < retain-1; i++ {
+		finish(fmt.Sprintf("mid-%d", i), 40, CauseDetached, false)
+	}
+	finish("again", 9, CauseFailed, false)
+	finish("drained", 7, CauseDetached, true)
+	finish("failed", 7, CauseFailed, false)
+	for i := 0; i < 2*retain; i++ {
+		finish(fmt.Sprintf("late-%d", i), 40, CauseDetached, false)
+	}
+	for _, c := range []struct {
+		id   string
+		step int
+	}{{"again", 5}, {"again", 9}, {"drained", 7}, {"failed", 7}} {
+		if _, err := m.GetCheckpoint(c.id, c.step); err != nil {
+			t.Errorf("resume material %s@%d: %v", c.id, c.step, err)
+		}
+	}
+	if live := m.Stats().LiveCheckpoints; live != retain+4 {
+		t.Fatalf("live checkpoints = %d, want the ring's %d and the 4 kept", live, retain+4)
+	}
+}

@@ -87,10 +87,10 @@ func convForward(out, x, k *Tensor, bias []float64, spec Conv2DSpec, rows bool, 
 	xd, kd, od := x.data, k.data, out.data
 	var starts []float64 // one scratch row per shard
 	if rows {
-		starts = getSlice(numShards * ow)
+		starts = getSlice(NumShards * ow)
 		defer putSlice(starts)
 	}
-	parallelFor(n, 2*cout*cin*kh*kw*oh*ow, func(shard, stride int) {
+	ParallelFor(n, 2*cout*cin*kh*kw*oh*ow, func(shard, stride int) {
 		for ni := shard; ni < n; ni += stride {
 			if rows {
 				convSampleRows(xd, kd, od, bias, starts[shard*ow:][:ow], ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
@@ -201,17 +201,17 @@ func convBackward(gradX, gradK *Tensor, gradBias []float64, x, k, gradOut *Tenso
 		if rows {
 			kflip = flipKernel(kd, cin, cout, kh, kw)
 			defer putSlice(kflip)
-			starts = getSlice(numShards * w)
+			starts = getSlice(NumShards * w)
 			defer putSlice(starts)
 		} else {
 			gradX.Zero()
 		}
 	}
 	kSize := cout * cin * kh * kw
-	partialK := getSliceZeroed(numShards * kSize)
-	partialB := getSliceZeroed(numShards * cout)
+	partialK := getSliceZeroed(NumShards * kSize)
+	partialB := getSliceZeroed(NumShards * cout)
 
-	parallelFor(n, 4*kSize*oh*ow, func(shard, stride int) {
+	ParallelFor(n, 4*kSize*oh*ow, func(shard, stride int) {
 		gkd := partialK[shard*kSize : (shard+1)*kSize]
 		gbd := partialB[shard*cout : (shard+1)*cout]
 		for ni := shard; ni < n; ni += stride {
@@ -230,7 +230,7 @@ func convBackward(gradX, gradK *Tensor, gradBias []float64, x, k, gradOut *Tenso
 
 	// Fold the per-shard partials into the accumulators in shard order
 	// (bit-deterministic reduction).
-	for s := 0; s < numShards; s++ {
+	for s := 0; s < NumShards; s++ {
 		for i, v := range partialK[s*kSize : (s+1)*kSize] {
 			gradK.data[i] += v
 		}

@@ -241,8 +241,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 	ref := runAll()
 	for _, w := range workerCounts {
 		got := SetWorkers(w)
-		if got < 1 || got > numShards {
-			t.Fatalf("SetWorkers(%d) returned %d outside [1, %d]", w, got, numShards)
+		if got < 1 || got > NumShards {
+			t.Fatalf("SetWorkers(%d) returned %d outside [1, %d]", w, got, NumShards)
 		}
 		r := runAll()
 		bitsEqual(t, "MatMul", r.mm, ref.mm)
@@ -254,6 +254,97 @@ func TestWorkerCountInvariance(t *testing.T) {
 		bitsEqualSlice(t, "gradBias", r.gB, ref.gB)
 		bitsEqual(t, "gradK without gradX", r.nilK, ref.gK)
 		bitsEqualSlice(t, "gradBias without gradX", r.nilB, ref.gB)
+	}
+}
+
+// naiveProduct is the three matrix products as triple loops that spell
+// out the contract of the row kernels: every output element starts at
+// zero and takes its terms one at a time in ascending inner index; a·B
+// and Aᵀ·B skip a term whose left factor is zero (either sign), a·Bᵀ
+// skips nothing.
+func naiveProduct(a, b *Tensor, transA, transB bool) *Tensor {
+	m, k := a.shape[0], a.shape[1]
+	if transA {
+		m, k = k, m
+	}
+	n := b.shape[1]
+	if transB {
+		n = b.shape[0]
+	}
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for p := 0; p < k; p++ {
+				av := a.data[i*k+p]
+				if transA {
+					av = a.data[p*m+i]
+				}
+				switch {
+				case transB:
+					s += av * b.data[j*k+p]
+				case av != 0:
+					s += av * b.data[p*n+j]
+				}
+			}
+			out.data[i*n+j] = s
+		}
+	}
+	return out
+}
+
+// sparseRandn draws a tensor with about a fifth of its entries zero, a
+// few of them negative zero.
+func sparseRandn(rng *rand.Rand, shape ...int) *Tensor {
+	t := Randn(rng, 1, shape...)
+	for i := range t.data {
+		switch rng.Intn(10) {
+		case 0:
+			t.data[i] = 0
+		case 1:
+			t.data[i] = math.Copysign(0, -1)
+		}
+	}
+	return t
+}
+
+// TestMatMulMatchesNaive: the three products equal the naive loops bit
+// for bit over 250 seeded draws of shapes on both sides of the kernels'
+// blocks of four, with zeros and negative zeros among the factors and
+// any worker count; and a zero left factor skips its term even opposite
+// an infinity, inside a block of four and in the remainder, where the
+// product would be NaN.
+func TestMatMulMatchesNaive(t *testing.T) {
+	defer SetWorkers(0)
+	rng := rand.New(rand.NewSource(73))
+	check := func(name string, a, at, b, bt *Tensor) {
+		t.Helper()
+		bitsEqual(t, name+" MatMul", MatMul(a, b), naiveProduct(a, b, false, false))
+		bitsEqual(t, name+" MatMulTransA", MatMulTransA(at, b), naiveProduct(at, b, true, false))
+		bitsEqual(t, name+" MatMulTransB", MatMulTransB(a, bt), naiveProduct(a, bt, false, true))
+	}
+	for draw := 0; draw < 250; draw++ {
+		m, k, n := 1+rng.Intn(19), 1+rng.Intn(19), 1+rng.Intn(19)
+		if draw%10 == 0 {
+			m, k, n = 40+rng.Intn(30), 30+rng.Intn(80), 100+rng.Intn(40) // wide enough to fan out
+		}
+		SetWorkers(1 + rng.Intn(NumShards))
+		check(fmt.Sprintf("draw %d (%d×%d×%d)", draw, m, k, n),
+			sparseRandn(rng, m, k), sparseRandn(rng, k, m), sparseRandn(rng, k, n), sparseRandn(rng, n, k))
+	}
+
+	a, b := Ones(2, 7), Ones(7, 3)
+	a.Set(0, 0, 1) // in row 0's first block of four
+	a.Set(0, 1, 6) // in row 1's remainder
+	b.Set(math.Inf(1), 1, 0)
+	b.Set(math.Inf(-1), 6, 2)
+	at, bt := Transpose2D(a), Transpose2D(b)
+	check("0·Inf", a, at, b, bt)
+	if got := MatMul(a, b); got.At(0, 0) != 6 || got.At(1, 2) != 6 || !math.IsInf(got.At(1, 0), 1) {
+		t.Fatalf("a zero factor did not skip its infinite term: %v", got.Data())
+	}
+	if got := MatMulTransB(a, bt); !math.IsNaN(got.At(0, 0)) {
+		t.Fatalf("a·Bᵀ skips no term, 0·Inf must reach the sum: got %g", got.At(0, 0))
 	}
 }
 
@@ -322,6 +413,21 @@ func TestEnsureShapeReusesCapacity(t *testing.T) {
 	}
 }
 
+// TestPoolServesLargeRequestsExactly: from 64 Ki floats up a buffer has
+// exactly the requested size (a 409 600-float conv buffer must not take
+// a 524 288-float slot), and a pooled buffer of the same power-of-two
+// class that is too short is not handed out.
+func TestPoolServesLargeRequestsExactly(t *testing.T) {
+	conv := getSlice(256 * 40 * 40)
+	if cap(conv) != 256*40*40 {
+		t.Fatalf("large request got capacity %d, want %d", cap(conv), 256*40*40)
+	}
+	putSlice(conv)
+	if longer := getSlice(500000); cap(longer) < 500000 {
+		t.Fatalf("request for 500000 floats was served capacity %d", cap(longer))
+	}
+}
+
 // TestParallelForSmallBatchEngages: the cost-based gate must fan out
 // typical training batches (n ≈ 8 expensive tasks), which the old
 // n >= 16 count threshold left fully serial.
@@ -333,13 +439,13 @@ func TestParallelForSmallBatchEngages(t *testing.T) {
 	seen := make(map[int]bool)
 	var mu chan struct{} = make(chan struct{}, 1)
 	mu <- struct{}{}
-	parallelFor(n, 1<<20 /* expensive tasks */, func(shard, stride int) {
+	ParallelFor(n, 1<<20 /* expensive tasks */, func(shard, stride int) {
 		<-mu
 		seen[shard] = true
 		mu <- struct{}{}
 	})
-	if len(seen) != numShards {
-		t.Fatalf("expected all %d shards to run, saw %d", numShards, len(seen))
+	if len(seen) != NumShards {
+		t.Fatalf("expected all %d shards to run, saw %d", NumShards, len(seen))
 	}
 }
 
@@ -347,14 +453,14 @@ func TestParallelForSmallBatchEngages(t *testing.T) {
 // goroutines; every shard still runs exactly once.
 func TestParallelForCheapStaysInline(t *testing.T) {
 	calls := 0
-	parallelFor(4, 1, func(shard, stride int) {
-		if stride != numShards {
-			t.Fatalf("stride %d != %d", stride, numShards)
+	ParallelFor(4, 1, func(shard, stride int) {
+		if stride != NumShards {
+			t.Fatalf("stride %d != %d", stride, NumShards)
 		}
 		calls++
 	})
-	if calls != numShards {
-		t.Fatalf("shards run %d times, want %d", calls, numShards)
+	if calls != NumShards {
+		t.Fatalf("shards run %d times, want %d", calls, NumShards)
 	}
 }
 

@@ -2,21 +2,99 @@ package tensor
 
 import "fmt"
 
-// Matrix products. All kernels share two structural rules:
-//
-//   - every output element accumulates its inner-product terms in
-//     ascending inner-index order, so results are bit-deterministic and
-//     independent of blocking or worker count;
-//   - rows are sharded across the deterministic worker pool (parallel.go)
-//     and, within a shard, processed two at a time so each streamed row of
-//     the right-hand operand is reused for two outputs — the cheap half of
-//     register blocking that does not perturb per-row summation order.
+// Matrix products. Each of the three is a fan-out over output rows of
+// one row kernel, and every output element accumulates its inner-product
+// terms in ascending inner-index order whatever the blocking or the worker
+// count, so results are bit-deterministic. The row kernels are exported
+// for callers that walk rows themselves (nn.LSTM): they work on raw
+// row-major slices and do no fan-out of their own.
 
-func checkMatMul(a, b *Tensor, op string) (m, k, n int) {
+// RowMatMul computes o = Σ_p a[p·as]·B[p,:] for B (k×len(o), row-major in
+// b): a row of a·B with as = 1, a row of Aᵀ·B with a starting at A's
+// column and as = A's width. o starts at zero, terms add in ascending p,
+// and a term whose a is zero is skipped, not added. Four p share one pass
+// over o, as four separate adds in p order, so one load and one store of
+// o[j] serve four multiply-adds; a block holding a zero takes its p one at
+// a time, which keeps the skip rule (and 0·Inf) as the scalar loop has it.
+func RowMatMul(o, a []float64, as int, b []float64) {
+	n := len(o)
+	k := len(b) / n
+	for j := range o {
+		o[j] = 0
+	}
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		a0, a1, a2, a3 := a[p*as], a[(p+1)*as], a[(p+2)*as], a[(p+3)*as]
+		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+			rowAXPYs(o, a[p*as:], as, b[p*n:(p+4)*n])
+		} else {
+			rowAXPY4(o, b[p*n:(p+4)*n], a0, a1, a2, a3)
+		}
+	}
+	if p < k {
+		rowAXPYs(o, a[p*as:], as, b[p*n:k*n])
+	}
+}
+
+// rowAXPY4 adds a0·B[0,:], a1·B[1,:], a2·B[2,:], a3·B[3,:] to o, in that
+// order element by element, for the four rows of b. It is a function of
+// its own so that the loop's five pointers and four factors get the
+// registers: inlined into RowMatMul the compiler spills the loop counter.
+//
+//go:noinline
+func rowAXPY4(o, b []float64, a0, a1, a2, a3 float64) {
+	n := len(o)
+	b0, b1, b2, b3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
+	for j := range o {
+		s := o[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		o[j] = s
+	}
+}
+
+// rowAXPYs adds a[p·as]·B[p,:] to o for every row p of b, one at a time,
+// skipping zero a.
+func rowAXPYs(o, a []float64, as int, b []float64) {
+	n := len(o)
+	for p := 0; p*n < len(b); p++ {
+		av := a[p*as]
+		if av == 0 {
+			continue
+		}
+		for j, bv := range b[p*n:][:n] {
+			o[j] += av * bv
+		}
+	}
+}
+
+// RowMatMulTransB computes o[j] = Σ_p a[p]·B[j,p] for B (len(o)×len(a),
+// row-major in b), one row of a·Bᵀ: every dot product starts at zero and
+// adds in ascending p with no term skipped. Four independent chains run
+// at a time; a last block of fewer than four repeats its final row, which
+// costs nothing beside the add latency the chains already wait for.
+func RowMatMulTransB(o, a, b []float64) {
+	k, last := len(a), len(o)-1
+	for j := 0; j <= last; j += 4 {
+		j1, j2, j3 := min(j+1, last), min(j+2, last), min(j+3, last)
+		b0, b1, b2, b3 := b[j*k:][:k], b[j1*k:][:k], b[j2*k:][:k], b[j3*k:][:k]
+		var s0, s1, s2, s3 float64
+		for p, av := range a {
+			s0 += av * b0[p]
+			s1 += av * b1[p]
+			s2 += av * b2[p]
+			s3 += av * b3[p]
+		}
+		o[j], o[j1], o[j2], o[j3] = s0, s1, s2, s3
+	}
+}
+
+func checkMatMul(a, b *Tensor, op string) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: %s requires rank-2 operands, got %v × %v", op, a.shape, b.shape))
 	}
-	return a.shape[0], a.shape[1], b.shape[1]
 }
 
 func checkDst(dst *Tensor, m, n int, op string) {
@@ -27,8 +105,8 @@ func checkDst(dst *Tensor, m, n int, op string) {
 
 // MatMul returns the matrix product a·b for a (m×k) and b (k×n).
 func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul(a, b, "MatMul")
-	out := New(m, n)
+	checkMatMul(a, b, "MatMul")
+	out := New(a.shape[0], b.shape[1])
 	MatMulInto(out, a, b)
 	return out
 }
@@ -36,9 +114,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // MatMulInto computes dst = a·b, overwriting dst (m×n). dst must not
 // alias a or b.
 func MatMulInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInto requires rank-2 operands, got %v × %v", a.shape, b.shape))
-	}
+	checkMatMul(a, b, "MatMulInto")
 	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
@@ -46,70 +122,17 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	checkDst(dst, m, n, "MatMulInto")
 	ad, bd, od := a.data, b.data, dst.data
-	parallelFor(m, 2*k*n, func(shard, stride int) {
-		i := shard
-		for ; i+stride < m; i += 2 * stride {
-			matMulTwoRows(od, ad, bd, i, i+stride, k, n)
-		}
-		if i < m {
-			matMulOneRow(od, ad, bd, i, k, n)
+	ParallelFor(m, 2*k*n, func(shard, stride int) {
+		for i := shard; i < m; i += stride {
+			RowMatMul(od[i*n:(i+1)*n], ad[i*k:(i+1)*k], 1, bd)
 		}
 	})
-}
-
-func matMulOneRow(od, ad, bd []float64, i, k, n int) {
-	arow := ad[i*k : (i+1)*k]
-	orow := od[i*n : (i+1)*n]
-	for j := range orow {
-		orow[j] = 0
-	}
-	for p := 0; p < k; p++ {
-		av := arow[p]
-		if av == 0 {
-			continue
-		}
-		brow := bd[p*n : (p+1)*n]
-		for j, bv := range brow {
-			orow[j] += av * bv
-		}
-	}
-}
-
-func matMulTwoRows(od, ad, bd []float64, i0, i1, k, n int) {
-	a0 := ad[i0*k : (i0+1)*k]
-	a1 := ad[i1*k : (i1+1)*k]
-	o0 := od[i0*n : (i0+1)*n]
-	o1 := od[i1*n : (i1+1)*n]
-	for j := 0; j < n; j++ {
-		o0[j], o1[j] = 0, 0
-	}
-	for p := 0; p < k; p++ {
-		av0, av1 := a0[p], a1[p]
-		brow := bd[p*n : (p+1)*n]
-		switch {
-		case av0 != 0 && av1 != 0:
-			for j, bv := range brow {
-				o0[j] += av0 * bv
-				o1[j] += av1 * bv
-			}
-		case av0 != 0:
-			for j, bv := range brow {
-				o0[j] += av0 * bv
-			}
-		case av1 != 0:
-			for j, bv := range brow {
-				o1[j] += av1 * bv
-			}
-		}
-	}
 }
 
 // MatMulTransA returns aᵀ·b for a (k×m) and b (k×n), without
 // materialising the transpose. The result is m×n.
 func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransA requires rank-2 operands")
-	}
+	checkMatMul(a, b, "MatMulTransA")
 	out := New(a.shape[1], b.shape[1])
 	MatMulTransAInto(out, a, b)
 	return out
@@ -118,9 +141,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 // MatMulTransAInto computes dst = aᵀ·b, overwriting dst (m×n). dst must
 // not alias a or b.
 func MatMulTransAInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransAInto requires rank-2 operands")
-	}
+	checkMatMul(a, b, "MatMulTransAInto")
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
@@ -129,50 +150,9 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	checkDst(dst, m, n, "MatMulTransAInto")
 	ad, bd, od := a.data, b.data, dst.data
 	// Each output row i accumulates Σ_p a[p,i]·b[p,·] independently.
-	parallelFor(m, 2*k*n, func(shard, stride int) {
-		i := shard
-		for ; i+stride < m; i += 2 * stride {
-			i0, i1 := i, i+stride
-			o0 := od[i0*n : (i0+1)*n]
-			o1 := od[i1*n : (i1+1)*n]
-			for j := 0; j < n; j++ {
-				o0[j], o1[j] = 0, 0
-			}
-			for p := 0; p < k; p++ {
-				av0, av1 := ad[p*m+i0], ad[p*m+i1]
-				brow := bd[p*n : (p+1)*n]
-				switch {
-				case av0 != 0 && av1 != 0:
-					for j, bv := range brow {
-						o0[j] += av0 * bv
-						o1[j] += av1 * bv
-					}
-				case av0 != 0:
-					for j, bv := range brow {
-						o0[j] += av0 * bv
-					}
-				case av1 != 0:
-					for j, bv := range brow {
-						o1[j] += av1 * bv
-					}
-				}
-			}
-		}
-		if i < m {
-			orow := od[i*n : (i+1)*n]
-			for j := range orow {
-				orow[j] = 0
-			}
-			for p := 0; p < k; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
+	ParallelFor(m, 2*k*n, func(shard, stride int) {
+		for i := shard; i < m; i += stride {
+			RowMatMul(od[i*n:(i+1)*n], ad[i:], m, bd)
 		}
 	})
 }
@@ -180,9 +160,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 // MatMulTransB returns a·bᵀ for a (m×k) and b (n×k), without
 // materialising the transpose. The result is m×n.
 func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransB requires rank-2 operands")
-	}
+	checkMatMul(a, b, "MatMulTransB")
 	out := New(a.shape[0], b.shape[0])
 	MatMulTransBInto(out, a, b)
 	return out
@@ -191,9 +169,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 // MatMulTransBInto computes dst = a·bᵀ, overwriting dst (m×n). dst must
 // not alias a or b.
 func MatMulTransBInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransBInto requires rank-2 operands")
-	}
+	checkMatMul(a, b, "MatMulTransBInto")
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
@@ -201,29 +177,9 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	checkDst(dst, m, n, "MatMulTransBInto")
 	ad, bd, od := a.data, b.data, dst.data
-	parallelFor(m, 2*k*n, func(shard, stride int) {
+	ParallelFor(m, 2*k*n, func(shard, stride int) {
 		for i := shard; i < m; i += stride {
-			arow := ad[i*k : (i+1)*k]
-			orow := od[i*n : (i+1)*n]
-			j := 0
-			for ; j+1 < n; j += 2 {
-				b0 := bd[j*k : (j+1)*k]
-				b1 := bd[(j+1)*k : (j+2)*k]
-				s0, s1 := 0.0, 0.0
-				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-				}
-				orow[j], orow[j+1] = s0, s1
-			}
-			for ; j < n; j++ {
-				brow := bd[j*k : (j+1)*k]
-				s := 0.0
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				orow[j] = s
-			}
+			RowMatMulTransB(od[i*n:(i+1)*n], ad[i*k:(i+1)*k], bd)
 		}
 	})
 }

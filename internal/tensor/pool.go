@@ -7,22 +7,20 @@ import (
 )
 
 // Size-bucketed []float64 pool. Buffers are pooled by power-of-two
-// capacity class so a request is always served by a buffer of at most 2×
+// capacity class so a small request is served by a buffer of at most 2×
 // the asked-for length; steady-state training therefore recycles the same
 // few buffers instead of churning the GC with multi-megabyte allocations
-// every step.
+// every step. A large request gets a buffer of exactly its size: the
+// model-sized buffers that sessions hand back and take up again (a UE
+// half's four 3.3 MB layer buffers) repeat their sizes exactly, and
+// rounding those up to a power of two costs a quarter of their footprint.
 
-const minPoolClass = 6 // smallest pooled capacity: 1<<6 = 64 floats
+const (
+	minPoolClass = 6       // smallest pooled capacity: 1<<6 = 64 floats
+	largeSlice   = 1 << 16 // requests from here up are allocated at their exact size
+)
 
 var slicePools [64 - minPoolClass]sync.Pool
-
-func sizeClass(n int) int {
-	c := bits.Len(uint(n - 1)) // ceil(log2 n)
-	if c < minPoolClass {
-		c = minPoolClass
-	}
-	return c
-}
 
 // getSlice returns a length-n slice with UNSPECIFIED contents, drawn from
 // the pool when a buffer of the right class is available.
@@ -30,7 +28,19 @@ func getSlice(n int) []float64 {
 	if n <= 0 {
 		return nil
 	}
-	c := sizeClass(n)
+	if n >= largeSlice {
+		// putSlice files a buffer under floor(log2 cap), so this class
+		// holds capacities on both sides of n.
+		pool := &slicePools[bits.Len(uint(n))-1-minPoolClass]
+		if v := pool.Get(); v != nil {
+			if s := v.([]float64); cap(s) >= n {
+				return s[:n]
+			}
+			pool.Put(v)
+		}
+		return make([]float64, n)
+	}
+	c := max(bits.Len(uint(n-1)), minPoolClass) // ceil(log2 n)
 	if v := slicePools[c-minPoolClass].Get(); v != nil {
 		return v.([]float64)[:n]
 	}
@@ -134,25 +144,40 @@ func shapeEqual(a, b []int) bool {
 
 // EnsureShape returns t when it already has exactly the given shape,
 // re-headers t's backing storage when its capacity suffices, and
-// allocates a fresh tensor otherwise. Contents are UNSPECIFIED unless the
-// returned tensor is t itself; callers are expected to overwrite (or
-// Zero) it. It is the building block layers use to keep per-instance
-// scratch across training steps.
+// draws a tensor from the shared pool otherwise. Contents are UNSPECIFIED
+// unless the returned tensor is t itself; callers are expected to
+// overwrite (or Zero) it. It is the building block layers use to keep
+// per-instance scratch across training steps; Release hands such scratch
+// back to the pool when its owner retires.
 func EnsureShape(t *Tensor, shape ...int) *Tensor {
 	n := checkShape(shape)
-	if t != nil {
-		if shapeEqual(t.shape, shape) {
-			return t
-		}
-		if cap(t.data) >= n {
-			return &Tensor{
-				shape:   append([]int(nil), shape...),
-				strides: computeStrides(shape),
-				data:    t.data[:n],
-			}
+	var data []float64
+	switch {
+	case t == nil || cap(t.data) < n:
+		data = getSlice(n)
+	case shapeEqual(t.shape, shape):
+		return t
+	default:
+		data = t.data[:n]
+	}
+	return &Tensor{
+		shape:   append([]int(nil), shape...),
+		strides: computeStrides(shape),
+		data:    data,
+	}
+}
+
+// Release returns the storage of every non-nil *t to the shared pool and
+// sets the pointers to nil: how a layer gives up scratch it got from
+// EnsureShape. Nothing may still use the tensors (nor another header over
+// the same storage) afterwards.
+func Release(ts ...**Tensor) {
+	for _, t := range ts {
+		if *t != nil {
+			putSlice((*t).data)
+			*t = nil
 		}
 	}
-	return New(shape...)
 }
 
 // mustRank panics unless t has the given rank.

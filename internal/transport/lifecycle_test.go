@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/split"
+	"repro/internal/store"
 )
 
 // ---- shared harness ------------------------------------------------------------
@@ -842,6 +843,82 @@ func TestBSServerDrain(t *testing.T) {
 	}
 	<-done
 	ueConn.Close()
+}
+
+// TestMemStoreKeepsDrainedCheckpoint: on the mem store a completed
+// session's terminal checkpoint leaves with its retire record, while a
+// drained session's, which retires as a clean detach too, is resume
+// material and stays.
+func TestMemStoreKeepsDrainedCheckpoint(t *testing.T) {
+	prov := cachedProvision()
+	mem := store.NewMem(1)
+	// run starts a session on a server of its own over the shared store;
+	// the returned wait blocks until both ends are done with it.
+	run := func(steps int, h Hello) (srv *BSServer, wait func()) {
+		srv, err := NewBSServer(ServerConfig{
+			MaxUE: 1, Steps: steps, EvalEvery: 1 << 30, ValAnchors: 8,
+			Provision: prov, Store: mem, CheckpointEvery: 1 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, d, _, err := prov(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		us := &UESession{Hello: h, Cfg: cfg, Data: d, sleep: func(time.Duration) {}}
+		dialer := &pipeDialer{srv: srv}
+		done := make(chan error, 1)
+		go func() { done <- us.Run(dialer.dial) }()
+		return srv, func() {
+			t.Helper()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("session did not end")
+			}
+			dialer.wait()
+		}
+	}
+
+	_, wait := run(3, tinyHello(1))
+	wait()
+	if _, err := mem.GetCheckpoint("ue-1", 3); err != nil {
+		t.Fatalf("terminal checkpoint of the completed session: %v", err)
+	}
+
+	srv, wait := run(1<<30, tinyHello(0))
+	steps := 0
+	for deadline := time.Now().Add(5 * time.Second); steps < 2; time.Sleep(5 * time.Millisecond) {
+		for _, snap := range srv.Sessions() {
+			if snap.ID == "ue-0" {
+				steps = snap.Steps
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("session never started stepping")
+		}
+	}
+	srv.Drain()
+	wait()
+	for _, snap := range srv.Sessions() {
+		if snap.ID == "ue-0" {
+			steps = snap.Steps
+		}
+	}
+	// The drained record pushed the completed one out of the ring of one.
+	if _, err := mem.GetCheckpoint("ue-1", 3); !store.IsNotFound(err) {
+		t.Fatalf("completed session's checkpoint after its record left the ring: err = %v", err)
+	}
+	if err := mem.RetireSession(store.SessionRecord{ID: "later", Cause: store.CauseDetached}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.GetCheckpoint("ue-0", steps); err != nil {
+		t.Fatalf("drained session's checkpoint at step %d after its record left the ring: %v", steps, err)
+	}
 }
 
 // ---- mixed-version interop -----------------------------------------------------

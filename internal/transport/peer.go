@@ -182,8 +182,8 @@ func (u *UEPeer) Serve() error {
 	}
 }
 
-// release returns the peer's pooled frame buffers and arena storage; the
-// peer's protocol methods must not be used afterwards.
+// release returns the peer's pooled frame buffers, arena storage and
+// layer scratch; the peer's protocol methods must not be used afterwards.
 func (u *UEPeer) release() {
 	if u.fr != nil {
 		u.fr.Release()
@@ -192,6 +192,7 @@ func (u *UEPeer) release() {
 		u.fw.Release()
 	}
 	u.arena.Release()
+	u.Model.Release()
 }
 
 // BSPeer is the base-station endpoint. It owns the received powers, the
@@ -273,8 +274,8 @@ func NewBSPeer(cfg split.Config, d *dataset.Dataset, sp *dataset.Split, conn io.
 	return b, nil
 }
 
-// release returns the peer's pooled frame buffers and arena storage; the
-// peer's protocol methods must not be used afterwards.
+// release returns the peer's pooled frame buffers, arena storage and
+// layer scratch; the peer's protocol methods must not be used afterwards.
 func (b *BSPeer) release() {
 	if b.fr != nil {
 		b.fr.Release()
@@ -282,8 +283,10 @@ func (b *BSPeer) release() {
 	if b.fw != nil {
 		b.fw.Release()
 	}
-	b.lastFused, b.lastTargets, b.lossGrad = nil, nil, nil
+	b.lastFused, b.lastTargets = nil, nil
+	tensor.Release(&b.lossGrad)
 	b.arena.Release()
+	b.Model.Release()
 }
 
 // AppendState appends the BS half's resumable train state (parameters +

@@ -880,6 +880,9 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 			}
 		}
 		shutdownStep = uint32(sess.lastCheckpoint())
+		sess.mu.Lock()
+		sess.drained = true
+		sess.mu.Unlock()
 	}
 	if err := peer.ShutdownAt(shutdownStep); err != nil {
 		s.fail(sess, err)

@@ -105,6 +105,11 @@ type SessionSnapshot struct {
 	// unexported because it is only meaningful on hook-delivered
 	// snapshots.
 	cause error
+
+	// drained marks a detach that a drain forced before the schedule
+	// ended: the last checkpoint is resume material, not a terminal
+	// artifact (store.SessionRecord.Resumable).
+	drained bool
 }
 
 // Cause returns the terminal error this snapshot was retired with (nil
@@ -124,6 +129,7 @@ type session struct {
 	steps     int
 	resumed   uint32 // step this incarnation resumed from (0 = fresh)
 	reached   bool
+	drained   bool // a drain cut the schedule short (SessionSnapshot.drained)
 	err       error
 	met       *metrics.SessionMetrics
 	conn      *CountingConn // nil until provisioned
@@ -250,6 +256,7 @@ func (s *session) snapshot() SessionSnapshot {
 		Evals:       s.met.ValRMSE.Len(),
 		Reached:     s.reached,
 		Metrics:     s.met.Clone(),
+		drained:     s.drained,
 	}
 	if _, v, ok := s.met.Loss.Last(); ok {
 		snap.LastLoss = v

@@ -27,6 +27,7 @@ func recordFromSnapshot(snap SessionSnapshot) store.SessionRecord {
 		ResumedFrom: snap.ResumedFrom,
 		Evals:       uint32(snap.Evals),
 		Reached:     snap.Reached,
+		Resumable:   snap.drained,
 		LastLoss:    snap.LastLoss,
 		LastRMSE:    snap.LastRMSE,
 		BytesIn:     snap.BytesIn,
