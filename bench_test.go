@@ -401,7 +401,7 @@ func BenchmarkMultiUEServer4Sessions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv, err := transport.NewBSServer(transport.ServerConfig{
-			MaxUE: nUE, Sched: transport.SchedAsync,
+			MaxUE: nUE,
 			Steps: 10, EvalEvery: 5, ValAnchors: 16,
 			Provision: multiUESessionEnv,
 		})
@@ -662,7 +662,7 @@ func BenchmarkMultiUEWireBytesPerCodec(b *testing.B) {
 			var bytesIn int64
 			for i := 0; i < b.N; i++ {
 				srv, err := transport.NewBSServer(transport.ServerConfig{
-					MaxUE: 2, Sched: transport.SchedAsync,
+					MaxUE: 2,
 					Steps: 10, EvalEvery: 5, ValAnchors: 16,
 					Provision: multiUESessionEnv,
 				})

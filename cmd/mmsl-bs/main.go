@@ -2,31 +2,25 @@
 // owns the received-power measurements and labels, the LSTM layers, and
 // the training loop.
 //
-// It has two modes:
+// It listens on -listen and accepts up to -max-ue concurrent UEs, each
+// opening its own session with the hello/ack handshake. Sessions get
+// independent datasets, model halves and optimiser state derived from
+// the seed each UE announces, each negotiates its own cut-layer payload
+// codec, and all train in parallel. The paper's 1:1 topology is this
+// server with one UE (-max-ue 1); with no flags the two daemons pair up
+// on localhost:9920.
 //
-//   - Single-UE (the original 1:1 topology): -connect dials a listening
-//     mmsl-ue and orchestrates one session over the framed protocol.
+//	mmsl-bs -listen :9920 -max-ue 8 -steps 200
+//	mmsl-ue -connect localhost:9920 -session ue1 -seed 1
+//	mmsl-ue -connect localhost:9920 -session ue2 -seed 2
 //
-//   - Multi-UE server: -listen accepts up to -max-ue concurrent UEs, each
-//     opening its own session with the hello/ack handshake. Sessions get
-//     independent datasets, model halves and optimiser state derived from
-//     the seed each UE announces, and each negotiates its own cut-layer
-//     payload codec; -sched selects whether sessions train fully in
-//     parallel (async) or take turns (rr).
-//
-//     mmsl-bs -listen :9920 -max-ue 8 -sched async -steps 200
-//     mmsl-ue -connect localhost:9920 -session ue1 -seed 1
-//     mmsl-ue -connect localhost:9920 -session ue2 -seed 2
-//
-//     Lifecycle hardening: -idle-timeout evicts a UE that wedges
-//     mid-protocol so it cannot hold a -max-ue slot forever;
-//     -checkpoint-dir/-checkpoint-every enable periodic train-state
-//     checkpoints and reconnect-with-resume; SIGTERM/SIGINT drains
-//     gracefully — the server stops accepting, checkpoints every live
-//     session at its next step boundary, detaches the UEs cleanly and
-//     prints the final per-session metrics.
-//
-// See cmd/mmsl-ue for the single-UE pairing instructions.
+// Lifecycle hardening: -idle-timeout evicts a UE that wedges
+// mid-protocol so it cannot hold a -max-ue slot forever;
+// -checkpoint-dir/-checkpoint-every enable periodic train-state
+// checkpoints and reconnect-with-resume; SIGTERM/SIGINT drains
+// gracefully — the server stops accepting, checkpoints every live
+// session at its next step boundary, detaches the UEs cleanly and
+// prints the final per-session metrics.
 package main
 
 import (
@@ -42,81 +36,47 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/control"
-	"repro/internal/dataset"
-	"repro/internal/split"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
 func main() {
-	connect := flag.String("connect", "", "single-UE mode: UE address to dial (e.g. localhost:9910)")
-	listen := flag.String("listen", "", "multi-UE mode: address to accept UE sessions on (e.g. :9920)")
-	maxUE := flag.Int("max-ue", 8, "multi-UE mode: concurrent session cap")
-	sched := flag.String("sched", "async", "multi-UE mode: scheduling policy (async or rr)")
-	frames := flag.Int("frames", 2400, "single-UE mode: synthetic dataset length (must match the UE)")
-	seed := flag.Int64("seed", 1, "single-UE mode: shared experiment seed (must match the UE)")
-	pool := flag.Int("pool", 40, "single-UE mode: square pooling size (must match the UE)")
-	codecName := flag.String("codec", "raw", "single-UE mode: cut-layer payload codec, must match the UE (multi-UE sessions negotiate per session)")
+	listen := flag.String("listen", ":9920", "address to accept UE sessions on")
+	maxUE := flag.Int("max-ue", 8, "concurrent session cap")
 	steps := flag.Int("steps", 200, "distributed SGD steps per session")
 	evalEvery := flag.Int("eval-every", 40, "validate every N steps")
 	valAnchors := flag.Int("val-anchors", 128, "validation anchors per evaluation")
 	target := flag.Float64("target", 0, "stop a session early at this val RMSE in dB (0 = never)")
-	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "multi-UE mode: fail a session whose connection stalls this long mid-operation (0 = never)")
-	ckptDir := flag.String("checkpoint-dir", "", "multi-UE mode: directory for session train-state checkpoints (empty = checkpoint/resume disabled)")
-	ckptEvery := flag.Int("checkpoint-every", 50, "multi-UE mode: checkpoint interval in training steps")
-	storeKind := flag.String("store", "", "multi-UE mode: durable store backend: mem, dir (per-session files) or journal (single crash-consistent append log); empty = dir when -checkpoint-dir is set, else mem with checkpointing off")
-	journalCompact := flag.Int64("journal-compact-bytes", 64<<20, "multi-UE mode: journal size that arms compaction (with -store journal)")
-	retain := flag.Int("retain", 128, "multi-UE mode: finished-session snapshots kept for reporting")
+	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "fail a session whose connection stalls this long mid-operation (0 = never)")
+	ckptDir := flag.String("checkpoint-dir", "", "directory for session train-state checkpoints (empty = checkpoint/resume disabled)")
+	ckptEvery := flag.Int("checkpoint-every", 50, "checkpoint interval in training steps")
+	storeKind := flag.String("store", "", "durable store backend: mem, dir (per-session files) or journal (single crash-consistent append log); empty = dir when -checkpoint-dir is set, else mem with checkpointing off")
+	journalCompact := flag.Int64("journal-compact-bytes", 64<<20, "journal size that arms compaction (with -store journal)")
+	retain := flag.Int("retain", 128, "finished-session snapshots kept for reporting")
 	workers := flag.Int("workers", 0, "tensor worker-pool size for parallel kernels (0 = min(GOMAXPROCS, 8); results are identical for any value)")
-	batchWindow := flag.Duration("batch-window", 0, "multi-UE mode: pipelined serving with cross-session compute batching; rounds arriving within this window coalesce (0 = serial serving; results are bit-identical either way)")
-	batchMax := flag.Int("batch-max", 16, "multi-UE mode: max rounds coalesced into one compute dispatch")
-	replicaID := flag.String("replica-id", "", "multi-UE mode: stable replica identity in a coordinated fleet (the mmsl_replica_info{id} label and mmsl-coord member name; empty = bs-0)")
+	batchWindow := flag.Duration("batch-window", 0, "cross-session compute batching: rounds arriving within this window coalesce into one dispatch (0 = no coalescing wait; results are bit-identical for any value)")
+	batchMax := flag.Int("batch-max", 16, "max rounds coalesced into one compute dispatch")
+	replicaID := flag.String("replica-id", "", "stable replica identity in a coordinated fleet (the mmsl_replica_info{id} label and mmsl-coord member name; empty = bs-0)")
 	adminAddr := flag.String("admin", "", "serve the control plane on this address: /metrics, session admin, live /config, /debug/pprof/ (e.g. localhost:6060; empty = off)")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -admin (the old standalone pprof listener is folded into the admin mux)")
 	flag.Parse()
 	if *workers != 0 {
 		tensor.SetWorkers(*workers)
 	}
-	if *pprofAddr != "" {
-		log.Printf("mmsl-bs: -pprof is deprecated; use -admin (serving pprof under the admin mux on %s)", *pprofAddr)
-		if *adminAddr == "" {
-			*adminAddr = *pprofAddr
-		}
-	}
 
-	codec, err := compress.Parse(*codecName)
-	if err != nil {
-		log.Fatalf("mmsl-bs: %v", err)
-	}
-	switch {
-	case *listen != "" && *connect != "":
-		log.Fatal("mmsl-bs: -listen and -connect are mutually exclusive")
-	case *listen != "":
-		serveMultiUE(*listen, *adminAddr, transport.ServerConfig{
-			ReplicaID: *replicaID,
-			MaxUE:     *maxUE, Steps: *steps, EvalEvery: *evalEvery, ValAnchors: *valAnchors,
-			TargetRMSEdB: *target, IdleTimeout: *idleTimeout,
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Retain: *retain,
-			BatchWindow: *batchWindow, BatchMax: *batchMax,
-		}, *sched, *storeKind, *journalCompact)
-	case *connect != "":
-		serveAdmin(*adminAddr, nil, nil)
-		runSingleUE(*connect, *frames, *seed, *pool, codec, *steps, *evalEvery, *valAnchors, *target)
-	default:
-		// Original default behaviour: dial the standard mmsl-ue address.
-		serveAdmin(*adminAddr, nil, nil)
-		runSingleUE("localhost:9910", *frames, *seed, *pool, codec, *steps, *evalEvery, *valAnchors, *target)
-	}
+	serve(*listen, *adminAddr, transport.ServerConfig{
+		ReplicaID: *replicaID,
+		MaxUE:     *maxUE, Steps: *steps, EvalEvery: *evalEvery, ValAnchors: *valAnchors,
+		TargetRMSEdB: *target, IdleTimeout: *idleTimeout,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Retain: *retain,
+		BatchWindow: *batchWindow, BatchMax: *batchMax,
+	}, *storeKind, *journalCompact)
 }
 
-// serveAdmin starts the control plane on addr (no-op when empty). With
-// a nil server the surface degrades to /healthz and /debug/pprof/ — the
-// single-UE mode's profiling story. onDrain, when set, runs after
-// BSServer.Drain on POST /drain; the daemon passes the listener closer
-// so the endpoint is observably the SIGTERM path.
+// serveAdmin starts the control plane on addr (no-op when empty).
+// onDrain runs after BSServer.Drain on POST /drain; the daemon passes
+// the listener closer so the endpoint is observably the SIGTERM path.
 func serveAdmin(addr string, srv *transport.BSServer, onDrain func()) {
 	if addr == "" {
 		return
@@ -169,14 +129,9 @@ func openStore(kind, ckptDir string, retain int, compactBytes int64) store.Store
 	return nil
 }
 
-// serveMultiUE runs the concurrent base station until the listener dies
-// or a termination signal triggers the graceful drain.
-func serveMultiUE(addr, adminAddr string, cfg transport.ServerConfig, sched, storeKind string, journalCompact int64) {
-	policy, err := transport.ParseSchedPolicy(sched)
-	if err != nil {
-		log.Fatalf("mmsl-bs: %v", err)
-	}
-	cfg.Sched = policy
+// serve runs the base station until the listener dies or a termination
+// signal triggers the graceful drain.
+func serve(addr, adminAddr string, cfg transport.ServerConfig, storeKind string, journalCompact int64) {
 	cfg.Logf = log.Printf
 	cfg.Store = openStore(storeKind, cfg.CheckpointDir, cfg.Retain, journalCompact)
 	srv, err := transport.NewBSServer(cfg)
@@ -196,8 +151,8 @@ func serveMultiUE(addr, adminAddr string, cfg transport.ServerConfig, sched, sto
 		log.Fatalf("mmsl-bs: listen: %v", err)
 	}
 	defer ln.Close()
-	fmt.Printf("mmsl-bs: serving up to %d UEs on %s (%v scheduling, %d steps/session)\n",
-		cfg.MaxUE, ln.Addr(), policy, cfg.Steps)
+	fmt.Printf("mmsl-bs: serving up to %d UEs on %s (%d steps/session)\n",
+		cfg.MaxUE, ln.Addr(), cfg.Steps)
 
 	// SIGTERM/SIGINT → graceful drain: stop accepting, checkpoint every
 	// live session at its next step boundary, detach the UEs cleanly.
@@ -242,66 +197,4 @@ func flushSessionMetrics(srv *transport.BSServer) {
 			s.ID, s.Epoch, state, s.Steps, s.ResumedFrom, s.Metrics.Checkpoints.Load(),
 			s.LastRMSE, s.BytesIn, s.BytesOut)
 	}
-}
-
-// runSingleUE is the original 1:1 flow against a listening mmsl-ue.
-func runSingleUE(connect string, frames int, seed int64, pool int, codec compress.ID, steps, evalEvery, valAnchors int, target float64) {
-	gen := dataset.DefaultGenConfig()
-	gen.NumFrames = frames
-	gen.Seed = seed
-	data, err := dataset.Generate(gen)
-	if err != nil {
-		log.Fatalf("mmsl-bs: generate dataset: %v", err)
-	}
-	cfg := split.DefaultConfig(split.ImageRF, pool)
-	cfg.Seed = seed
-	cfg.Codec = codec
-	sp, err := dataset.NewSplit(data, cfg.SeqLen, cfg.HorizonFrames, data.Len()*3/4)
-	if err != nil {
-		log.Fatalf("mmsl-bs: split: %v", err)
-	}
-
-	conn, err := net.Dial("tcp", connect)
-	if err != nil {
-		log.Fatalf("mmsl-bs: connect: %v", err)
-	}
-	defer conn.Close()
-	fmt.Printf("mmsl-bs: connected to UE at %s\n", conn.RemoteAddr())
-
-	bs, err := transport.NewBSPeer(cfg, data, sp, conn)
-	if err != nil {
-		log.Fatalf("mmsl-bs: %v", err)
-	}
-
-	val := sp.Val
-	if len(val) > valAnchors {
-		stride := len(val) / valAnchors
-		sub := make([]int, 0, valAnchors)
-		for i := 0; i < valAnchors; i++ {
-			sub = append(sub, val[i*stride])
-		}
-		val = sub
-	}
-
-	for s := 1; s <= steps; s++ {
-		loss, err := bs.TrainStep()
-		if err != nil {
-			log.Fatalf("mmsl-bs: step %d: %v", s, err)
-		}
-		if s%evalEvery == 0 || s == steps {
-			rmse, err := bs.Evaluate(val)
-			if err != nil {
-				log.Fatalf("mmsl-bs: evaluate: %v", err)
-			}
-			fmt.Printf("mmsl-bs: step %4d  batch loss %.4f  val RMSE %.2f dB\n", s, loss, rmse)
-			if target > 0 && rmse <= target {
-				fmt.Printf("mmsl-bs: reached target %.2f dB at step %d\n", target, s)
-				break
-			}
-		}
-	}
-	if err := bs.Shutdown(); err != nil {
-		log.Printf("mmsl-bs: shutdown: %v", err)
-	}
-	fmt.Println("mmsl-bs: done")
 }

@@ -40,7 +40,6 @@ func main() {
 	adminAddr := flag.String("admin", "", "serve the fleet control plane on this address: federated /metrics, /replicas, migrate/rebalance admin, live /config (empty = off)")
 	replicas := flag.Int("replicas", 2, "in-process BS replicas behind the coordinator")
 	maxUE := flag.Int("max-ue", 8, "concurrent session cap per replica")
-	sched := flag.String("sched", "async", "per-replica scheduling policy (async or rr)")
 	steps := flag.Int("steps", 200, "distributed SGD steps per session")
 	evalEvery := flag.Int("eval-every", 40, "validate every N steps")
 	valAnchors := flag.Int("val-anchors", 128, "validation anchors per evaluation")
@@ -48,7 +47,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "fail a session whose connection stalls this long mid-operation (0 = never)")
 	ckptEvery := flag.Int("checkpoint-every", 50, "checkpoint interval in training steps (handover rides on checkpoints, so replicas always checkpoint — to per-replica in-memory stores)")
 	retain := flag.Int("retain", 128, "finished-session snapshots kept per replica")
-	batchWindow := flag.Duration("batch-window", 0, "per-replica cross-session compute batching window (0 = serial serving)")
+	batchWindow := flag.Duration("batch-window", 0, "per-replica cross-session compute batching window (0 = no coalescing wait)")
 	batchMax := flag.Int("batch-max", 16, "max rounds coalesced into one compute dispatch")
 	strategy := flag.String("strategy", coord.PlaceAffinity, "placement strategy for fresh sessions (affinity or least-loaded)")
 	migrateTimeout := flag.Duration("migrate-timeout", 30*time.Second, "deadline for a session to reach its checkpoint boundary during handover")
@@ -62,10 +61,6 @@ func main() {
 		tensor.SetWorkers(*workers)
 	}
 
-	policy, err := transport.ParseSchedPolicy(*sched)
-	if err != nil {
-		log.Fatalf("mmsl-coord: %v", err)
-	}
 	if *replicas < 1 {
 		log.Fatal("mmsl-coord: -replicas must be at least 1")
 	}
@@ -75,7 +70,7 @@ func main() {
 	for i := range members {
 		srv, err := transport.NewBSServer(transport.ServerConfig{
 			ReplicaID: fmt.Sprintf("bs-%d", i),
-			MaxUE:     *maxUE, Sched: policy, Steps: *steps,
+			MaxUE:     *maxUE, Steps: *steps,
 			EvalEvery: *evalEvery, ValAnchors: *valAnchors,
 			TargetRMSEdB: *target, IdleTimeout: *idleTimeout,
 			CheckpointEvery: *ckptEvery, Retain: *retain,
@@ -113,8 +108,8 @@ func main() {
 		log.Fatalf("mmsl-coord: listen: %v", err)
 	}
 	defer ln.Close()
-	fmt.Printf("mmsl-coord: %d replicas × %d UEs on %s (%s placement, %v scheduling)\n",
-		*replicas, *maxUE, ln.Addr(), *strategy, policy)
+	fmt.Printf("mmsl-coord: %d replicas × %d UEs on %s (%s placement)\n",
+		*replicas, *maxUE, ln.Addr(), *strategy)
 
 	if *adminAddr != "" {
 		ctl := control.NewCoord(co, control.Options{Logf: log.Printf, Pprof: true})

@@ -4,34 +4,23 @@
 // protocol. Raw images never leave this process — only pooled CNN
 // outputs do.
 //
-// It has two modes:
+// It dials the mmsl-bs server at -connect, joins with the session-hello
+// handshake under -session, and serves until the BS detaches the
+// session. The BS provisions this session's model and labels from the
+// announced seed, so many UEs with different seeds can train against
+// one BS concurrently. A dropped connection is re-dialled with capped
+// exponential backoff (-retries caps the consecutive attempts),
+// resuming from the last checkpoint the BS instructed the UE to take;
+// with -checkpoint-dir the UE half's checkpoints also survive a process
+// restart.
 //
-//   - Single-UE (the original 1:1 topology): -listen waits for one
-//     mmsl-bs to dial in.
+//	mmsl-bs -listen :9920 -max-ue 8 &
+//	mmsl-ue -connect localhost:9920 -session ue1 -seed 1
 //
-//     mmsl-ue -listen :9910 -seed 1 &
-//     mmsl-bs -connect localhost:9910 -seed 1 -steps 200
-//
-//   - Multi-UE client: -connect dials a multi-UE mmsl-bs server, joins
-//     with the session-hello handshake under -session, and serves until
-//     the BS detaches the session. The BS provisions this session's
-//     model and labels from the announced seed, so many UEs with
-//     different seeds can train against one BS concurrently. A dropped
-//     connection is re-dialled with capped exponential backoff
-//     (-retries caps the consecutive attempts), resuming from the last
-//     checkpoint the BS instructed the UE to take; with -checkpoint-dir
-//     the UE half's checkpoints also survive a process restart.
-//
-//     mmsl-bs -listen :9920 -max-ue 8 &
-//     mmsl-ue -connect localhost:9920 -session ue1 -seed 1
-//
-// In both modes the two sides must agree on -seed, -frames, -pool and
-// -codec so that their model halves, dataset and wire encoding agree
-// (in a real deployment the dataset is the shared physical
-// environment); in multi-UE mode the handshake carries those
-// parameters and a config fingerprint, so a mismatch is rejected at
-// join time instead of corrupting training, and each session
-// negotiates its own payload codec.
+// The handshake carries -seed, -frames, -pool and -codec plus a config
+// fingerprint, so the BS builds the matching half from them (in a real
+// deployment the dataset is the shared physical environment) and a
+// mismatch is rejected at join time instead of corrupting training.
 package main
 
 import (
@@ -44,24 +33,21 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/dataset"
 	"repro/internal/split"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
 func main() {
-	listen := flag.String("listen", ":9910", "single-UE mode: address to listen for the BS")
-	connect := flag.String("connect", "", "multi-UE mode: BS server address to dial (e.g. localhost:9920)")
-	session := flag.String("session", "", "multi-UE mode: session id (default ue-<seed>)")
+	connect := flag.String("connect", "localhost:9920", "BS server address to dial")
+	session := flag.String("session", "", "session id (default ue-<seed>)")
 	frames := flag.Int("frames", 2400, "synthetic dataset length")
-	seed := flag.Int64("seed", 1, "shared experiment seed")
+	seed := flag.Int64("seed", 1, "experiment seed, announced to the BS")
 	pool := flag.Int("pool", 40, "square pooling size")
-	codecName := flag.String("codec", "raw", "cut-layer payload codec: raw, float16, int8 or topk; multi-UE mode also accepts `default` to use whatever the BS's policy grants (single-UE mode: must match the BS)")
-	ckptDir := flag.String("checkpoint-dir", "", "multi-UE mode: persist UE-half checkpoints here so resume survives a process restart (empty = in-memory only)")
-	retries := flag.Int("retries", 6, "multi-UE mode: consecutive reconnect attempts before giving up")
+	codecName := flag.String("codec", "raw", "cut-layer payload codec: raw, float16, int8, topk, or `default` to use whatever the BS's policy grants")
+	ckptDir := flag.String("checkpoint-dir", "", "persist UE-half checkpoints here so resume survives a process restart (empty = in-memory only)")
+	retries := flag.Int("retries", 6, "consecutive reconnect attempts before giving up")
 	workers := flag.Int("workers", 0, "tensor worker-pool size for parallel kernels (0 = min(GOMAXPROCS, 8); results are identical for any value)")
-	once := flag.Bool("once", true, "single-UE mode: exit after serving one BS session")
 	flag.Parse()
 	if *workers != 0 {
 		tensor.SetWorkers(*workers)
@@ -75,17 +61,10 @@ func main() {
 		}
 		helloCodec = uint8(codec)
 	}
-	if *connect != "" {
-		joinServer(*connect, *session, *seed, *frames, *pool, helloCodec, *ckptDir, *retries)
-		return
-	}
-	if helloCodec == transport.CodecServerDefault {
-		log.Fatal("mmsl-ue: -codec default needs -connect (the grant comes from the multi-UE hello/ack handshake)")
-	}
-	listenLegacy(*listen, *frames, *seed, *pool, compress.ID(helloCodec), *once)
+	joinServer(*connect, *session, *seed, *frames, *pool, helloCodec, *ckptDir, *retries)
 }
 
-// joinServer dials a multi-UE BS and serves one session with
+// joinServer dials the BS and serves one session with
 // auto-reconnect and checkpoint/resume; the codec is negotiated per
 // session through the hello/ack handshake. codec is the hello's codec
 // byte — a compress.ID, or transport.CodecServerDefault to take
@@ -133,53 +112,5 @@ func joinServer(addr, session string, seed int64, frames, pool int, codec uint8,
 		}
 	default:
 		log.Fatalf("mmsl-ue: session: %v", err)
-	}
-}
-
-// listenLegacy is the original 1:1 flow: wait for a BS to dial in.
-// There is no handshake to negotiate through, so -codec must match on
-// both daemons (they charge and decode with the configured codec).
-func listenLegacy(addr string, frames int, seed int64, pool int, codec compress.ID, once bool) {
-	gen := dataset.DefaultGenConfig()
-	gen.NumFrames = frames
-	gen.Seed = seed
-	data, err := dataset.Generate(gen)
-	if err != nil {
-		log.Fatalf("mmsl-ue: generate dataset: %v", err)
-	}
-	cfg := split.DefaultConfig(split.ImageRF, pool)
-	cfg.Seed = seed
-	cfg.Codec = codec
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("mmsl-ue: listen: %v", err)
-	}
-	defer ln.Close()
-	fmt.Printf("mmsl-ue: serving CNN half (pooling %d×%d) on %s\n", pool, pool, ln.Addr())
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			log.Fatalf("mmsl-ue: accept: %v", err)
-		}
-		fmt.Printf("mmsl-ue: BS connected from %s\n", conn.RemoteAddr())
-		ue, err := transport.NewUEPeer(cfg, data, conn)
-		if err != nil {
-			log.Fatalf("mmsl-ue: %v", err)
-		}
-		err = ue.Serve()
-		conn.Close()
-		switch {
-		case err == nil:
-			fmt.Println("mmsl-ue: session finished cleanly")
-		case transport.IsClosedConn(err):
-			fmt.Println("mmsl-ue: BS disconnected")
-		default:
-			log.Printf("mmsl-ue: session error: %v", err)
-		}
-		if once {
-			return
-		}
 	}
 }

@@ -57,7 +57,6 @@ type benchReport struct {
 	TensorWorkers int           `json:"tensor_workers"`
 	Baseline      benchResult   `json:"pr2_baseline"`
 	Results       []benchResult `json:"results"`
-	Serve         *serveReport  `json:"serve,omitempty"`
 	Fleet         *fleet.Report `json:"fleet,omitempty"`
 }
 
@@ -346,19 +345,14 @@ func measureTrainStep() (benchResult, error) {
 
 // cmdBench runs the engine micro/macro benchmarks in-process and emits
 // ns/op, allocs/op and speedups — `-json` writes BENCH.json so CI keeps a
-// perf data point per commit. `-serve` runs the multi-UE saturation
-// benchmark instead; `-quick -check BENCH.json` is the CI regression
-// gate for the zero-alloc serving path and the conv kernels' allocs.
+// perf data point per commit. `-quick -check BENCH.json` is the CI
+// regression gate for the zero-alloc serving path and the conv kernels'
+// allocs.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "write results as JSON")
 	out := fs.String("out", "BENCH.json", "output path for -json")
-	serve := fs.Bool("serve", false, "run the BS saturation benchmark (serial vs batched serving)")
-	ues := fs.Int("ue", 16, "-serve: concurrent UE sessions")
-	serveSteps := fs.Int("serve-steps", 24, "-serve: training steps per session")
-	serveFrames := fs.Int("serve-frames", 400, "-serve: synthetic dataset length")
-	window := fs.Duration("batch-window", 2*time.Millisecond, "-serve: coalescing window of the batched path")
-	mixed := fs.Bool("mixed-seeds", false, "-serve: per-UE seeds (defeats clone sharing; lower bound)")
+	ues := fs.Int("ue", 16, "-fleet: concurrent UE sessions")
 	fleetRun := fs.Bool("fleet", false, "run the heterogeneous fleet soak (live UEs, mixed configs, churn)")
 	fleetSoak := fs.Bool("fleet-soak", false, "run -fleet at 10000 concurrent sessions")
 	fleetSteps := fs.Int("fleet-steps", 6, "-fleet: training steps per session")
@@ -387,27 +381,6 @@ func cmdBench(args []string) error {
 		return runFleetBench(n, *fleetSteps, *fleetChurn, *fleetSeed, *replicas, *chaos, *adminAddr, *jsonOut, *out, *check)
 	}
 
-	if *serve {
-		srep, err := runServeBench(*ues, *serveSteps, *serveFrames, *window, *mixed)
-		if err != nil {
-			return err
-		}
-		printServeReport(srep)
-		if *jsonOut {
-			rep := loadReport(*out)
-			if rep == nil {
-				rep = &benchReport{
-					Schema: "mmsl-bench/v1", CPUs: runtime.NumCPU(),
-					GoMaxProcs: runtime.GOMAXPROCS(0), TensorWorkers: tensor.Workers(),
-					Baseline: pr2Baseline,
-				}
-			}
-			rep.Serve = srep
-			return writeReport(rep, *out)
-		}
-		return nil
-	}
-
 	rep := &benchReport{
 		Schema:        "mmsl-bench/v1",
 		CPUs:          runtime.NumCPU(),
@@ -416,8 +389,8 @@ func cmdBench(args []string) error {
 		Baseline:      pr2Baseline,
 	}
 	if prev := loadReport(*out); prev != nil {
-		// A micro-suite run keeps the recorded serve/fleet sections.
-		rep.Serve, rep.Fleet = prev.Serve, prev.Fleet
+		// A micro-suite run keeps the recorded fleet section.
+		rep.Fleet = prev.Fleet
 	}
 
 	pinned, err := measureFrameBench()
@@ -554,6 +527,7 @@ func measureSessionLatency() (join, resume benchResult, err error) {
 	if err != nil {
 		return join, resume, err
 	}
+	defer srv.Close()
 	h := transport.Hello{
 		SessionID: "bench-ue", Seed: 7, Frames: 200, Pool: 4,
 		Modality: uint8(split.ImageRF),

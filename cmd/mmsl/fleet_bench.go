@@ -16,9 +16,9 @@ import (
 	"repro/internal/transport"
 )
 
-// The heterogeneous fleet soak (`mmsl bench -fleet`): where `-serve`
-// measures the friendliest load (replayed clones), `-fleet` drives the
-// honest one — live UE halves with mixed scenes, modalities, codecs,
+// The heterogeneous fleet soak (`mmsl bench -fleet`): where the
+// repository benchmark's clone workloads measure the friendliest load
+// (replayed clones), `-fleet` drives the honest one — live UE halves with mixed scenes, modalities, codecs,
 // pooling widths, per-UE channel quality and churn — and reports the
 // numbers a deployed BS would be judged on: aggregate steps/sec, round
 // latency percentiles, shared-round ratio (≈0 under mixed

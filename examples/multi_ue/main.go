@@ -6,9 +6,9 @@
 // fingerprint), then runs the same framed split-learning protocol as
 // the 1:1 examples. Each session negotiates its own cut-layer codec —
 // the default mix runs int8, float16, top-k and raw side by side, so
-// the final table shows the wire-byte spread directly. The BS schedules
-// the sessions either fully in parallel or round-robin, and trains each
-// until its validation RMSE reaches the target.
+// the final table shows the wire-byte spread directly. The BS trains
+// the sessions in parallel, each until its validation RMSE reaches the
+// target.
 //
 // The UEs run the fault-tolerant session loop: the server checkpoints
 // train state every -checkpoint-every steps, and -drop-bytes injects a
@@ -17,7 +17,7 @@
 // the final table shows a resumed session converging like the rest.
 //
 //	go run ./examples/multi_ue
-//	go run ./examples/multi_ue -sched rr -ues 2 -steps 120
+//	go run ./examples/multi_ue -ues 2 -steps 120
 //	go run ./examples/multi_ue -codecs raw,raw,raw,raw
 //	go run ./examples/multi_ue -drop-bytes 200000     # kill+resume UE 0
 package main
@@ -43,7 +43,6 @@ func main() {
 	frames := flag.Int("frames", 1200, "dataset length per UE")
 	pool := flag.Int("pool", 40, "square pooling size (40 = the 1-pixel scheme)")
 	steps := flag.Int("steps", 600, "max training steps per session")
-	sched := flag.String("sched", "async", "scheduling policy: async or rr")
 	codecNames := flag.String("codecs", "int8,float16,topk,raw", "per-UE payload codecs, cycled over the UEs")
 	ckptEvery := flag.Int("checkpoint-every", 25, "server checkpoint interval in steps")
 	dropBytes := flag.Int64("drop-bytes", 0, "fault injection: cut UE 0's first connection after this many uplink bytes (0 = no fault)")
@@ -58,17 +57,13 @@ func main() {
 		codecs = append(codecs, id)
 	}
 
-	policy, err := transport.ParseSchedPolicy(*sched)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ckptDir, err := os.MkdirTemp("", "mmsl-ckpt-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(ckptDir)
 	srv, err := transport.NewBSServer(transport.ServerConfig{
-		MaxUE: *ues, Sched: policy,
+		MaxUE: *ues,
 		Steps: *steps, EvalEvery: 30, ValAnchors: 64,
 		TargetRMSEdB:  10.0, // fallback for UEs that announce no target
 		IdleTimeout:   30 * time.Second,
@@ -83,8 +78,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("BS serving up to %d UEs on %s (%v scheduling, checkpoints every %d steps)\n",
-		*ues, ln.Addr(), policy, *ckptEvery)
+	fmt.Printf("BS serving up to %d UEs on %s (checkpoints every %d steps)\n",
+		*ues, ln.Addr(), *ckptEvery)
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)
@@ -144,6 +139,7 @@ func main() {
 	ln.Close()
 	<-serveDone
 	srv.Wait()
+	srv.Close()
 
 	fmt.Println("\nsession   codec     state      steps   resumes   val RMSE    target      status   wire in/out")
 	ok := true

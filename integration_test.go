@@ -253,7 +253,7 @@ func runMultiUESessions(tb testing.TB, srv *transport.BSServer, n int, codec com
 func TestIntegrationMultiUESessions(t *testing.T) {
 	const nUE, steps = 3, 60
 	srv, err := transport.NewBSServer(transport.ServerConfig{
-		MaxUE: nUE, Sched: transport.SchedAsync,
+		MaxUE: nUE,
 		Steps: steps, EvalEvery: 15, ValAnchors: 24,
 		Provision: multiUESessionEnv,
 	})
@@ -298,7 +298,7 @@ func TestIntegrationMultiUESessions(t *testing.T) {
 func TestIntegrationMultiUECodecPayload(t *testing.T) {
 	run := func(codec compress.ID) transport.SessionSnapshot {
 		srv, err := transport.NewBSServer(transport.ServerConfig{
-			MaxUE: 1, Sched: transport.SchedAsync,
+			MaxUE: 1,
 			Steps: 60, EvalEvery: 15, ValAnchors: 24,
 			Provision: multiUESessionEnv,
 		})
@@ -370,7 +370,7 @@ func TestIntegrationMultiUEFaultInjection(t *testing.T) {
 
 	newServer := func(dir string) *transport.BSServer {
 		srv, err := transport.NewBSServer(transport.ServerConfig{
-			MaxUE: nUE, Sched: transport.SchedAsync,
+			MaxUE: nUE,
 			Steps: steps, EvalEvery: 15, ValAnchors: 24,
 			Provision:     multiUESessionEnv,
 			CheckpointDir: dir, CheckpointEvery: 5,

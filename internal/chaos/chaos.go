@@ -126,6 +126,9 @@ func (r *Replica) Kill(tear bool) {
 	if tear && r.cfg.Tear != nil {
 		r.cfg.Tear()
 	}
+	// The dead incarnation's dispatcher workers go with it (a crashed
+	// server's Close flushes nothing); Rejoin boots a fresh server.
+	cur.BS().Close()
 	if r.cfg.Reopen != nil && st != nil {
 		st.Close() // kernel releases the flock with the process
 	}

@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,4 +177,27 @@ func TestStallDelaysProbe(t *testing.T) {
 	if err := rep.Probe(); err != nil {
 		t.Fatalf("post-stall probe: %v", err)
 	}
+}
+
+// TestKillRejoinReleasesDispatcher: a kill closes the dead incarnation's
+// server, so kill/rejoin cycles leave none of its dispatcher goroutines
+// behind — the count with the sixth incarnation live is the count with
+// the first.
+func TestKillRejoinReleasesDispatcher(t *testing.T) {
+	rep, _ := newJournalReplica(t, t.TempDir())
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		rep.Kill(false)
+		if err := rep.Rejoin(); err != nil {
+			t.Fatalf("rejoin %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 5 kill/rejoin cycles, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rep.BS().Close()
 }

@@ -59,7 +59,7 @@ type Server struct {
 }
 
 // New builds the control plane for bs. A nil bs is allowed — the
-// process has no serving BSServer (single-UE mode) — and degrades the
+// process has no serving BSServer — and degrades the
 // surface to /healthz and pprof; every BS-backed endpoint answers 503.
 func New(bs *transport.BSServer, opts Options) *Server {
 	if opts.Logf == nil {

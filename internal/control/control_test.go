@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/split"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -57,7 +58,10 @@ func tinyHello(i int) transport.Hello {
 
 // runSessionErr trains one UE to clean detach against srv.
 func runSessionErr(srv *transport.BSServer, i int) error {
-	h := tinyHello(i)
+	return runHello(srv, tinyHello(i))
+}
+
+func runHello(srv *transport.BSServer, h transport.Hello) error {
 	cfg, d, _, err := tinyEnv(h)
 	if err != nil {
 		return err
@@ -67,10 +71,10 @@ func runSessionErr(srv *transport.BSServer, i int) error {
 	done := make(chan error, 1)
 	go func() { done <- srv.Handle(bsConn) }()
 	if err := transport.ServeUE(ueConn, h, cfg, d); err != nil {
-		return fmt.Errorf("session %d: UE: %w", i, err)
+		return fmt.Errorf("session %s: UE: %w", h.SessionID, err)
 	}
 	if err := <-done; err != nil {
-		return fmt.Errorf("session %d: BS: %w", i, err)
+		return fmt.Errorf("session %s: BS: %w", h.SessionID, err)
 	}
 	return nil
 }
@@ -276,7 +280,9 @@ func TestHealthzAndNilBS(t *testing.T) {
 }
 
 func TestConfigRoundTrip(t *testing.T) {
-	srv := testServer(t, transport.ServerConfig{MaxUE: 4})
+	srv := testServer(t, transport.ServerConfig{
+		MaxUE: 4, Steps: 8, Provision: fleet.GateProvision(2, tinyEnv),
+	})
 	c := New(srv, Options{})
 
 	rec := do(t, c, "GET", "/config", "")
@@ -313,7 +319,7 @@ func TestConfigRoundTrip(t *testing.T) {
 		{`{"idle_timeout": "soon"}`, http.StatusBadRequest},
 		{`{"default_codec": "gzip"}`, http.StatusBadRequest},
 		{`{"unknown_field": 1}`, http.StatusBadRequest},
-		{`{"batch_window": "5ms"}`, http.StatusUnprocessableEntity}, // serial boot: pipelining is boot-only
+		{`{"batch_window": "-5ms"}`, http.StatusUnprocessableEntity},
 		{`not json`, http.StatusBadRequest},
 	} {
 		rec := do(t, c, "PUT", "/config", bad.body)
@@ -323,6 +329,28 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	if srv.CurrentPolicy() != p {
 		t.Fatalf("rejected PUTs mutated the policy: %+v", srv.CurrentPolicy())
+	}
+
+	// The coalescing window is a live field like any other: a server
+	// booted at window 0 accepts a raise, and two clone sessions joined
+	// after it (gated to start together) share rounds.
+	rec = do(t, c, "PUT", "/config", `{"batch_window": "200ms"}`)
+	if rec.Code != http.StatusOK || srv.CurrentPolicy().BatchWindow != 200*time.Millisecond {
+		t.Fatalf("PUT batch_window: %d %s", rec.Code, rec.Body.String())
+	}
+	errs := make(chan error, 2)
+	for _, id := range []string{"clone-a", "clone-b"} {
+		h := tinyHello(0)
+		h.SessionID = id
+		go func() { errs <- runHello(srv, h) }()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if srv.SharedRounds() == 0 {
+		t.Fatal("clone sessions joined after the live raise shared no round")
 	}
 }
 

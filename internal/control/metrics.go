@@ -88,7 +88,7 @@ func collectBS(c *collector, bs *transport.BSServer, extra string) {
 	wire.addInt(st.BytesInTotal, lbl("direction", "in"), extra)
 	wire.addInt(st.BytesOutTotal, lbl("direction", "out"), extra)
 
-	gauge("mmsl_compute_queue_depth", "Rounds inside the compute stage right now (0 without the pipelined path).", float64(st.QueueDepth))
+	gauge("mmsl_compute_queue_depth", "Rounds inside the compute dispatcher right now.", float64(st.QueueDepth))
 	gauge("mmsl_compute_queue_peak", "High-water mark of the compute queue since the previous scrape.", float64(bs.TakeBatchQueuePeak()))
 
 	// Durable-store health (internal/store; DESIGN.md §11).

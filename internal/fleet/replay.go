@@ -12,8 +12,8 @@ import (
 	"repro/internal/transport"
 )
 
-// Replay load generation — the clone end of the load spectrum, shared
-// with the saturation benchmark (`mmsl bench -serve`). One real UE
+// Replay load generation — the clone end of the load spectrum, driven by
+// the repository benchmark's clone workloads (benchmark/). One real UE
 // session is recorded per seed, and each benchmark UE answers the
 // server's requests with the recorded activation frames verbatim:
 // because the server's request sequence is deterministic per seed, the
@@ -74,16 +74,17 @@ func (t *frameTap) Write(p []byte) (int, error) {
 	return t.inner.Write(p)
 }
 
-// RecordTrajectory runs one real UE session against a serial server and
+// RecordTrajectory runs one real UE session against a one-UE server and
 // captures the UE→BS activation frames in order.
 func RecordTrajectory(prov transport.Provision, h transport.Hello, steps int) ([][]byte, error) {
 	srv, err := transport.NewBSServer(transport.ServerConfig{
-		MaxUE: 1, Sched: transport.SchedAsync, Steps: steps,
+		MaxUE: 1, Steps: steps,
 		EvalEvery: 1 << 30, ValAnchors: 16, Provision: prov,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer srv.Close()
 	cfg, d, _, err := prov(h)
 	if err != nil {
 		return nil, err

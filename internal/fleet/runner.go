@@ -206,7 +206,6 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 		return transport.ServerConfig{
 			ReplicaID:       fmt.Sprintf("bs-%d", i),
 			MaxUE:           spec.UEs,
-			Sched:           transport.SchedAsync,
 			Steps:           spec.Steps,
 			EvalEvery:       1 << 30, // one final eval per session
 			ValAnchors:      8,

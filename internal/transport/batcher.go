@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"fmt"
+	"errors"
 	"runtime"
 	"slices"
 	"sync"
@@ -13,30 +13,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// The pipelined serving path. With ServerConfig.BatchWindow set, a
-// session round no longer runs its whole read→decode→compute→encode→
-// write cycle inline on the session goroutine: the session goroutine
-// keeps the blocking network I/O (reads and writes), while payload
-// decoding, model compute and reply encoding run on shared stage worker
-// pools. Network I/O for session A therefore overlaps compute for
-// session B even when both would otherwise serialise, and the number of
-// concurrently computing rounds is bounded by the worker pool instead
-// of the session count. Per-session ordering is structural: the
+// The compute dispatcher: the one place a BSServer differs from a bare
+// BSPeer. Every training round is BSPeer.trainStep (peer.go) — draw
+// anchors, request activations, compute, send the cut gradient — on the
+// session's own goroutine, which therefore also decodes the activation
+// payload and encodes the gradient reply: a 2 KB one-pixel payload
+// decoded there overlaps other sessions' compute exactly as a stage pool
+// would, without two channel round trips per round. What a server
+// session hands over is only the compute: submit passes (anchors,
+// pooled) to the dispatcher and waits for (loss, cut). Compute workers
+// bound the number of concurrently computing rounds at GOMAXPROCS
+// instead of the session count. Per-session ordering is structural: the
 // lock-step protocol admits at most one in-flight round per session.
 //
-// The compute stage is where cross-session micro-batching happens. A
-// dispatcher coalesces rounds arriving within BatchWindow (or until
+// The dispatcher is where cross-session micro-batching happens. It
+// coalesces rounds arriving within Policy.BatchWindow (or until
 // min(BatchMax, live sessions) rounds are pending — a full batch never
-// waits out the window) and groups them by model-state key. Sessions in
-// one group whose parameters and round inputs are *proven* bit-identical
-// (compared, never assumed) execute as one forward/backward through the
-// group representative's model half; the resulting loss, parameter
-// gradients and cut-layer gradient rows are then scattered to every
-// member, each of which applies its own optimiser. Because the shared
-// computation is exactly the computation each member would have run
-// solo, every member's update — and every byte it sends back to its UE
-// — is bit-identical to solo execution (the invariant-8 suite pins
-// this). Sessions that fail the equality guard simply compute solo
+// waits out the window; a zero window dispatches every round at once)
+// and groups them by model-state key. Sessions in one group whose
+// parameters and round inputs are *proven* bit-identical (compared,
+// never assumed) execute as one forward/backward through the group
+// representative's model half; the resulting loss, parameter gradients
+// and cut-layer gradient rows are then scattered to every member, each
+// of which applies its own optimiser. Because the shared computation is
+// exactly the computation each member would have run solo, every
+// member's update — and every byte it sends back to its UE — is
+// bit-identical to a bare peer computing inline (the invariant-8 suite
+// pins this). Sessions that fail the equality guard simply compute solo
 // within the batch, so correctness never depends on the grouping
 // heuristic.
 
@@ -51,31 +54,25 @@ type batchKey struct {
 	trained int
 }
 
-// roundTask carries one session round through the pipeline stages. Each
-// peer owns exactly one, reused round after round.
+// roundTask carries one session round's compute through the dispatcher.
+// Each peer owns exactly one, reused round after round.
 type roundTask struct {
 	peer *BSPeer
 
-	// decode stage in/out
-	hdr     FrameHeader
-	payload []byte
-	pooled  *tensor.Tensor
-
-	// compute stage in/out
 	anchors []int32
+	pooled  *tensor.Tensor
 	key     batchKey
 	shared  bool // scratch for runGroup's partition
 	loss    float64
 	cut     *tensor.Tensor
 
-	// encode stage in
-	outMsg Message
-
-	err  error
-	done chan struct{} // capacity 1; one signal per stage submission
+	done chan struct{} // capacity 1; one signal per submission
 }
 
-// computeHub owns the stage worker pools of one BSServer.
+// errHubClosed fails a round submitted after its server was closed.
+var errHubClosed = errors.New("transport: server closed")
+
+// computeHub owns the dispatcher and compute workers of one BSServer.
 type computeHub struct {
 	// pol resolves the server's current Policy; the dispatcher reads the
 	// coalescing window and batch cap through it at every decision point
@@ -87,45 +84,44 @@ type computeHub struct {
 	pol   func() Policy
 	store *sessionStore // live-count hint for early dispatch
 
-	decodeq  chan *roundTask
+	// Buffered so a burst of submissions does not park session goroutines
+	// behind the dispatcher; the size is not load-bearing (MaxUE bounds
+	// the rounds in flight).
 	computeq chan *roundTask
-	encodeq  chan *roundTask
 	execq    chan []*roundTask
 
-	stopc    chan struct{}
-	stopOnce sync.Once
+	// mu guards closed. inflight counts submitters between their closed
+	// check and their send, so stop can close computeq once none is left;
+	// everything sent before that is still dispatched and answered.
+	// workers tracks the dispatcher and compute goroutines.
+	mu       sync.Mutex
+	closed   bool
+	inflight sync.WaitGroup
+	workers  sync.WaitGroup
 
 	// sharedRounds counts rounds served by a clone group's shared
-	// computation instead of their own — the dedup win the saturation
-	// benchmark reports.
+	// computation instead of their own — the dedup win reported as
+	// transport.shared_ratio.
 	sharedRounds atomic.Int64
 
-	// queue tracks the rounds inside the compute stage — submitted and
-	// not yet answered, whether coalescing in the dispatcher or
-	// executing in a group. Its peak is the backlog number the fleet
-	// soak reports (BSServer.BatchQueueDepth).
+	// queue tracks the rounds inside the dispatcher — submitted and not
+	// yet answered, whether coalescing or executing in a group. Its peak
+	// is the backlog number the fleet soak reports
+	// (BSServer.BatchQueueDepth).
 	queue metrics.Gauge
 }
 
-// newComputeHub starts the stage workers: one decode and one encode
-// worker per two procs, one compute worker per proc, plus the
-// coalescing dispatcher.
+// newComputeHub starts one compute worker per proc plus the coalescing
+// dispatcher.
 func newComputeHub(pol func() Policy, store *sessionStore) *computeHub {
 	procs := runtime.GOMAXPROCS(0)
 	h := &computeHub{
 		pol:      pol,
 		store:    store,
-		decodeq:  make(chan *roundTask, 64),
 		computeq: make(chan *roundTask, 64),
-		encodeq:  make(chan *roundTask, 64),
 		execq:    make(chan []*roundTask, 64),
-		stopc:    make(chan struct{}),
 	}
-	side := (procs + 1) / 2
-	for i := 0; i < side; i++ {
-		go h.decodeWorker()
-		go h.encodeWorker()
-	}
+	h.workers.Add(procs + 1)
 	for i := 0; i < procs; i++ {
 		go h.computeWorker()
 	}
@@ -133,91 +129,44 @@ func newComputeHub(pol func() Policy, store *sessionStore) *computeHub {
 	return h
 }
 
-// stop terminates the stage workers. Callers must ensure no round is in
-// flight (BSServer.Close after Wait).
+// stop shuts the dispatcher down and returns once its goroutines have
+// exited. Safe at any time: rounds already submitted are computed and
+// answered, later ones fail with errHubClosed. Called once per hub
+// (BSServer.Close guards it).
 func (h *computeHub) stop() {
-	h.stopOnce.Do(func() { close(h.stopc) })
+	h.mu.Lock()
+	h.closed = true
+	h.mu.Unlock()
+	h.inflight.Wait()
+	close(h.computeq)
+	h.workers.Wait()
 }
 
-// step drives one pipelined training round for a session. It runs on
-// the session's goroutine, which performs the I/O; decode, compute and
-// encode are submitted to the stage workers.
-func (h *computeHub) step(peer *BSPeer) (float64, error) {
+// submit is the server's compute function for BSPeer.trainStep: it
+// queues the round's compute for the dispatcher and waits for the
+// result on the session's goroutine.
+func (h *computeHub) submit(peer *BSPeer, anchors []int32, pooled *tensor.Tensor) (float64, *tensor.Tensor, error) {
 	t := peer.task
 	if t == nil {
 		t = &roundTask{peer: peer, done: make(chan struct{}, 1)}
 		peer.task = t
 	}
-	t.pooled, t.cut, t.err = nil, nil, nil
-	t.anchors = peer.nextAnchors()
-
-	if peer.Cfg.Modality.UsesImages() {
-		if err := peer.sendRequest(MsgBatchRequest, t.anchors); err != nil {
-			return 0, err
-		}
-		hdr, payload, err := peer.fr.ReadFrame()
-		if err != nil {
-			return 0, fmt.Errorf("transport: BS read: %w", err)
-		}
-		t.hdr, t.payload = hdr, payload
-		h.decodeq <- t
-		<-t.done
-		if t.err != nil {
-			return 0, t.err
-		}
-	}
-
+	t.anchors, t.pooled, t.cut = anchors, pooled, nil
 	t.key = batchKey{fp: peer.fp, trained: peer.trained}
+
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return 0, nil, errHubClosed
+	}
+	h.inflight.Add(1)
+	h.mu.Unlock()
 	h.queue.Add(1)
 	h.computeq <- t
+	h.inflight.Done()
 	<-t.done
 	h.queue.Add(-1)
-	if t.err != nil {
-		return 0, t.err
-	}
-	loss := t.loss
-
-	if t.cut != nil {
-		t.outMsg = Message{Type: MsgCutGradient, Step: peer.step, Tensor: t.cut, Codec: peer.Cfg.Codec}
-		h.encodeq <- t
-		<-t.done
-		if t.err != nil {
-			return 0, t.err
-		}
-		if err := peer.fw.Flush(); err != nil {
-			return 0, fmt.Errorf("transport: BS write gradient: %w", err)
-		}
-	}
-	return loss, nil
-}
-
-func (h *computeHub) decodeWorker() {
-	for {
-		select {
-		case t := <-h.decodeq:
-			m, err := t.peer.fr.Decode(t.hdr, t.payload)
-			if err != nil {
-				t.err = fmt.Errorf("transport: BS read: %w", err)
-			} else {
-				t.pooled, t.err = t.peer.checkActivations(m)
-			}
-			t.done <- struct{}{}
-		case <-h.stopc:
-			return
-		}
-	}
-}
-
-func (h *computeHub) encodeWorker() {
-	for {
-		select {
-		case t := <-h.encodeq:
-			t.err = t.peer.fw.Encode(&t.outMsg, t.peer.Ver)
-			t.done <- struct{}{}
-		case <-h.stopc:
-			return
-		}
-	}
+	return t.loss, t.cut, nil
 }
 
 // dispatch coalesces compute submissions into batches: a batch fires
@@ -227,6 +176,8 @@ func (h *computeHub) encodeWorker() {
 // round finished late rejoins its clone group as long as its skew stays
 // under the window.
 func (h *computeHub) dispatch() {
+	defer h.workers.Done()
+	defer close(h.execq)
 	var pending []*roundTask
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -258,12 +209,17 @@ func (h *computeHub) dispatch() {
 	}
 	for {
 		select {
-		case t := <-h.computeq:
+		case t, ok := <-h.computeq:
+			if !ok { // stopped: answer what was already submitted
+				disarm()
+				flush()
+				return
+			}
 			pending = append(pending, t)
 			// The window and batch cap are policy-resolved per round, so
 			// a live reconfiguration binds from the next arrival on. A
-			// window lowered to 0 keeps the pipelined stage split but
-			// dispatches every round immediately (no coalescing).
+			// zero window dispatches every round at once (no coalescing
+			// wait).
 			p := h.pol()
 			target := p.BatchMax
 			if live := h.store.liveCount(); live < target {
@@ -282,20 +238,14 @@ func (h *computeHub) dispatch() {
 		case <-timer.C:
 			armed = false
 			flush()
-		case <-h.stopc:
-			return
 		}
 	}
 }
 
 func (h *computeHub) computeWorker() {
-	for {
-		select {
-		case g := <-h.execq:
-			h.sharedRounds.Add(runGroup(g))
-		case <-h.stopc:
-			return
-		}
+	defer h.workers.Done()
+	for g := range h.execq {
+		h.runGroup(g)
 	}
 }
 
@@ -304,9 +254,10 @@ func (h *computeHub) computeWorker() {
 // and the result is scattered to every member whose parameters and
 // inputs are bit-identical to the representative's. The equality guard
 // runs *before* the representative's optimiser update mutates its
-// parameters; members that fail it compute solo. Returns the number of
-// rounds served by the shared computation.
-func runGroup(g []*roundTask) (shared int64) {
+// parameters; members that fail it compute solo. A shared member is
+// counted before its done is sent, so a caller that saw its round
+// complete never reads a stale SharedRounds.
+func (h *computeHub) runGroup(g []*roundTask) {
 	rep := g[0]
 	for _, t := range g[1:] {
 		t.shared = slices.Equal(rep.anchors, t.anchors) &&
@@ -316,15 +267,13 @@ func runGroup(g []*roundTask) (shared int64) {
 	rep.loss, rep.cut = rep.peer.computeStep(rep.anchors, rep.pooled)
 	for _, t := range g[1:] {
 		if t.shared && shareStep(rep, t) {
-			shared++
-			t.done <- struct{}{}
-			continue
+			h.sharedRounds.Add(1)
+		} else {
+			t.loss, t.cut = t.peer.computeStep(t.anchors, t.pooled)
 		}
-		t.loss, t.cut = t.peer.computeStep(t.anchors, t.pooled)
 		t.done <- struct{}{}
 	}
 	rep.done <- struct{}{}
-	return shared
 }
 
 // shareStep applies the representative's already-computed round to a

@@ -36,15 +36,16 @@ func starvationPeer(t *testing.T, seed int64) *BSPeer {
 	return p
 }
 
-// submitRound pushes one compute round for the peer and returns its
-// task; the caller waits on task.done.
-func submitRound(h *computeHub, p *BSPeer) *roundTask {
-	t := &roundTask{peer: p, done: make(chan struct{}, 1)}
-	t.anchors = p.nextAnchors()
-	t.key = batchKey{fp: p.fp, trained: p.trained}
-	h.queue.Add(1)
-	h.computeq <- t
-	return t
+// submitRound submits one compute round for the peer on its own
+// goroutine; the returned channel yields submit's error once the round
+// has been answered.
+func submitRound(h *computeHub, p *BSPeer) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := h.submit(p, p.nextAnchors(), nil)
+		done <- err
+	}()
+	return done
 }
 
 func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
@@ -76,11 +77,8 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 	// Round 1, quiet hub: the pair must coalesce within one window and
 	// share the computation.
 	ta, tb := submitRound(hub, cloneA), submitRound(hub, cloneB)
-	<-ta.done
-	<-tb.done
-	hub.queue.Add(-2)
-	if ta.err != nil || tb.err != nil {
-		t.Fatalf("clone round failed: %v / %v", ta.err, tb.err)
+	if errA, errB := <-ta, <-tb; errA != nil || errB != nil {
+		t.Fatalf("clone round failed: %v / %v", errA, errB)
 	}
 	if hub.sharedRounds.Load() == 0 {
 		t.Fatal("quiet-hub clone pair was not served by shared computation")
@@ -102,24 +100,20 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 					return
 				default:
 				}
-				ft := submitRound(hub, p)
-				<-ft.done
-				hub.queue.Add(-1)
+				hub.submit(p, p.nextAnchors(), nil)
 			}
 		}()
 	}
 
 	start := time.Now()
 	ta, tb = submitRound(hub, cloneA), submitRound(hub, cloneB)
-	<-ta.done
-	<-tb.done
-	hub.queue.Add(-2)
+	errA, errB := <-ta, <-tb
 	elapsed := time.Since(start)
 	close(stop)
 	flood.Wait()
 
-	if ta.err != nil || tb.err != nil {
-		t.Fatalf("clone round under flood failed: %v / %v", ta.err, tb.err)
+	if errA != nil || errB != nil {
+		t.Fatalf("clone round under flood failed: %v / %v", errA, errB)
 	}
 	// The bound is deliberately loose (compute time, race-detector
 	// overhead), but far below anything resembling starvation.

@@ -17,11 +17,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Invariant 8: batching is mathematically invisible. N sessions served
-// through the pipelined/batched path produce byte-identical wire
-// traffic in both directions — hence Float64bits-identical activations
-// and gradients — and bit-identical final UE model halves, compared to
-// the same sessions run one at a time through the serial path.
+// Invariant 8: the dispatcher is mathematically invisible. N sessions
+// served concurrently by one BSServer — coalesced under a window, or
+// dispatched at once under window 0 — produce byte-identical wire
+// traffic in both directions (hence Float64bits-identical activations
+// and gradients) and bit-identical final UE model halves, compared to
+// the same sessions each driven by a bare BSPeer computing inline.
 
 // recordConn tees both directions of a connection into buffers.
 type recordConn struct {
@@ -76,20 +77,31 @@ func gatedProvision(n int) Provision {
 	}
 }
 
-// runBatchedSessions serves the hellos concurrently through one batched
-// server and returns each session's run, keyed by session id.
-func runBatchedSessions(t *testing.T, hellos []Hello, steps int) (map[string]sessionRun, *BSServer) {
+// batchedWindow is long enough that gated clone rounds always coalesce.
+const batchedWindow = 200 * time.Millisecond
+
+// runBatchedSessions serves the hellos concurrently through one server
+// under the given coalescing window and returns each session's run,
+// keyed by session id.
+func runBatchedSessions(t *testing.T, hellos []Hello, steps int, window time.Duration) (map[string]sessionRun, *BSServer) {
 	t.Helper()
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: len(hellos), Sched: SchedAsync,
+		MaxUE: len(hellos),
 		Steps: steps, EvalEvery: steps / 2, ValAnchors: 8,
 		Provision:   gatedProvision(len(hellos)),
-		BatchWindow: 200 * time.Millisecond, BatchMax: len(hellos),
+		BatchWindow: window, BatchMax: len(hellos),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	return serveRecorded(t, srv, hellos), srv
+}
+
+// serveRecorded serves the hellos concurrently on srv over net.Pipe and
+// returns each session's recorded run, keyed by session id.
+func serveRecorded(t *testing.T, srv *BSServer, hellos []Hello) map[string]sessionRun {
+	t.Helper()
 	runs := make(map[string]sessionRun, len(hellos))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -128,22 +140,16 @@ func runBatchedSessions(t *testing.T, hellos []Hello, steps int) (map[string]ses
 	for err := range errs {
 		t.Fatal(err)
 	}
-	return runs, srv
+	return runs
 }
 
-// runSoloSession serves one hello against a fresh serial (un-batched)
-// server — the reference execution.
+// runSoloSession is the reference execution, with no BSServer and no
+// dispatcher code on the BS side: soloBS answers the hello with the ack
+// a server would send and then drives a bare BSPeer on the server's
+// schedule.
 func runSoloSession(t *testing.T, h Hello, steps int) sessionRun {
 	t.Helper()
-	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 1, Sched: SchedAsync,
-		Steps: steps, EvalEvery: steps / 2, ValAnchors: 8,
-		Provision: tinySessionEnv,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, d, _, err := tinySessionEnv(h)
+	cfg, d, sp, err := tinySessionEnv(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func runSoloSession(t *testing.T, h Hello, steps int) sessionRun {
 	ueConn, bsConn := net.Pipe()
 	rec := &recordConn{inner: ueConn}
 	done := make(chan error, 1)
-	go func() { done <- srv.Handle(bsConn) }()
+	go func() { done <- soloBS(bsConn, cfg, d, sp, steps) }()
 	run, err := serveRecordedUE(rec, h, cfg, d)
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +167,47 @@ func runSoloSession(t *testing.T, h Hello, steps int) sessionRun {
 		t.Fatal(err)
 	}
 	return run
+}
+
+// soloBS is the BS end of the reference: the first-incarnation ack of a
+// server with no target and no checkpoint store, then steps inline
+// TrainSteps with an evaluation over 8 spread validation anchors every
+// steps/2, then the completed-session shutdown.
+func soloBS(conn net.Conn, cfg split.Config, d *dataset.Dataset, sp *dataset.Split, steps int) error {
+	defer conn.Close()
+	msg, err := ReadMessage(conn)
+	if err != nil {
+		return err
+	}
+	if msg.Type != MsgSessionHello || msg.Hello == nil {
+		return fmt.Errorf("solo BS: expected SessionHello, got %v", msg.Type)
+	}
+	h := *msg.Hello
+	ack := Hello{
+		Version: h.Version, SessionID: h.SessionID, Seed: h.Seed,
+		Frames: h.Frames, Pool: h.Pool, Modality: h.Modality,
+		ConfigFP: cfg.Fingerprint(), Codec: h.Codec, Epoch: 1,
+	}
+	if err := WriteMessage(conn, &Message{Type: MsgSessionAck, Hello: &ack}); err != nil {
+		return err
+	}
+	peer, err := NewBSPeer(cfg, d, sp, conn)
+	if err != nil {
+		return err
+	}
+	defer peer.release()
+	val := spreadAnchors(sp.Val, 8)
+	for step := 1; step <= steps; step++ {
+		if _, err := peer.TrainStep(); err != nil {
+			return err
+		}
+		if step%(steps/2) == 0 || step == steps {
+			if _, err := peer.Evaluate(val); err != nil {
+				return err
+			}
+		}
+	}
+	return peer.Shutdown()
 }
 
 // serveRecordedUE joins and serves one UE over a recording connection,
@@ -237,15 +284,19 @@ func TestBatchedMatchesSoloBitIdentical(t *testing.T) {
 	} {
 		t.Run(codec.String(), func(t *testing.T) {
 			hellos := batchHellos(3, codec)
-			batched, srv := runBatchedSessions(t, hellos, steps)
+			batched, srv := runBatchedSessions(t, hellos, steps, batchedWindow)
 			if shared := srv.SharedRounds(); shared == 0 {
 				t.Error("no rounds were served by shared computation — batching never engaged")
 			}
+			// Window 0: the same concurrent sessions, every round
+			// dispatched at once.
+			unbatched, _ := runBatchedSessions(t, hellos, steps, 0)
 			// Solo references: one per distinct seed is enough for the
 			// clones, but run every session to also cover the odd one.
 			for _, h := range hellos {
 				solo := runSoloSession(t, h, steps)
 				equalRuns(t, h.SessionID, batched[h.SessionID], solo)
+				equalRuns(t, h.SessionID+" (window 0)", unbatched[h.SessionID], solo)
 			}
 		})
 	}
@@ -261,22 +312,23 @@ func TestBatchedMatchesSoloAcrossWorkers(t *testing.T) {
 	hellos := batchHellos(2, compress.CodecRaw)
 
 	tensor.SetWorkers(3)
-	batched, srv := runBatchedSessions(t, hellos, steps)
+	batched, srv := runBatchedSessions(t, hellos, steps, batchedWindow)
 	if srv.SharedRounds() == 0 {
 		t.Error("batching never engaged")
 	}
+	unbatched, _ := runBatchedSessions(t, hellos, steps, 0)
 	tensor.SetWorkers(1)
 	for _, h := range hellos {
 		solo := runSoloSession(t, h, steps)
 		equalRuns(t, h.SessionID, batched[h.SessionID], solo)
+		equalRuns(t, h.SessionID+" (window 0)", unbatched[h.SessionID], solo)
 	}
 }
 
-// TestBatcherLatencyRecorded pins the serving-latency instrumentation
-// both paths feed.
+// TestBatcherLatencyRecorded pins the serving-latency instrumentation.
 func TestBatcherLatencyRecorded(t *testing.T) {
 	hellos := batchHellos(2, compress.CodecRaw)
-	_, srv := runBatchedSessions(t, hellos, 6)
+	_, srv := runBatchedSessions(t, hellos, 6, batchedWindow)
 	p50, p99, n := srv.RoundLatency()
 	if n == 0 || p50 <= 0 || p99 < p50 {
 		t.Fatalf("round latency p50=%v p99=%v n=%d", p50, p99, n)

@@ -17,9 +17,8 @@ import (
 	"repro/internal/store"
 )
 
-// UE-side helpers for joining a BSServer. The handshake inverts the
-// original 1:1 topology: instead of the UE listening for its one BS, the
-// BS listens and each UE dials in, announces its session parameters with
+// UE-side helpers for joining a BSServer: the BS listens and each UE
+// dials in, announces its session parameters with
 // a SessionHello, and serves its CNN half once the BS acks. UESession
 // adds the fault-tolerant loop on top: auto-reconnect with capped
 // exponential backoff, checkpointing of the UE half on the BS's

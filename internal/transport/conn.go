@@ -24,8 +24,8 @@ type deadliner interface {
 // idleConn enforces an idle timeout on a connection-like stream by
 // arming a fresh read (write) deadline immediately before every Read
 // (Write). The deadline therefore only binds while an operation is
-// actually blocked on the peer — a session parked in the scheduler with
-// no I/O in flight never times out. Timeouts surface as ErrIdleTimeout.
+// actually blocked on the peer — a session waiting on the compute
+// dispatcher with no I/O in flight never times out. Timeouts surface as ErrIdleTimeout.
 type idleConn struct {
 	inner   io.ReadWriteCloser
 	dl      deadliner

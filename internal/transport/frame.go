@@ -71,9 +71,7 @@ func (fr *FrameReader) grow(n int) []byte {
 
 // ReadFrame reads and CRC-validates one frame, returning its header and
 // payload bytes. The payload aliases the reader's buffer: it is valid
-// only until the next ReadFrame. Splitting the byte transfer from
-// Decode is what lets the pipelined server run network reads and
-// payload decoding on different stage workers.
+// only until the next ReadFrame.
 func (fr *FrameReader) ReadFrame() (FrameHeader, []byte, error) {
 	var hdr FrameHeader
 	header := fr.grow(12)
@@ -107,25 +105,19 @@ func (fr *FrameReader) ReadFrame() (FrameHeader, []byte, error) {
 	return hdr, body[12:], nil
 }
 
-// Decode parses a frame payload read by ReadFrame into the reader's
+// ReadMessage reads, validates and decodes one frame into the reader's
 // reusable Message. The message, its anchors and its tensor are owned
-// by the reader and valid only until the next ReadFrame/Decode.
-func (fr *FrameReader) Decode(hdr FrameHeader, payload []byte) (*Message, error) {
-	fr.msg = Message{Type: hdr.Type, Step: hdr.Step}
-	if err := decodePayload(&fr.msg, payload, hdr.Version, &fr.sc); err != nil {
-		return nil, err
-	}
-	return &fr.msg, nil
-}
-
-// ReadMessage reads, validates and decodes one frame. Ownership is as
-// for Decode: the result is invalidated by the next read.
+// by the reader and valid only until the next read.
 func (fr *FrameReader) ReadMessage() (*Message, error) {
 	hdr, payload, err := fr.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
-	return fr.Decode(hdr, payload)
+	fr.msg = Message{Type: hdr.Type, Step: hdr.Step}
+	if err := decodePayload(&fr.msg, payload, hdr.Version, &fr.sc); err != nil {
+		return nil, err
+	}
+	return &fr.msg, nil
 }
 
 // ReadRawMessage reads one frame from r and returns the decoded message
@@ -172,30 +164,14 @@ func (fw *FrameWriter) Release() {
 	}
 }
 
-// Encode lays out one frame for m at the given version into the
-// writer's buffer, replacing any previously encoded frame. Flush sends
-// it. The split lets the pipelined server encode on a stage worker
-// while the owning session goroutine performs the write.
-func (fw *FrameWriter) Encode(m *Message, version uint8) error {
+// WriteMessage encodes one frame at the given version into the writer's
+// buffer and writes it.
+func (fw *FrameWriter) WriteMessage(m *Message, version uint8) error {
 	buf, err := AppendMessage(fw.buf[:0], m, version)
 	if err != nil {
 		return err
 	}
-	fw.buf = buf
-	return nil
-}
-
-// Flush writes the encoded frame.
-func (fw *FrameWriter) Flush() error {
-	_, err := fw.w.Write(fw.buf)
-	fw.buf = fw.buf[:0]
+	_, err = fw.w.Write(buf)
+	fw.buf = buf[:0]
 	return err
-}
-
-// WriteMessage encodes and writes one frame at the given version.
-func (fw *FrameWriter) WriteMessage(m *Message, version uint8) error {
-	if err := fw.Encode(m, version); err != nil {
-		return err
-	}
-	return fw.Flush()
 }

@@ -15,8 +15,8 @@ import (
 // differencing successive scrapes.
 
 // latBounds are the histogram bucket upper bounds. They span the
-// regimes the committed benchmarks actually produce: sub-ms pipelined
-// clone rounds (p99 5.5ms in the saturation bench) out to the
+// regimes the committed benchmarks actually produce: sub-ms coalesced
+// clone rounds out to the
 // multi-second compute-queue waits of a 10k-session overload soak
 // (p50 2.7s). Kept sorted; the +Inf bucket is implicit.
 var latBounds = [...]time.Duration{

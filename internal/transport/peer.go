@@ -235,8 +235,8 @@ type BSPeer struct {
 	lastFused   *tensor.Tensor
 	lastTargets *tensor.Tensor
 
-	// task is the peer's reusable pipeline round (see batcher.go), lazily
-	// created by computeHub.step.
+	// task is the peer's reusable dispatcher round (see batcher.go),
+	// lazily created by computeHub.submit.
 	task *roundTask
 }
 
@@ -313,19 +313,20 @@ func (b *BSPeer) RestoreState(r io.Reader) (int, error) {
 	return step, nil
 }
 
-// sendRequest writes a forward-pass request for the anchors, advancing
-// the step correlation id.
-func (b *BSPeer) sendRequest(t MsgType, anchors []int32) error {
+// requestActivations asks the UE for a forward pass over the anchors,
+// advancing the step correlation id, and validates the reply against
+// the request. The returned tensor is reader-owned scratch, valid until
+// the next read on this peer.
+func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor, error) {
 	b.step++
 	req := &Message{Type: t, Step: b.step, Anchors: anchors}
 	if err := b.fw.WriteMessage(req, b.Ver); err != nil {
-		return fmt.Errorf("transport: BS write: %w", err)
+		return nil, fmt.Errorf("transport: BS write: %w", err)
 	}
-	return nil
-}
-
-// checkActivations validates a reply against the in-flight request.
-func (b *BSPeer) checkActivations(reply *Message) (*tensor.Tensor, error) {
+	reply, err := b.fr.ReadMessage()
+	if err != nil {
+		return nil, fmt.Errorf("transport: BS read: %w", err)
+	}
 	if reply.Type != MsgActivations || reply.Tensor == nil {
 		return nil, fmt.Errorf("transport: BS expected Activations, got %v", reply.Type)
 	}
@@ -337,20 +338,6 @@ func (b *BSPeer) checkActivations(reply *Message) (*tensor.Tensor, error) {
 			reply.Codec, b.Cfg.Codec)
 	}
 	return reply.Tensor, nil
-}
-
-// requestActivations asks the UE for a forward pass over the anchors.
-// The returned tensor is reader-owned scratch, valid until the next
-// read on this peer.
-func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor, error) {
-	if err := b.sendRequest(t, anchors); err != nil {
-		return nil, err
-	}
-	reply, err := b.fr.ReadMessage()
-	if err != nil {
-		return nil, fmt.Errorf("transport: BS read: %w", err)
-	}
-	return b.checkActivations(reply)
 }
 
 // fuse builds the (B, L, D) LSTM input from received activations and the
@@ -419,10 +406,9 @@ func (b *BSPeer) nextAnchors() []int32 {
 
 // computeStep runs the local half of one training step — fuse, forward,
 // loss, backward, optimiser update, cut-gradient extraction — with no
-// I/O. It is the unit of work the cross-session batcher schedules; the
-// legacy serial path calls it inline between the activation read and
-// the gradient write, so both paths run byte-for-byte the same
-// mathematics. The returned cut gradient (nil for RF-only schemes) is
+// I/O. It is the unit of work the server's dispatcher schedules and a
+// bare peer runs inline between the activation read and the gradient
+// write. The returned cut gradient (nil for RF-only schemes) is
 // arena-owned and valid until the next computeStep.
 func (b *BSPeer) computeStep(anchors []int32, pooled *tensor.Tensor) (loss float64, cut *tensor.Tensor) {
 	b.arena.Reset()
@@ -451,9 +437,24 @@ func (b *BSPeer) sendCutGradient(cut *tensor.Tensor) error {
 	return nil
 }
 
-// TrainStep runs one distributed SGD step and returns the mini-batch loss
-// on the normalised scale.
-func (b *BSPeer) TrainStep() (float64, error) {
+// TrainStep runs one distributed SGD step, computing the BS half inline,
+// and returns the mini-batch loss on the normalised scale.
+func (b *BSPeer) TrainStep() (float64, error) { return b.trainStep(computeInline) }
+
+// computeFn runs the BS half of one round for a peer: computeInline on a
+// bare peer, computeHub.submit on a server session. It is the only thing
+// the two differ in.
+type computeFn func(b *BSPeer, anchors []int32, pooled *tensor.Tensor) (loss float64, cut *tensor.Tensor, err error)
+
+func computeInline(b *BSPeer, anchors []int32, pooled *tensor.Tensor) (float64, *tensor.Tensor, error) {
+	loss, cut := b.computeStep(anchors, pooled)
+	return loss, cut, nil
+}
+
+// trainStep is the lock-step training round, the only implementation of
+// it: draw anchors, request the UE's forward pass, compute, send the cut
+// gradient back.
+func (b *BSPeer) trainStep(compute computeFn) (float64, error) {
 	anchors := b.nextAnchors()
 
 	var pooled *tensor.Tensor
@@ -464,7 +465,10 @@ func (b *BSPeer) TrainStep() (float64, error) {
 			return 0, err
 		}
 	}
-	loss, cut := b.computeStep(anchors, pooled)
+	loss, cut, err := compute(b, anchors, pooled)
+	if err != nil {
+		return 0, err
+	}
 	if cut != nil {
 		if err := b.sendCutGradient(cut); err != nil {
 			return 0, err

@@ -41,12 +41,10 @@ type Policy struct {
 	// incarnation's connection is wrapped once); 0 disables.
 	IdleTimeout time.Duration
 
-	// BatchWindow is the pipelined path's coalescing window. Binds at
-	// the next round arriving at the dispatcher. 0 keeps the stage
-	// pipeline but dispatches rounds without coalescing. Whether the
-	// pipelined path exists at all is boot-only (ServerConfig.BatchWindow
-	// > 0 starts the stage workers): a server booted serial cannot be
-	// switched to pipelined by policy.
+	// BatchWindow is the compute dispatcher's coalescing window: how
+	// long a round waits for rounds from other sessions to share its
+	// dispatch. Binds at the next round arriving at the dispatcher. 0
+	// dispatches every round at once, no coalescing wait.
 	BatchWindow time.Duration
 
 	// BatchMax caps rounds coalesced per dispatch. Binds at the next
@@ -101,14 +99,9 @@ func (s *BSServer) CurrentPolicy() Policy { return *s.pol.Load() }
 // SetPolicy atomically installs p as the current policy after
 // validating it. New values bind at each field's documented point
 // (session join or round boundary); nothing in flight is disturbed.
-// Raising BatchWindow above zero on a server booted without the
-// pipelined path is rejected — the stage workers only start at boot.
 func (s *BSServer) SetPolicy(p Policy) error {
 	if err := p.Validate(); err != nil {
 		return err
-	}
-	if p.BatchWindow > 0 && s.hub == nil {
-		return fmt.Errorf("transport: pipelined serving is boot-only: restart with ServerConfig.BatchWindow > 0 to enable coalescing")
 	}
 	old := s.pol.Swap(&p)
 	if *old != p {

@@ -15,10 +15,14 @@ import (
 // boundary) and must never install an invalid policy.
 
 func TestSetPolicyValidates(t *testing.T) {
-	srv, err := NewBSServer(ServerConfig{MaxUE: 2, Provision: tinySessionEnv})
+	srv, err := NewBSServer(ServerConfig{
+		MaxUE: 2, Steps: 8, EvalEvery: 4, ValAnchors: 8,
+		Provision: gatedProvision(2),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	base := srv.CurrentPolicy()
 	for name, mut := range map[string]func(*Policy){
 		"MaxUE zero":            func(p *Policy) { p.MaxUE = 0 },
@@ -37,27 +41,20 @@ func TestSetPolicyValidates(t *testing.T) {
 	if srv.CurrentPolicy() != base {
 		t.Fatal("rejected policies mutated the current policy")
 	}
-	// The pipelined path is boot-only: a serial-booted server must
-	// refuse a policy that tries to switch coalescing on.
-	p := base
-	p.BatchWindow = time.Millisecond
-	if err := srv.SetPolicy(p); err == nil {
-		t.Fatal("serial-booted server accepted BatchWindow > 0")
-	}
-
-	piped, err := NewBSServer(ServerConfig{
-		MaxUE: 2, BatchWindow: 5 * time.Millisecond, Provision: tinySessionEnv,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer piped.Close()
-	for _, w := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond} {
-		p := piped.CurrentPolicy()
+	// The coalescing window is an ordinary live field, not a boot-time
+	// mode: a server booted at window 0 accepts any valid value, and two
+	// clone sessions joined after a raise (gated to start together)
+	// share rounds.
+	for _, w := range []time.Duration{time.Millisecond, 0, batchedWindow} {
+		p := base
 		p.BatchWindow = w
-		if err := piped.SetPolicy(p); err != nil {
-			t.Fatalf("pipelined server refused window %v: %v", w, err)
+		if err := srv.SetPolicy(p); err != nil {
+			t.Fatalf("server booted at window 0 refused window %v: %v", w, err)
 		}
+	}
+	serveRecorded(t, srv, batchHellos(2, compress.CodecRaw)[:2])
+	if srv.SharedRounds() == 0 {
+		t.Fatal("clone sessions joined after the live raise shared no round")
 	}
 }
 

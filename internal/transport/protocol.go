@@ -236,9 +236,9 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	return &out, nil
 }
 
-// FrameHeader is a validated frame header, the handoff between reading
-// a frame's bytes and decoding its payload (the pipelined server runs
-// the two on different stage workers).
+// FrameHeader is a validated frame header: what FrameReader.ReadFrame
+// returns beside the payload bytes, for callers that follow frames
+// without decoding them.
 type FrameHeader struct {
 	Type    MsgType
 	Version uint8

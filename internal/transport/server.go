@@ -22,7 +22,8 @@ import (
 // the hello parameters, and then runs the ordinary BSPeer training loop
 // in a per-session goroutine. Sessions are fully isolated — separate
 // seeds, separate model halves, separate optimiser state — so the only
-// shared resource is the scheduler deciding which sessions may step.
+// shared resource is the compute dispatcher (batcher.go) their rounds'
+// BS-half compute runs on.
 //
 // Session records live in a sessionStore (session.go): a bounded live
 // map plus a bounded retention ring of finished snapshots, so server
@@ -31,42 +32,14 @@ import (
 // halves' train state and a dropped UE can reconnect and resume from
 // the last checkpoint instead of restarting (see DESIGN.md §7).
 
-// SchedPolicy selects how concurrent sessions interleave their training
-// steps.
+// SchedPolicy, SchedAsync and ServerConfig.Sched have one value and no
+// effect: sessions always step freely in parallel. They exist only
+// because benchmark/harness.go assigns cfg.Sched = SchedAsync and
+// benchmark/ could not be edited in the PR that deleted the round-robin
+// scheduler; they go with the next benchmark PR.
 type SchedPolicy int
 
-// Scheduling policies.
-const (
-	// SchedAsync runs every session flat out in parallel; steps from
-	// different UEs overlap freely (the throughput-oriented default).
-	SchedAsync SchedPolicy = iota
-	// SchedRoundRobin grants one session at a time a full step
-	// (train + optional eval) in join order — the sequential regime of
-	// a time-slotted base station serving UEs one subframe each.
-	SchedRoundRobin
-)
-
-// String names the policy as accepted by ParseSchedPolicy.
-func (p SchedPolicy) String() string {
-	switch p {
-	case SchedAsync:
-		return "async"
-	case SchedRoundRobin:
-		return "rr"
-	}
-	return fmt.Sprintf("SchedPolicy(%d)", int(p))
-}
-
-// ParseSchedPolicy parses a -sched flag value.
-func ParseSchedPolicy(s string) (SchedPolicy, error) {
-	switch s {
-	case "async", "parallel":
-		return SchedAsync, nil
-	case "rr", "round-robin", "roundrobin":
-		return SchedRoundRobin, nil
-	}
-	return 0, fmt.Errorf("transport: unknown scheduling policy %q (want async or rr)", s)
-}
+const SchedAsync SchedPolicy = 0
 
 // Provision builds the server-side environment for one session from its
 // hello. The default, SessionEnv, derives everything deterministically
@@ -83,7 +56,7 @@ type ServerConfig struct {
 	ReplicaID string
 
 	MaxUE        int                              // concurrent session cap (≤0: 8)
-	Sched        SchedPolicy                      // step interleaving policy
+	Sched        SchedPolicy                      // ignored (see SchedPolicy)
 	Steps        int                              // max training steps per session (≤0: 200)
 	EvalEvery    int                              // validate every N steps (≤0: 20)
 	ValAnchors   int                              // validation anchors per evaluation (≤0: 64)
@@ -94,8 +67,8 @@ type ServerConfig struct {
 	// IdleTimeout fails a session whose connection stalls this long
 	// mid-operation (read or write), freeing its MaxUE slot; ≤0
 	// disables the timeout. It binds only while an I/O operation is
-	// blocked on the peer, so a session parked by the scheduler with no
-	// request in flight never times out.
+	// blocked on the peer, so a session waiting on the compute dispatcher
+	// with no request in flight never times out.
 	IdleTimeout time.Duration
 
 	// CheckpointDir enables checkpoint/resume: protocol-v3 sessions
@@ -132,16 +105,12 @@ type ServerConfig struct {
 	// kept for reporting (≤0: 128). Live sessions are always reported.
 	Retain int
 
-	// BatchWindow enables the pipelined serving path: each session
-	// round's decode, compute and encode run on shared stage workers,
-	// and the compute scheduler coalesces rounds from different sessions
-	// that arrive within this window into one dispatch, sharing a single
+	// BatchWindow is how long the compute dispatcher holds a round back
+	// to coalesce it with rounds from other sessions, sharing a single
 	// batched forward/backward through the model half of provably
-	// identical (clone) sessions. Zero disables it — the PR-4 serial
-	// read→decode→compute→encode→write loop. Only effective under
-	// SchedAsync: round-robin admits one in-flight round at a time, so
-	// coalescing could never find a partner and the window would be pure
-	// added latency (the server logs and serves such sessions serially).
+	// identical (clone) sessions. Zero (the default) dispatches every
+	// round at once, no coalescing wait. It is the boot value of
+	// Policy.BatchWindow and can be changed live.
 	BatchWindow time.Duration
 
 	// BatchMax caps the rounds coalesced into one dispatch (≤0: 16).
@@ -211,13 +180,12 @@ var errStoreDegraded = fmt.Errorf("transport: store degraded, write skipped")
 const ckptKeep = 2
 
 // BSServer accepts UE connections and trains one split-learning session
-// per UE under the configured scheduling policy.
+// per UE.
 type BSServer struct {
 	cfg   ServerConfig
-	sched scheduler
 	store *sessionStore
-	hub   *computeHub // nil: legacy serial serving path
-	lat   latencyRing // per-round serving latency, both paths
+	hub   *computeHub // runs every round's BS-half compute (batcher.go)
+	lat   latencyRing // per-round serving latency
 
 	// pol is the current runtime policy (see policy.go): the mutable
 	// subset of cfg, swapped atomically by SetPolicy and resolved at
@@ -249,18 +217,8 @@ type BSServer struct {
 // NewBSServer builds a server; zero-valued config fields take defaults.
 func NewBSServer(cfg ServerConfig) (*BSServer, error) {
 	cfg.fillDefaults()
-	var sched scheduler
-	switch cfg.Sched {
-	case SchedAsync:
-		sched = &asyncSched{}
-	case SchedRoundRobin:
-		sched = newRRSched()
-	default:
-		return nil, fmt.Errorf("transport: unknown scheduling policy %v", cfg.Sched)
-	}
 	s := &BSServer{
 		cfg:   cfg,
-		sched: sched,
 		store: newSessionStore(cfg.Retain),
 	}
 	boot := cfg.policy()
@@ -312,13 +270,7 @@ func NewBSServer(cfg ServerConfig) (*BSServer, error) {
 		})
 	}
 
-	if cfg.BatchWindow > 0 {
-		if cfg.Sched != SchedAsync {
-			cfg.Logf("bs-server: batching needs async scheduling; serving %v serially", cfg.Sched)
-		} else {
-			s.hub = newComputeHub(s.CurrentPolicy, s.store)
-		}
-	}
+	s.hub = newComputeHub(s.CurrentPolicy, s.store)
 	return s, nil
 }
 
@@ -366,20 +318,19 @@ func (s *BSServer) storeWrite(what string, op func() error) error {
 	return err
 }
 
-// Close stops the pipelined serving path's stage workers and releases
-// the server-owned store (an explicitly configured Store is flushed but
-// left open — the caller owns it, and may hand it to a successor). Call
-// after Wait. Safe to call more than once.
+// Close stops the compute dispatcher and releases the server-owned
+// store (an explicitly configured Store is flushed but left open — the
+// caller owns it, and may hand it to a successor). Safe at any time and
+// more than once: rounds already submitted to the dispatcher finish,
+// and a session still live fails at its next round. A crashed server
+// flushes nothing, like the killed process it models.
 func (s *BSServer) Close() {
-	if s.hub != nil {
-		s.hub.stop()
-	}
 	s.closeOnce.Do(func() {
-		if s.bstore == nil {
-			return
-		}
-		if err := s.bstore.Flush(); err != nil {
-			s.cfg.Logf("bs-server: store flush: %v", err)
+		s.hub.stop()
+		if !s.crashed.Load() {
+			if err := s.bstore.Flush(); err != nil {
+				s.cfg.Logf("bs-server: store flush: %v", err)
+			}
 		}
 		if s.ownStore {
 			if err := s.bstore.Close(); err != nil {
@@ -396,22 +347,14 @@ func (s *BSServer) RoundLatency() (p50, p99 time.Duration, n int64) {
 }
 
 // SharedRounds counts training rounds served by a clone group's shared
-// computation instead of their own (0 without the batched path).
-func (s *BSServer) SharedRounds() int64 {
-	if s.hub == nil {
-		return 0
-	}
-	return s.hub.sharedRounds.Load()
-}
+// computation instead of their own.
+func (s *BSServer) SharedRounds() int64 { return s.hub.sharedRounds.Load() }
 
-// BatchQueueDepth reports the current and peak number of rounds parked
-// in the batched path's coalescing queue awaiting dispatch (0/0 without
-// the batched path). The peak is the fleet-soak headroom number: it
-// bounds how far mixed-fingerprint bursts back the dispatcher up.
+// BatchQueueDepth reports the current and peak number of rounds inside
+// the compute dispatcher, coalescing or computing. The peak is the
+// fleet-soak headroom number: it bounds how far mixed-fingerprint
+// bursts back the dispatcher up.
 func (s *BSServer) BatchQueueDepth() (cur, peak int64) {
-	if s.hub == nil {
-		return 0, 0
-	}
 	return s.hub.queue.Load(), s.hub.queue.Peak()
 }
 
@@ -525,17 +468,12 @@ func (s *BSServer) RoundLatencyHistogram() LatencyHistogram {
 	return s.lat.snapshotHistogram()
 }
 
-// TakeBatchQueuePeak returns the coalescing queue's high-water mark
+// TakeBatchQueuePeak returns the dispatcher queue's high-water mark
 // since the previous call and restarts the window — the per-scrape-
-// window backlog number the control plane exports. Returns 0 without
-// the batched path. Note the lifetime peak reported by BatchQueueDepth
-// is reset too: a process being scraped reports windowed peaks.
-func (s *BSServer) TakeBatchQueuePeak() int64 {
-	if s.hub == nil {
-		return 0
-	}
-	return s.hub.queue.ResetPeak()
-}
+// window backlog number the control plane exports. Note the lifetime
+// peak reported by BatchQueueDepth is reset too: a process being
+// scraped reports windowed peaks.
+func (s *BSServer) TakeBatchQueuePeak() int64 { return s.hub.queue.ResetPeak() }
 
 // ServerStats is one consistent-enough read of the server's aggregate
 // counters for a metrics scrape. Gauges are instantaneous; the *Total
@@ -599,14 +537,12 @@ func (s *BSServer) Stats() ServerStats {
 		EndedFailed:       ss.ended.failed,
 		MigratedIn:        s.migratedIn.Load(),
 		Rounds:            s.lat.n.Load(),
+		SharedRounds:      s.hub.sharedRounds.Load(),
+		QueueDepth:        s.hub.queue.Load(),
 		CheckpointsTotal:  ss.ckpts,
 		ResumesTotal:      ss.resumes,
 		BytesInTotal:      ss.bytesIn,
 		BytesOutTotal:     ss.bytesOut,
-	}
-	if s.hub != nil {
-		out.SharedRounds = s.hub.sharedRounds.Load()
-		out.QueueDepth = s.hub.queue.Load()
 	}
 	st := s.bstore.Stats()
 	out.StoreKind = st.Kind
@@ -811,12 +747,9 @@ func (s *BSServer) refuseFlags(conn io.Writer, h Hello, ver uint8, cause error, 
 	s.cfg.Logf("bs-server: refused session %q: %v", h.SessionID, cause)
 }
 
-// train drives one admitted session to completion under the scheduler,
-// starting after the given resume step (0 for a fresh join).
+// train drives one admitted session to completion, starting after the
+// given resume step (0 for a fresh join).
 func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target float64, start int) error {
-	slot := s.sched.join()
-	defer s.sched.leave(slot)
-
 	val := spreadAnchors(sp.Val, s.cfg.ValAnchors)
 	sess.setState(SessionTraining)
 	done := start // last completed step
@@ -832,15 +765,8 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 		if m := sess.takeMigration(); m != nil {
 			return s.migrate(sess, peer, m, done)
 		}
-		s.sched.begin(slot)
 		t0 := time.Now()
-		var loss float64
-		var err error
-		if s.hub != nil {
-			loss, err = s.hub.step(peer)
-		} else {
-			loss, err = peer.TrainStep()
-		}
+		loss, err := peer.trainStep(s.hub.submit)
 		s.lat.record(time.Since(t0))
 		var rmse float64
 		evalDue := err == nil && (step%s.cfg.EvalEvery == 0 || step == s.cfg.Steps)
@@ -849,7 +775,6 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 			rmse, err = peer.Evaluate(val)
 			sess.setState(SessionTraining)
 		}
-		s.sched.done(slot)
 		if err != nil {
 			s.fail(sess, err)
 			return fmt.Errorf("transport: session %q step %d: %w", sess.id, step, err)
@@ -1037,107 +962,4 @@ func spreadAnchors(val []int, n int) []int {
 		out = append(out, val[i*len(val)/n])
 	}
 	return out
-}
-
-// scheduler arbitrates which sessions may execute a training step.
-// join/leave bracket a session's lifetime; begin/done bracket each step.
-type scheduler interface {
-	join() int
-	begin(slot int)
-	done(slot int)
-	leave(slot int)
-}
-
-// asyncSched imposes no ordering: every session steps whenever it likes.
-type asyncSched struct {
-	mu   sync.Mutex
-	next int
-}
-
-func (a *asyncSched) join() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.next++
-	return a.next - 1
-}
-
-func (a *asyncSched) begin(int) {}
-func (a *asyncSched) done(int)  {}
-func (a *asyncSched) leave(int) {}
-
-// rrSched grants the turn to joined sessions in strict rotation. A
-// session blocked mid-step holds the turn, so one stalled UE serialises
-// the round — the intended semantics of sequential scheduling (the idle
-// timeout is what eventually evicts a UE wedged mid-step).
-type rrSched struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	order []int // joined slots in rotation order
-	cur   int   // index into order holding the turn
-	next  int   // slot id allocator
-}
-
-func newRRSched() *rrSched {
-	r := &rrSched{}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-func (r *rrSched) index(slot int) int {
-	for i, s := range r.order {
-		if s == slot {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *rrSched) join() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot := r.next
-	r.next++
-	r.order = append(r.order, slot)
-	r.cond.Broadcast()
-	return slot
-}
-
-func (r *rrSched) begin(slot int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		i := r.index(slot)
-		if i < 0 || i == r.cur {
-			return
-		}
-		r.cond.Wait()
-	}
-}
-
-func (r *rrSched) done(slot int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.order) > 0 && r.order[r.cur] == slot {
-		r.cur = (r.cur + 1) % len(r.order)
-		r.cond.Broadcast()
-	}
-}
-
-func (r *rrSched) leave(slot int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := r.index(slot)
-	if i < 0 {
-		return
-	}
-	r.order = append(r.order[:i], r.order[i+1:]...)
-	if len(r.order) == 0 {
-		r.cur = 0
-	} else {
-		if i < r.cur {
-			r.cur--
-		}
-		r.cur %= len(r.order)
-	}
-	r.cond.Broadcast()
 }

@@ -3,9 +3,11 @@ package transport
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/split"
@@ -47,9 +49,15 @@ func tinyHello(i int) Hello {
 // test on any session or UE error.
 func runMultiUE(t *testing.T, srv *BSServer, n int) {
 	t.Helper()
+	runUERange(t, srv, 0, n)
+}
+
+// runUERange trains UEs tinyHello(from) … tinyHello(to-1) concurrently.
+func runUERange(t *testing.T, srv *BSServer, from, to int) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*n)
-	for i := 0; i < n; i++ {
+	errs := make(chan error, 2*(to-from))
+	for i := from; i < to; i++ {
 		h := tinyHello(i)
 		cfg, d, _, err := tinySessionEnv(h)
 		if err != nil {
@@ -112,7 +120,7 @@ func checkConverged(t *testing.T, srv *BSServer, n, steps int) {
 
 func TestBSServerConcurrentSessions(t *testing.T) {
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 4, Sched: SchedAsync,
+		MaxUE: 4,
 		Steps: 60, EvalEvery: 15, ValAnchors: 24,
 		Provision: tinySessionEnv,
 	})
@@ -123,59 +131,57 @@ func TestBSServerConcurrentSessions(t *testing.T) {
 	checkConverged(t, srv, 3, 60)
 }
 
-func TestBSServerRoundRobinSessions(t *testing.T) {
-	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 4, Sched: SchedRoundRobin,
-		Steps: 30, EvalEvery: 10, ValAnchors: 24,
-		Provision: tinySessionEnv,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runMultiUE(t, srv, 3)
-	checkConverged(t, srv, 3, 30)
-}
-
-// TestBSServerSchedulingInvariance: session isolation means the policy
-// may reorder steps in time but must never change any session's
-// mathematics.
+// TestBSServerSchedulingInvariance (invariant 5): session isolation
+// means the dispatcher may reorder and coalesce rounds in time but must
+// never change any session's mathematics — the same four sessions
+// served concurrently under a 2 ms window and one at a time give
+// identical losses and RMSEs.
 func TestBSServerSchedulingInvariance(t *testing.T) {
-	run := func(p SchedPolicy) map[string][]float64 {
+	const n = 4
+	run := func(window time.Duration, serve func(*BSServer)) map[string][2][]float64 {
 		srv, err := NewBSServer(ServerConfig{
-			MaxUE: 4, Sched: p,
+			MaxUE: n,
 			Steps: 20, EvalEvery: 10, ValAnchors: 24,
-			Provision: tinySessionEnv,
+			Provision:   tinySessionEnv,
+			BatchWindow: window,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runMultiUE(t, srv, 3)
-		out := make(map[string][]float64)
+		defer srv.Close()
+		serve(srv)
+		out := make(map[string][2][]float64)
 		for _, s := range srv.Sessions() {
-			out[s.ID] = s.Metrics.ValRMSE.Values
+			out[s.ID] = [2][]float64{s.Metrics.Loss.Values, s.Metrics.ValRMSE.Values}
 		}
 		return out
 	}
-	async, rr := run(SchedAsync), run(SchedRoundRobin)
-	if len(async) != 3 || len(rr) != 3 {
-		t.Fatalf("session counts: %d async, %d rr", len(async), len(rr))
-	}
-	for id, a := range async {
-		r := rr[id]
-		if len(a) != len(r) || len(a) == 0 {
-			t.Fatalf("session %s eval counts differ: %v vs %v", id, a, r)
+	together := run(2*time.Millisecond, func(srv *BSServer) { runMultiUE(t, srv, n) })
+	alone := run(0, func(srv *BSServer) {
+		for i := 0; i < n; i++ {
+			runUERange(t, srv, i, i+1)
 		}
-		for i := range a {
-			if a[i] != r[i] {
-				t.Fatalf("session %s eval %d differs between policies: %g vs %g", id, i, a[i], r[i])
-			}
+	})
+	if len(together) != n || len(alone) != n {
+		t.Fatalf("session counts: %d together, %d alone", len(together), len(alone))
+	}
+	for id, a := range together {
+		b := alone[id]
+		if len(a[0]) != 20 || len(a[1]) != 2 {
+			t.Fatalf("session %s recorded %d losses, %d evals", id, len(a[0]), len(a[1]))
+		}
+		if !slices.Equal(a[0], b[0]) {
+			t.Fatalf("session %s losses differ: %v vs %v", id, a[0], b[0])
+		}
+		if !slices.Equal(a[1], b[1]) {
+			t.Fatalf("session %s RMSEs differ: %v vs %v", id, a[1], b[1])
 		}
 	}
 }
 
 func TestBSServerOverTCP(t *testing.T) {
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 2, Sched: SchedAsync,
+		MaxUE: 2,
 		Steps: 20, EvalEvery: 10, ValAnchors: 16,
 		Provision: tinySessionEnv,
 	})
@@ -406,57 +412,5 @@ func TestBSServerPerSessionTarget(t *testing.T) {
 				t.Errorf("ue-1 should exhaust its steps: %+v", s)
 			}
 		}
-	}
-}
-
-// TestRRSchedulerRotation drives the round-robin scheduler directly and
-// checks strict rotation among pre-joined slots.
-func TestRRSchedulerRotation(t *testing.T) {
-	r := newRRSched()
-	const slots, rounds = 3, 5
-	ids := make([]int, slots)
-	for i := range ids {
-		ids[i] = r.join()
-	}
-	var mu sync.Mutex
-	var log []int
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for k := 0; k < rounds; k++ {
-				r.begin(slot)
-				mu.Lock()
-				log = append(log, slot)
-				mu.Unlock()
-				r.done(slot)
-			}
-			r.leave(slot)
-		}(id)
-	}
-	wg.Wait()
-	if len(log) != slots*rounds {
-		t.Fatalf("logged %d turns, want %d", len(log), slots*rounds)
-	}
-	for i := 0; i < slots*rounds; i++ {
-		if log[i] != ids[i%slots] {
-			t.Fatalf("turn %d went to slot %d, want %d (log %v)", i, log[i], ids[i%slots], log)
-		}
-	}
-}
-
-func TestParseSchedPolicy(t *testing.T) {
-	for in, want := range map[string]SchedPolicy{
-		"async": SchedAsync, "parallel": SchedAsync,
-		"rr": SchedRoundRobin, "round-robin": SchedRoundRobin,
-	} {
-		got, err := ParseSchedPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSchedPolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseSchedPolicy("fifo"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
