@@ -80,6 +80,69 @@ func (c *Conv2D) Release() {
 // Params returns the kernel and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.K, c.B} }
 
+// ConvReLUAvgPool is a stride-1 Conv2D, a ReLU and an AvgPool2D as one
+// input layer over the fused tensor kernels: the whole UE half of the
+// paper. It computes the three layers' bits (they stay, as its oracle and
+// for max pooling) but keeps no full-resolution activation between
+// Forward and Backward, only the sign mask. Its input is data, so
+// Backward returns nil, like a Conv2D with InputLayer set.
+type ConvReLUAvgPool struct {
+	K, B   *Param // the convolution's kernel and bias
+	Spec   tensor.Conv2DSpec
+	PH, PW int
+
+	in   *tensor.Tensor // the latest Forward's input, until Backward consumes it
+	out  *tensor.Tensor // instance-owned scratch
+	mask []bool         // sign of every convolution output of the latest Forward; grow-only, pooled
+}
+
+// NewConvReLUAvgPool fuses conv with a ReLU and a (ph, pw) average pool.
+// The layer takes over conv's parameters, so names, initialisation and
+// RNG draws are those of the layer chain it replaces.
+func NewConvReLUAvgPool(conv *Conv2D, ph, pw int) *ConvReLUAvgPool {
+	return &ConvReLUAvgPool{K: conv.K, B: conv.B, Spec: conv.Spec, PH: ph, PW: pw}
+}
+
+// Forward computes the pooled feature maps into the layer's cached output.
+func (c *ConvReLUAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
+	c.in = x
+	k := c.K.Value
+	oh, ow := c.Spec.OutSize(x.Dim(2), x.Dim(3), k.Dim(2), k.Dim(3))
+	n := x.Dim(0) * k.Dim(0) * oh * ow
+	if cap(c.mask) < n {
+		tensor.PutMask(c.mask)
+		c.mask = tensor.GetMask(n)
+	}
+	c.mask = c.mask[:n] // a ragged evaluation batch uses a prefix
+	c.out = tensor.EnsureShape(c.out, x.Dim(0), k.Dim(0), oh/c.PH, ow/c.PW)
+	tensor.ConvReLUAvgPoolInto(c.out, c.mask, x, k, c.B.Value.Data(), c.Spec, c.PH, c.PW)
+	return c.out
+}
+
+// Backward accumulates kernel and bias gradients and returns nil. Like
+// Conv2D.Backward it consumes the cached input, so a second Backward
+// without a new Forward panics like a first one.
+func (c *ConvReLUAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if c.in == nil {
+		panic("nn: ConvReLUAvgPool.Backward before Forward")
+	}
+	in := c.in
+	c.in = nil
+	tensor.ConvReLUAvgPoolBackwardInto(c.K.Grad, c.B.Grad.Data(), in, c.mask, grad, c.Spec, c.PH, c.PW)
+	return nil
+}
+
+// Release returns the layer's scratch, mask included, to the shared pools.
+func (c *ConvReLUAvgPool) Release() {
+	c.in = nil
+	tensor.Release(&c.out)
+	tensor.PutMask(c.mask)
+	c.mask = nil
+}
+
+// Params returns the kernel and bias parameters.
+func (c *ConvReLUAvgPool) Params() []*Param { return []*Param{c.K, c.B} }
+
 // AvgPool2D is the paper's payload-compression stage: non-overlapping
 // average pooling with window (PH, PW). Over a 40×40 CNN output a 40×40
 // window yields the "one pixel image".

@@ -41,19 +41,18 @@ func NewUEModel(rng *rand.Rand, cfg Config, d *dataset.Dataset) *UEModel {
 	for i := range k {
 		k[i] = base * (1 + 0.1*rng.NormFloat64())
 	}
-	var pool nn.Layer
+	// The paper's average pool runs fused with the convolution and the
+	// ReLU, one pass per frame; the max-pool ablation keeps the layer chain
+	// (it needs the argmax of the full-resolution ReLU output anyway).
+	var net *nn.Sequential
 	switch cfg.Pooling {
 	case PoolMax:
-		pool = nn.NewMaxPool2D(cfg.PoolH, cfg.PoolW)
+		net = nn.NewSequential(conv, nn.NewReLU(), nn.NewMaxPool2D(cfg.PoolH, cfg.PoolW))
 	default:
-		pool = nn.NewAvgPool2D(cfg.PoolH, cfg.PoolW)
+		net = nn.NewSequential(nn.NewConvReLUAvgPool(conv, cfg.PoolH, cfg.PoolW))
 	}
 	return &UEModel{
-		Net: nn.NewSequential(
-			conv,
-			nn.NewReLU(),
-			pool,
-		),
+		Net:   net,
 		poolH: cfg.PoolH, poolW: cfg.PoolW,
 		imageH: d.H, imageW: d.W,
 	}
@@ -78,16 +77,6 @@ func (u *UEModel) Release() { u.Net.Release() }
 
 // Params returns the UE-side parameters (they never leave the UE).
 func (u *UEModel) Params() []*nn.Param { return u.Net.Params() }
-
-// ConvOutput returns the pre-pooling CNN output image for visualisation
-// (Fig. 2): conv + ReLU without the pooling stage.
-func (u *UEModel) ConvOutput(images *tensor.Tensor) *tensor.Tensor {
-	out := images
-	for _, l := range u.Net.Layers[:2] { // conv, relu
-		out = l.Forward(out)
-	}
-	return out
-}
 
 // FLOPsPerImage estimates the floating-point work of one image's forward
 // pass (backward costs roughly 2× and is accounted by the caller).

@@ -93,7 +93,7 @@ func convForward(out, x, k *Tensor, bias []float64, spec Conv2DSpec, rows bool, 
 	ParallelFor(n, 2*cout*cin*kh*kw*oh*ow, func(shard, stride int) {
 		for ni := shard; ni < n; ni += stride {
 			if rows {
-				convSampleRows(xd, kd, od, bias, starts[shard*ow:][:ow], ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
+				convSampleRows(xd, kd, od, bias, starts[shard*ow:][:ow], ni, ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
 			} else {
 				convSampleDirect(xd, kd, od, bias, ni, cin, cout, h, w, kh, kw, oh, ow, spec)
 			}
@@ -220,26 +220,31 @@ func convBackward(gradX, gradK *Tensor, gradBias []float64, x, k, gradOut *Tenso
 					ni, cin, cout, h, w, kh, kw, oh, ow, spec)
 				continue
 			}
-			convGradKSampleRows(xd, god, gkd, gbd, ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
+			convGradKSampleRows(xd, god, gkd, gbd, ni, ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
 			if gxd != nil {
 				convSampleRows(god, kflip, gxd, nil, starts[shard*w:][:w],
-					ni, cout, cin, oh, ow, kh, kw, h, w, kh-1-spec.PadH, kw-1-spec.PadW)
+					ni, ni, cout, cin, oh, ow, kh, kw, h, w, kh-1-spec.PadH, kw-1-spec.PadW)
 			}
 		}
 	})
 
-	// Fold the per-shard partials into the accumulators in shard order
-	// (bit-deterministic reduction).
+	foldShardPartials(gradK.data, gradBias, partialK, partialB)
+	putSlice(partialK)
+	putSlice(partialB)
+}
+
+// foldShardPartials adds the per-shard kernel- and bias-gradient partials
+// to the accumulators in shard order: the bit-deterministic reduction.
+func foldShardPartials(gradK, gradBias, partialK, partialB []float64) {
+	kSize, cout := len(gradK), len(gradBias)
 	for s := 0; s < NumShards; s++ {
 		for i, v := range partialK[s*kSize : (s+1)*kSize] {
-			gradK.data[i] += v
+			gradK[i] += v
 		}
 		for i, v := range partialB[s*cout : (s+1)*cout] {
 			gradBias[i] += v
 		}
 	}
-	putSlice(partialK)
-	putSlice(partialB)
 }
 
 // convBackSampleDirect accumulates one sample's gradient contributions
@@ -305,12 +310,14 @@ func convBackSampleDirect(xd, kd, gxd, god, gkd, gbd []float64,
 // flipKernel).
 
 // convSampleRows computes the output block of batch element ni of a
-// stride-1 convolution. Pads may be negative (the input-gradient call).
+// stride-1 convolution and writes it as sample no of od: no is ni for a
+// whole output tensor and 0 for a one-sample block (the fused kernels of
+// convpool.go). Pads may be negative (the input-gradient call).
 // start is a length-ow scratch row of the calling shard: it holds the
 // bias, and a row's first pass reads its starting values from there, so
 // the output is written once with its first terms instead of being
 // filled and re-read.
-func convSampleRows(xd, kd, od, bias, start []float64, ni, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
+func convSampleRows(xd, kd, od, bias, start []float64, ni, no, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
 	for co := 0; co < cout; co++ {
 		b := 0.0
 		if bias != nil {
@@ -320,7 +327,7 @@ func convSampleRows(xd, kd, od, bias, start []float64, ni, cin, cout, h, w, kh, 
 			start[j] = b
 		}
 		for oy := 0; oy < oh; oy++ {
-			orow := od[((ni*cout+co)*oh+oy)*ow:][:ow]
+			orow := od[((no*cout+co)*oh+oy)*ow:][:ow]
 			kyLo, kyHi := max(0, padH-oy), min(kh, h+padH-oy) // kernel rows inside the image
 			if kyLo >= kyHi {
 				copy(orow, start)
@@ -467,15 +474,17 @@ func flipKernel(kd []float64, cin, cout, kh, kw int) []float64 {
 }
 
 // convGradKSampleRows accumulates one sample's kernel- and bias-gradient
-// contributions of a stride-1 convolution into the shard buffers gkd/gbd.
+// contributions of a stride-1 convolution into the shard buffers gkd/gbd:
+// sample ni of xd against sample ng of the upstream gradient god (ng is
+// ni for a whole gradient tensor, 0 for a one-sample block).
 //
 // The direct loop skips g == 0 terms; the row kernels add them anyway.
 // That is bit-identical because a ±0 add is an identity on any
 // accumulator reachable from a +0 start, and it keeps the hot loops
 // branch-free.
-func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
+func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
 	for co := 0; co < cout; co++ {
-		gmap := god[(ni*cout+co)*oh*ow:][:oh*ow]
+		gmap := god[(ng*cout+co)*oh*ow:][:oh*ow]
 		acc := gbd[co]
 		for _, gv := range gmap {
 			acc += gv

@@ -205,9 +205,9 @@ func TestConvRandomGeometryMatchesDirect(t *testing.T) {
 }
 
 // TestWorkerCountInvariance: conv forward/backward (with and without the
-// input gradient) and all three matmul kernels produce bit-identical
-// results for every worker-pool size — the shard decomposition, not the
-// worker count, fixes reduction order.
+// input gradient), the fused conv→ReLU→pool pair and all three matmul
+// kernels produce bit-identical results for every worker-pool size — the
+// shard decomposition, not the worker count, fixes reduction order.
 func TestWorkerCountInvariance(t *testing.T) {
 	defer SetWorkers(0)
 	workerCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, runtime.NumCPU()}
@@ -221,9 +221,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 	type result struct {
 		mm, mmA, mmB, fwd, gX, gK, nilK *Tensor
 		gB, nilB                        []float64
+		pooled, poolK                   *Tensor
+		poolB                           []float64
 	}
 	tc := convCases()[0]
 	x, k, bias, gradOut := buildConvCase(tc, 47)
+	const pool = 4 // over the 40×40 convolution output
+	pooledGrad := Randn(rng, 1, tc.n, tc.cout, tc.h/pool, tc.w/pool)
+	mask := make([]bool, gradOut.Size())
 
 	runAll := func() result {
 		var r result
@@ -234,6 +239,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 		r.gX, r.gK, r.gB = Conv2DBackward(x, k, gradOut, tc.spec)
 		r.nilK, r.nilB = New(k.Shape()...), make([]float64, tc.cout)
 		Conv2DBackwardInto(nil, r.nilK, r.nilB, x, k, gradOut, tc.spec)
+		r.pooled, r.poolK, r.poolB = New(pooledGrad.Shape()...), New(k.Shape()...), make([]float64, tc.cout)
+		ConvReLUAvgPoolInto(r.pooled, mask, x, k, bias, tc.spec, pool, pool)
+		ConvReLUAvgPoolBackwardInto(r.poolK, r.poolB, x, mask, pooledGrad, tc.spec, pool, pool)
 		return r
 	}
 
@@ -254,6 +262,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 		bitsEqualSlice(t, "gradBias", r.gB, ref.gB)
 		bitsEqual(t, "gradK without gradX", r.nilK, ref.gK)
 		bitsEqualSlice(t, "gradBias without gradX", r.nilB, ref.gB)
+		bitsEqual(t, "fused pooled", r.pooled, ref.pooled)
+		bitsEqual(t, "fused gradK", r.poolK, ref.poolK)
+		bitsEqualSlice(t, "fused gradBias", r.poolB, ref.poolB)
 	}
 }
 
@@ -476,6 +487,37 @@ func TestMaxPool2DIntoRejectsBadGeometry(t *testing.T) {
 	x := New(1, 1, 40, 40)
 	out := New(1, 1, 13, 13)
 	MaxPool2DInto(out, make([]int, out.Size()), x, 3, 3)
+}
+
+// TestConvReLUAvgPoolRejectsBadGeometry: the fused kernels take only
+// stride 1, windows that tile the convolution output, and a pooled tensor
+// and a mask of exactly the sizes that follow.
+func TestConvReLUAvgPoolRejectsBadGeometry(t *testing.T) {
+	x, k := New(2, 1, 8, 8), New(1, 1, 3, 3)
+	same := Conv2DSpec{1, 1, 1, 1}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: accepted", name)
+			}
+		}()
+		f()
+	}
+	fwd := func(out *Tensor, mask int, spec Conv2DSpec, ph, pw int) func() {
+		return func() { ConvReLUAvgPoolInto(out, make([]bool, mask), x, k, nil, spec, ph, pw) }
+	}
+	fwd(New(2, 1, 2, 4), 128, same, 4, 2)() // the valid call
+	mustPanic("stride 2", fwd(New(2, 1, 1, 1), 32, Conv2DSpec{2, 2, 1, 1}, 4, 4))
+	mustPanic("window 3 over 8 rows", fwd(New(2, 1, 2, 4), 128, same, 3, 2))
+	mustPanic("pooled shape", fwd(New(2, 1, 4, 2), 128, same, 4, 2))
+	mustPanic("short mask", fwd(New(2, 1, 2, 4), 127, same, 4, 2))
+	mustPanic("short upstream gradient", func() {
+		ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), make([]float64, 1), x, make([]bool, 128), New(1, 1, 2, 4), same, 4, 2)
+	})
+	mustPanic("nil gradBias", func() {
+		ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), nil, x, make([]bool, 128), New(2, 1, 2, 4), same, 4, 2)
+	})
 }
 
 // BenchmarkConvForwardSmallBatch measures the satellite fix directly: a

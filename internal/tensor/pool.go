@@ -12,8 +12,9 @@ import (
 // few buffers instead of churning the GC with multi-megabyte allocations
 // every step. A large request gets a buffer of exactly its size: the
 // model-sized buffers that sessions hand back and take up again (a UE
-// half's four 3.3 MB layer buffers) repeat their sizes exactly, and
-// rounding those up to a power of two costs a quarter of their footprint.
+// half's 3.3 MB image stack, the four layer buffers of that size under
+// max pooling) repeat their sizes exactly, and rounding those up to a
+// power of two costs a quarter of their footprint.
 
 const (
 	minPoolClass = 6       // smallest pooled capacity: 1<<6 = 64 floats
@@ -65,6 +66,32 @@ func putSlice(s []float64) {
 	c := bits.Len(uint(cap(s))) - 1 // floor(log2 cap): the class it serves
 	full := s[:cap(s)]
 	slicePools[c-minPoolClass].Put(full)
+}
+
+// maskPool recycles the sign masks of the fused conv→ReLU→pool kernel
+// (convpool.go): one bool per convolution output, the only full-resolution
+// state a UE half keeps between forward and backward. A session's mask
+// repeats the size of the last session's, so one unclassed pool serves.
+var maskPool sync.Pool
+
+// GetMask returns a length-n mask with UNSPECIFIED contents, a pooled one
+// when that is long enough.
+func GetMask(n int) []bool {
+	if v := maskPool.Get(); v != nil {
+		if m := v.([]bool); cap(m) >= n {
+			return m[:n]
+		}
+		maskPool.Put(v)
+	}
+	return make([]bool, n)
+}
+
+// PutMask returns a mask obtained from GetMask to the pool. The caller
+// must not use it afterwards.
+func PutMask(m []bool) {
+	if cap(m) > 0 {
+		maskPool.Put(m[:cap(m)])
+	}
 }
 
 // Arena is a step-scoped tensor allocator: Get hands out tensors backed by

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -152,7 +153,21 @@ func (u *UEPeer) Serve() error {
 				return fmt.Errorf("transport: UE write: %w", err)
 			}
 			if reqType == MsgEvalRequest {
-				continue // no backward pass for evaluation
+				// No backward pass for evaluation: the answer to wait for
+				// is the next request, and on this rare round the wait
+				// starts with one pass through the global run queue. With
+				// both halves in one process (tests, examples, the
+				// benchmark's load generator) they hand the processor to
+				// each other through the pipe's rendezvous, runnext to
+				// runnext, and a P that always has such a successor serves
+				// the global queue only every 61st tick: whatever waits
+				// there (anything that called runtime.Gosched) used to get
+				// its turn from the GC cycles the UE half's 13 MB of layer
+				// buffers set off, and without them can wait out two whole
+				// short sessions. Not on training rounds: a round of an
+				// 8×8-pixel session is 35 µs and the yield costs 16.
+				runtime.Gosched()
+				continue
 			}
 			grad, err := u.fr.ReadMessage()
 			if err != nil {
@@ -171,6 +186,10 @@ func (u *UEPeer) Serve() error {
 			if grad.Codec != u.Cfg.Codec {
 				return fmt.Errorf("transport: gradient used codec %v, session negotiated %v",
 					grad.Codec, u.Cfg.Codec)
+			}
+			if !grad.Tensor.SameShape(act) {
+				return fmt.Errorf("transport: gradient shape %v for activations %v",
+					grad.Tensor.Shape(), act.Shape())
 			}
 			nn.ZeroGrads(u.Model.Params())
 			u.Model.Backward(grad.Tensor)
@@ -314,9 +333,10 @@ func (b *BSPeer) RestoreState(r io.Reader) (int, error) {
 }
 
 // requestActivations asks the UE for a forward pass over the anchors,
-// advancing the step correlation id, and validates the reply against
-// the request. The returned tensor is reader-owned scratch, valid until
-// the next read on this peer.
+// advancing the step correlation id, and validates the reply — its shape
+// included, which is the UE's to choose on the wire and the fused
+// sequence's to index by — against the request. The returned tensor is
+// reader-owned scratch, valid until the next read on this peer.
 func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor, error) {
 	b.step++
 	req := &Message{Type: t, Step: b.step, Anchors: anchors}
@@ -336,6 +356,10 @@ func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor,
 	if reply.Codec != b.Cfg.Codec {
 		return nil, fmt.Errorf("transport: activations used codec %v, session negotiated %v",
 			reply.Codec, b.Cfg.Codec)
+	}
+	n, h, w := len(anchors)*b.Cfg.SeqLen, b.data.H/b.Cfg.PoolH, b.data.W/b.Cfg.PoolW
+	if act := reply.Tensor; act.Rank() != 4 || act.Dim(0) != n || act.Dim(1) != 1 || act.Dim(2) != h || act.Dim(3) != w {
+		return nil, fmt.Errorf("transport: activations shape %v, want [%d 1 %d %d]", act.Shape(), n, h, w)
 	}
 	return reply.Tensor, nil
 }
