@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -23,10 +22,8 @@ import (
 	"repro/internal/mds"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/radio"
 	"repro/internal/split"
-	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -548,63 +545,6 @@ func BenchmarkCheckpointSave(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCkptSave measures serialising the one-pixel scheme's BS half
-// (108,495 bytes of parameters and Adam moments) into a warm buffer —
-// the per-checkpoint encode on the serving path, pinned at 0 allocs/op
-// (as ckpt_save/bs_half in `mmsl bench -quick -check`).
-func BenchmarkCkptSave(b *testing.B) {
-	b.Run("bs_half", func(b *testing.B) {
-		params, adam, blob := benchBSHalf(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if blob, err = split.AppendTrainState(blob[:0], 1, split.HalfBS, 7, params, adam); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkJournalPut measures one durable journal put of that blob,
-// fsync included, by a lone writer (journal_put/ckpt_108k in `mmsl
-// bench`): the blob is written from the caller's slice, so allocs/op
-// stay at the frame head and the batch, whatever the blob's size.
-func BenchmarkJournalPut(b *testing.B) {
-	b.Run("ckpt_108k", func(b *testing.B) {
-		_, _, blob := benchBSHalf(b)
-		j, err := store.OpenJournal(filepath.Join(b.TempDir(), "bench.journal"), store.JournalOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer j.Close()
-		b.ReportAllocs()
-		b.SetBytes(int64(len(blob)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// One key, replaced each time: compaction keeps the file bounded.
-			if err := j.PutCheckpoint("ue-0", 7, blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchBSHalf builds the one-pixel scheme's BS half and its train-state
-// blob.
-func benchBSHalf(b *testing.B) ([]*nn.Param, *opt.Adam, []byte) {
-	b.Helper()
-	cfg := split.DefaultConfig(split.ImageRF, 40)
-	bs := split.NewBSModel(rand.New(rand.NewSource(cfg.Seed)), cfg, 2)
-	params := bs.Params()
-	adam := opt.NewAdam(params, cfg.LR, cfg.Beta1, cfg.Beta2)
-	blob, err := split.AppendTrainState(nil, 1, split.HalfBS, 7, params, adam)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return params, adam, blob
 }
 
 // BenchmarkCodecEncode measures each payload codec's Encode on a

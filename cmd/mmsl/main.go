@@ -13,7 +13,6 @@
 //	ablate   payload-parameter sweeps (bit depth, batch, seq length, pooling)
 //	frontier codec × pooling RMSE-vs-uplink-bits frontier
 //	train    train a single scheme and print its learning curve
-//	bench    run the performance-engine benchmarks (-json → BENCH.json)
 //	all      run fig2, fig3a, fig3b, table1, ablate and frontier into one directory
 //
 // Every run is deterministic for a given --seed. --scale quick (default)
@@ -69,8 +68,6 @@ func main() {
 		err = cmdTrain(args)
 	case "online":
 		err = cmdOnline(args)
-	case "bench":
-		err = cmdBench(args)
 	case "all":
 		err = cmdAll(args)
 	case "help", "-h", "--help":
@@ -99,7 +96,6 @@ commands:
   frontier  codec × pooling RMSE-vs-uplink-bits frontier
   train     train one scheme and print its curve
   online    streaming inference over the channel (deployment phase)
-  bench     run the engine benchmarks (-json writes BENCH.json)
   all       run every artefact into --outdir
 
 run "mmsl <command> -h" for command flags

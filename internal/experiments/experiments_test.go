@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/split"
+	"repro/internal/tensor"
 )
 
 // testScale is small enough to keep the whole experiment suite a few
@@ -268,5 +269,39 @@ func TestEnvNewTrainerValidates(t *testing.T) {
 	env := testEnv(t)
 	if _, err := env.NewTrainer(split.ImageRF, 7, split.IdealLink{}); err == nil {
 		t.Fatal("non-dividing pooling accepted")
+	}
+}
+
+// TestTrainStepAllocs pins a warm raw-codec training step of the
+// headline scheme (Img+RF, one-pixel pooling, over the paper's
+// simulated channel) on ONE tensor worker, where its allocations are
+// its fan-outs' closures plus what DESIGN.md §6 lists beside them,
+// whatever the CPU count. Pooled scratch makes the count meaningless
+// under the race detector, whose sync.Pool drops Puts.
+func TestTrainStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	defer tensor.SetWorkers(tensor.Workers())
+	tensor.SetWorkers(1)
+	env, err := NewEnv(Scale{
+		Frames: 1500, TrainFrac: 0.75, MaxEpochs: 3,
+		StepsPerEpoch: 20, ValBatch: 96, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := env.NewTrainer(split.ImageRF, 40, split.NewPaperSimLink(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm the scratch buffers
+	if n := testing.AllocsPerRun(20, step); n > 12 {
+		t.Fatalf("a training step allocates %.0f times on one worker, want ≤ 12", n)
 	}
 }

@@ -3,7 +3,7 @@
 // a soak runner that drives them — as real protocol sessions, not
 // replayed clones — against an in-process BSServer.
 //
-// The saturation benchmark (cmd/mmsl serve_bench) measures the
+// The repository benchmark's clone workloads (benchmark/) measure the
 // friendliest possible load: N clones of one recorded session, every
 // round fingerprint-equal and shareable. A deployed base station sees
 // the opposite — independent UEs with different corridors (non-IID
@@ -12,8 +12,9 @@
 // sharing finds nothing), different channel quality (blockage and
 // Nakagami fading shaping per-round think time), and churn: flapping
 // reconnects, mid-round drops, idling until evicted, and
-// supersede-on-rejoin. This package is that honest adversarial load,
-// and the harness every scaling PR benchmarks against.
+// supersede-on-rejoin. This package is that honest adversarial load:
+// the soak tests drive it through Run, and the benchmark draws its
+// profiles and provisioning from it.
 //
 // Everything derives deterministically from Spec.Seed: the same spec
 // produces a byte-identical profile set, and — because per-session
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/coord"
 	"repro/internal/split"
 	"repro/internal/transport"
 )
@@ -135,11 +135,7 @@ type Spec struct {
 	// non-steady churn behaviour (clamped to [0, 1]).
 	ChurnFraction float64
 
-	BatchWindow time.Duration // batched-path coalescing window (≤0: 2ms)
-	BatchMax    int           // rounds per dispatch (≤0: 16)
-	IdleTimeout time.Duration // server idle eviction (≤0: 500ms)
-	Checkpoint  bool          // enable checkpoint/resume (flapping UEs resume)
-	Retain      int           // finished-snapshot retention ring (≤0: 128)
+	Checkpoint bool // enable checkpoint/resume (flapping UEs resume)
 
 	// Replicas > 1 shards the soak across that many BS replicas behind a
 	// coordinator (internal/coord): sessions are placed by affinity/load,
@@ -170,22 +166,26 @@ type Spec struct {
 	// stall, rejoin cycles (≤0: 100ms).
 	ChaosInterval time.Duration
 
-	// WallLimit aborts a wedged soak (≤0: 10min) — the deadline that
-	// turns a deadlock or an unevictable session into a test failure
-	// instead of a hung run.
-	WallLimit time.Duration
-
 	// OnServer, when set, observes each of the soak's BSServers right
 	// after it is built and before any UE joins — the mount point for
 	// the control plane (internal/control) without this package
 	// importing it. Tests also use it to scrape /metrics concurrently
 	// with the churn load. In a replica fleet it runs once per replica.
 	OnServer func(*transport.BSServer) `json:"-"`
-
-	// OnCoordinator observes the replica fleet's coordinator the same
-	// way (only called when Replicas > 1).
-	OnCoordinator func(*coord.Coordinator) `json:"-"`
 }
+
+// The soak's server settings, the same for every spec.
+const (
+	batchWindow = 2 * time.Millisecond   // batched-path coalescing window
+	batchMax    = 16                     // rounds per dispatch
+	idleTimeout = 500 * time.Millisecond // server idle eviction
+	retain      = 128                    // finished-snapshot retention ring
+
+	// wallLimit aborts a wedged soak — the deadline that turns a
+	// deadlock or an unevictable session into a test failure instead of
+	// a hung run.
+	wallLimit = 10 * time.Minute
+)
 
 func (s Spec) withDefaults() Spec {
 	if s.UEs <= 0 {
@@ -208,18 +208,6 @@ func (s Spec) withDefaults() Spec {
 	} else if s.ChurnFraction > 1 {
 		s.ChurnFraction = 1
 	}
-	if s.BatchWindow <= 0 {
-		s.BatchWindow = 2 * time.Millisecond
-	}
-	if s.BatchMax <= 0 {
-		s.BatchMax = 16
-	}
-	if s.IdleTimeout <= 0 {
-		s.IdleTimeout = 500 * time.Millisecond
-	}
-	if s.Retain <= 0 {
-		s.Retain = 128
-	}
 	if s.Replicas <= 0 {
 		s.Replicas = 1
 	}
@@ -228,9 +216,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.ChaosInterval <= 0 {
 		s.ChaosInterval = 100 * time.Millisecond
-	}
-	if s.WallLimit <= 0 {
-		s.WallLimit = 10 * time.Minute
 	}
 	return s
 }

@@ -22,106 +22,86 @@ import (
 // checkpoint along the way. Loss/RMSE are kept as raw float bits so the
 // determinism suite compares exact values, not formatted ones.
 type Outcome struct {
-	State    string `json:"state"`
-	Steps    int    `json:"steps"`
-	LastLoss uint64 `json:"last_loss_bits"`
-	LastRMSE uint64 `json:"last_rmse_bits"`
-	Resumes  int    `json:"resumes"`
+	State    string
+	Steps    int
+	LastLoss uint64
+	LastRMSE uint64
+	Resumes  int
 }
 
-// HandoverReport measures the replica fleet's live-migration drill. It
-// lands as the `handover` section under `fleet` in BENCH.json.
+// HandoverReport measures the replica fleet's live-migration drill.
 type HandoverReport struct {
-	Replicas   int   `json:"replicas"`
-	Migrations int64 `json:"migrations"` // completed handovers
-	Failed     int64 `json:"failed"`     // attempts lost to races (session ended mid-selection)
+	Replicas   int
+	Migrations int64 // completed handovers
 
 	// MigratedEnds counts session incarnations retired with the
 	// migrated disposition across all replicas — the server-side echo
 	// of Migrations.
-	MigratedEnds int `json:"migrated_incarnations"`
+	MigratedEnds int
 
-	P50Ms float64 `json:"latency_p50_ms"`
-	P99Ms float64 `json:"latency_p99_ms"`
+	P50Ms float64
+	P99Ms float64
 }
 
 // FailoverReport measures the chaos drill's crash-failover pipeline —
 // MTTR split into detection (first failed probe → death verdict) and
 // recovery (fence → session settled on a survivor), plus the session
-// ledger. It lands as the `failover` section under `fleet` in
-// BENCH.json; the CI gate fails the build on lost sessions, zero
-// recoveries, or degenerate MTTR.
+// ledger.
 type FailoverReport struct {
-	Replicas int `json:"replicas"`
-	Kills    int `json:"kills"`   // uncontrolled replica kills injected
-	Rejoins  int `json:"rejoins"` // fresh incarnations booted on the same store
+	Kills   int // uncontrolled replica kills injected
+	Rejoins int // fresh incarnations booted on the same store
 
-	Failovers         int64 `json:"failovers"`          // crash failovers the coordinator ran
-	SessionsRecovered int64 `json:"sessions_recovered"` // adopted onto survivors from durable checkpoints
-	SessionsLost      int64 `json:"sessions_lost"`      // checkpointed sessions recovery could not save
-	Readmissions      int64 `json:"readmissions"`       // fenced replicas back in placement after healthy probes
-	RefusedDown       int64 `json:"refused_replica_down"`
+	Failovers         int64 // crash failovers the coordinator ran
+	SessionsRecovered int64 // adopted onto survivors from durable checkpoints
+	SessionsLost      int64 // checkpointed sessions recovery could not save
+	Readmissions      int64 // fenced replicas back in placement after healthy probes
 
-	DetectP50Ms  float64 `json:"detect_p50_ms"`
-	DetectP99Ms  float64 `json:"detect_p99_ms"`
-	RecoverP50Ms float64 `json:"recover_p50_ms"`
-	RecoverP99Ms float64 `json:"recover_p99_ms"`
+	DetectP50Ms  float64
+	DetectP99Ms  float64
+	RecoverP50Ms float64
+	RecoverP99Ms float64
 }
 
-// Report is what a fleet soak measures. It lands as the `fleet` section
-// of BENCH.json.
+// Report is what a fleet soak observed: the health the soak tests
+// assert on.
 type Report struct {
-	UEs          int     `json:"ues"`
-	StepsPerUE   int     `json:"steps_per_ue"`
-	SceneClasses int     `json:"scene_classes"`
-	ChurnUEs     int     `json:"churn_ues"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-
-	// Rounds counts training rounds served; StepsPerSec is the
-	// aggregate serving throughput over the whole soak.
-	Rounds      int64   `json:"rounds"`
-	StepsPerSec float64 `json:"agg_steps_per_sec"`
-	P50Ms       float64 `json:"round_p50_ms"`
-	P99Ms       float64 `json:"round_p99_ms"`
+	// Rounds counts training rounds served across the fleet.
+	Rounds int64
 
 	// SharedRatio is the fraction of rounds served by a clone group's
 	// shared computation — ≈0 expected under mixed fingerprints, which
 	// is the point: the fleet is the anti-clone load.
-	SharedRounds int64   `json:"shared_rounds"`
-	SharedRatio  float64 `json:"shared_ratio"`
+	SharedRatio float64
 
 	// Lifecycle outcome counters, accumulated over every session
 	// incarnation by the server's end-of-session hook.
-	Completed  int `json:"completed"`
-	Drops      int `json:"drops"`
-	Evictions  int `json:"evictions"`
-	Supersedes int `json:"supersedes"`
-	Resumes    int `json:"resumes"`
+	Completed  int
+	Drops      int
+	Evictions  int
+	Supersedes int
+	Resumes    int
 
 	// DriverErrors counts UE drivers that ended on an error their churn
 	// script did not call for — always 0 in a healthy soak.
-	DriverErrors int `json:"driver_errors"`
+	DriverErrors int
 
 	// LeakedSessions is the number of sessions still live after every
 	// driver and handler finished — always 0 in a healthy soak.
-	LeakedSessions    int     `json:"leaked_sessions"`
-	RetainedSnapshots int     `json:"retained_snapshots"`
-	EvictedSnapshots  int64   `json:"evicted_snapshots"`
-	QueuePeak         int64   `json:"batch_queue_peak"`
-	PeakRSSMB         float64 `json:"peak_rss_mb"`
+	LeakedSessions    int
+	RetainedSnapshots int
 
 	// Handover is present when the soak ran a replica fleet
 	// (Spec.Replicas > 1).
-	Handover *HandoverReport `json:"handover,omitempty"`
+	Handover *HandoverReport
 
 	// Failover is present when the soak ran the chaos drill
 	// (Spec.Chaos).
-	Failover *FailoverReport `json:"failover,omitempty"`
+	Failover *FailoverReport
 
 	// Final maps session id → its last incarnation's outcome: the
 	// per-UE ground truth the determinism suite compares across runs
-	// and worker counts. Excluded from BENCH.json.
-	Final map[string]Outcome `json:"-"`
+	// and worker counts.
+	Final map[string]Outcome
 }
 
 // Run executes one fleet soak: it materialises the spec's environment,
@@ -147,15 +127,11 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 		defer os.RemoveAll(ckptDir)
 	}
 
-	rep := &Report{
-		UEs:          spec.UEs,
-		StepsPerUE:   spec.Steps,
-		SceneClasses: spec.SceneClasses,
-		Final:        make(map[string]Outcome, spec.UEs),
-	}
+	rep := &Report{Final: make(map[string]Outcome, spec.UEs)}
+	churning := 0
 	for _, p := range env.Profiles {
 		if p.Churn != ChurnSteady {
-			rep.ChurnUEs++
+			churning++
 		}
 	}
 
@@ -210,10 +186,10 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 			EvalEvery:       1 << 30, // one final eval per session
 			ValAnchors:      8,
 			Provision:       env.Provision(),
-			IdleTimeout:     spec.IdleTimeout,
-			BatchWindow:     spec.BatchWindow,
-			BatchMax:        spec.BatchMax,
-			Retain:          spec.Retain,
+			IdleTimeout:     idleTimeout,
+			BatchWindow:     batchWindow,
+			BatchMax:        batchMax,
+			Retain:          retain,
 			CheckpointDir:   ckptDir,
 			CheckpointEvery: 1,
 			OnSessionEnd:    onEnd,
@@ -234,10 +210,7 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 		defer os.RemoveAll(chaosDir)
 		chaosReps = make([]*chaos.Replica, spec.Replicas)
 		for i := range chaosReps {
-			cs := &chaosStore{
-				path:   filepath.Join(chaosDir, fmt.Sprintf("bs-%d.journal", i)),
-				retain: spec.Retain,
-			}
+			cs := &chaosStore{path: filepath.Join(chaosDir, fmt.Sprintf("bs-%d.journal", i))}
 			st, err := cs.open()
 			if err != nil {
 				return nil, fmt.Errorf("fleet: chaos store %d: %w", i, err)
@@ -270,7 +243,7 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 			if spec.Replicas > 1 {
 				// Handover rides on checkpoints, so every replica gets its
 				// own in-memory store; the blobs never touch disk.
-				cfg.Store = store.NewMem(spec.Retain)
+				cfg.Store = store.NewMem(retain)
 			}
 			srv, err := transport.NewBSServer(cfg)
 			if err != nil {
@@ -327,9 +300,6 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: coordinator: %w", err)
 		}
-		if spec.OnCoordinator != nil {
-			spec.OnCoordinator(co)
-		}
 		if spec.Chaos {
 			// Soak-speed probing: a kill is detected in a few intervals;
 			// the generous timeout keeps scheduler hiccups under -race
@@ -346,9 +316,8 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 	}
 
 	logf("fleet: %d UEs (%d churning), %d scene classes, %d steps/UE, %d replicas",
-		spec.UEs, rep.ChurnUEs, spec.SceneClasses, spec.Steps, spec.Replicas)
+		spec.UEs, churning, spec.SceneClasses, spec.Steps, spec.Replicas)
 
-	start := time.Now()
 	for i := range env.Profiles {
 		dr := newDriver(env, env.Profiles[i], handle, &handlers)
 		drivers.Add(1)
@@ -391,14 +360,14 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 	}()
 	select {
 	case <-settled:
-	case <-time.After(spec.WallLimit):
+	case <-time.After(wallLimit):
 		close(stopDrill)
 		live := 0
 		for _, srv := range currentServers() {
 			live += srv.ActiveSessions()
 		}
 		return nil, fmt.Errorf("fleet: soak wedged: %d/%d sessions still live after %v",
-			live, spec.UEs, spec.WallLimit)
+			live, spec.UEs, wallLimit)
 	}
 	close(stopDrill)
 	drillDone.Wait()
@@ -413,7 +382,6 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	rep.ElapsedSec = time.Since(start).Seconds()
 
 	// From here on read the live incarnations (identical to servers in a
 	// chaos-free soak). Counters that died with a killed incarnation —
@@ -421,45 +389,16 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 	// process's; the chaos report measures recovery, not throughput.
 	servers = currentServers()
 
+	var sharedRounds int64
 	for _, srv := range servers {
-		rep.SharedRounds += srv.SharedRounds()
+		_, _, rounds := srv.RoundLatency()
+		rep.Rounds += rounds
+		sharedRounds += srv.SharedRounds()
 		rep.LeakedSessions += srv.ActiveSessions()
 		rep.RetainedSnapshots += srv.RetainedSessions()
-		rep.EvictedSnapshots += srv.EvictedSnapshots()
-		if _, peak := srv.BatchQueueDepth(); peak > rep.QueuePeak {
-			rep.QueuePeak = peak
-		}
-	}
-	if spec.Replicas == 1 {
-		p50, p99, rounds := servers[0].RoundLatency()
-		rep.Rounds = rounds
-		rep.P50Ms = float64(p50) / float64(time.Millisecond)
-		rep.P99Ms = float64(p99) / float64(time.Millisecond)
-	} else {
-		// Per-replica rings cannot be merged exactly; fold the lifetime
-		// histograms instead and read the percentiles off the buckets.
-		var merged transport.LatencyHistogram
-		for _, srv := range servers {
-			h := srv.RoundLatencyHistogram()
-			if merged.Counts == nil {
-				merged = h
-			} else {
-				for i := range h.Counts {
-					merged.Counts[i] += h.Counts[i]
-				}
-				merged.Sum += h.Sum
-				merged.Count += h.Count
-			}
-		}
-		rep.Rounds = merged.Count
-		rep.P50Ms = float64(histQuantile(merged, 0.50)) / float64(time.Millisecond)
-		rep.P99Ms = float64(histQuantile(merged, 0.99)) / float64(time.Millisecond)
-	}
-	if rep.ElapsedSec > 0 {
-		rep.StepsPerSec = float64(rep.Rounds) / rep.ElapsedSec
 	}
 	if rep.Rounds > 0 {
-		rep.SharedRatio = float64(rep.SharedRounds) / float64(rep.Rounds)
+		rep.SharedRatio = float64(sharedRounds) / float64(rep.Rounds)
 	}
 	if co != nil {
 		st := co.Stats()
@@ -467,7 +406,6 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 		rep.Handover = &HandoverReport{
 			Replicas:     spec.Replicas,
 			Migrations:   st.Migrations,
-			Failed:       st.MigrationFails,
 			MigratedEnds: migratedEnds,
 			P50Ms:        float64(p50) / float64(time.Millisecond),
 			P99Ms:        float64(p99) / float64(time.Millisecond),
@@ -476,12 +414,10 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 			dp50, dp99, _ := co.DetectionLatency()
 			rp50, rp99, _ := co.RecoveryLatency()
 			fo := &FailoverReport{
-				Replicas:          spec.Replicas,
 				Failovers:         st.Failovers,
 				SessionsRecovered: st.SessionsRecovered,
 				SessionsLost:      st.SessionsLost,
 				Readmissions:      st.Rejoins,
-				RefusedDown:       st.RefusedDown,
 				DetectP50Ms:       float64(dp50) / float64(time.Millisecond),
 				DetectP99Ms:       float64(dp99) / float64(time.Millisecond),
 				RecoverP50Ms:      float64(rp50) / float64(time.Millisecond),
@@ -497,14 +433,13 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 	for _, srv := range servers {
 		srv.Close()
 	}
-	rep.PeakRSSMB = peakRSSMB()
 
-	logf("fleet: %d rounds in %.1fs (%.0f steps/s), shared %.3f, completed %d, drops %d, evictions %d, supersedes %d, resumes %d",
-		rep.Rounds, rep.ElapsedSec, rep.StepsPerSec, rep.SharedRatio,
+	logf("fleet: %d rounds, shared %.3f, completed %d, drops %d, evictions %d, supersedes %d, resumes %d",
+		rep.Rounds, rep.SharedRatio,
 		rep.Completed, rep.Drops, rep.Evictions, rep.Supersedes, rep.Resumes)
 	if rep.Handover != nil {
-		logf("fleet: handover drill: %d migrations (%d failed attempts), p50 %.2fms p99 %.2fms",
-			rep.Handover.Migrations, rep.Handover.Failed, rep.Handover.P50Ms, rep.Handover.P99Ms)
+		logf("fleet: handover drill: %d migrations, p50 %.2fms p99 %.2fms",
+			rep.Handover.Migrations, rep.Handover.P50Ms, rep.Handover.P99Ms)
 	}
 	if rep.Failover != nil {
 		logf("fleet: chaos drill: %d kills, %d rejoins, %d failovers: %d recovered, %d lost; detect p50 %.2fms p99 %.2fms, recover p50 %.2fms p99 %.2fms",
@@ -542,8 +477,7 @@ func (r *trackedReplica) Dial() (io.ReadWriteCloser, error) {
 // stays tripped forever once its budget dies with an incarnation.
 // trip corrupts whatever write is in flight on the current one.
 type chaosStore struct {
-	path   string
-	retain int
+	path string
 
 	mu  sync.Mutex
 	cur *store.FaultFS
@@ -551,7 +485,7 @@ type chaosStore struct {
 
 func (cs *chaosStore) open() (store.Store, error) {
 	ff := store.NewFaultFS(store.OS, 1<<40)
-	st, err := store.OpenJournal(cs.path, store.JournalOptions{Retain: cs.retain, FS: ff})
+	st, err := store.OpenJournal(cs.path, store.JournalOptions{Retain: retain, FS: ff})
 	if err != nil {
 		return nil, err
 	}
@@ -695,29 +629,4 @@ func handoverDrill(co *coord.Coordinator, env *Env, every time.Duration, stop <-
 			break
 		}
 	}
-}
-
-// histQuantile reads a quantile off a merged lifetime histogram: the
-// upper bound of the bucket where the cumulative count crosses q.
-func histQuantile(h transport.LatencyHistogram, q float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.Count))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, n := range h.Counts {
-		cum += n
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			break
-		}
-	}
-	// Overflow bucket: report the mean of what we know exceeds the
-	// largest bound.
-	return h.Sum / time.Duration(h.Count)
 }

@@ -362,6 +362,9 @@ func TestReleasedScratchServesNextModel(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a Put on one P is not a Get's to take on another
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(1) // every Get and Put on the calling goroutine
 	rng := rand.New(rand.NewSource(43))
 	x, grad := tensor.Randn(rng, 1, 256, 1, 40, 40), tensor.Ones(256, 1, 1, 1)
 	session := func() *Sequential {

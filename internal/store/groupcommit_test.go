@@ -577,7 +577,7 @@ func TestJournalPutCheckpointAllocs(t *testing.T) {
 		if err := j.PutCheckpoint("ue-0", step, blob); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Fatalf("PutCheckpoint allocates %.0f times per call, want ≤ 3", n)
+	}); n > 2 {
+		t.Fatalf("PutCheckpoint allocates %.0f times per call, want ≤ 2", n)
 	}
 }

@@ -106,8 +106,8 @@ type computeHub struct {
 
 	// queue tracks the rounds inside the dispatcher — submitted and not
 	// yet answered, whether coalescing or executing in a group. Its peak
-	// is the backlog number the fleet soak reports
-	// (BSServer.BatchQueueDepth).
+	// is the backlog number the control plane exports
+	// (BSServer.TakeBatchQueuePeak).
 	queue metrics.Gauge
 }
 

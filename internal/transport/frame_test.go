@@ -13,8 +13,7 @@ import (
 // The zero-copy frame path: FrameWriter/FrameReader must round-trip
 // byte-identically with the one-shot WriteMessage/ReadMessage pair, and
 // steady-state serving must perform zero allocations per message in
-// both directions — the property the CI bench-regression step pins via
-// `mmsl bench -check`.
+// both directions — the property TestFramePathZeroAllocSteadyState pins.
 
 func frameTestMessage(codec compress.ID) *Message {
 	rng := rand.New(rand.NewSource(5))

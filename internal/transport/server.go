@@ -350,21 +350,9 @@ func (s *BSServer) RoundLatency() (p50, p99 time.Duration, n int64) {
 // computation instead of their own.
 func (s *BSServer) SharedRounds() int64 { return s.hub.sharedRounds.Load() }
 
-// BatchQueueDepth reports the current and peak number of rounds inside
-// the compute dispatcher, coalescing or computing. The peak is the
-// fleet-soak headroom number: it bounds how far mixed-fingerprint
-// bursts back the dispatcher up.
-func (s *BSServer) BatchQueueDepth() (cur, peak int64) {
-	return s.hub.queue.Load(), s.hub.queue.Peak()
-}
-
 // RetainedSessions reports how many finished-session snapshots the
 // retention ring currently holds (≤ ServerConfig.Retain).
 func (s *BSServer) RetainedSessions() int { return s.store.retiredCount() }
-
-// EvictedSnapshots reports how many finished-session snapshots were
-// dropped from the full retention ring over the server's lifetime.
-func (s *BSServer) EvictedSnapshots() int64 { return s.store.evictedCount() }
 
 // Serve accepts connections until the listener fails (closing the
 // listener is the shutdown signal) and handles each in its own goroutine.
@@ -470,9 +458,7 @@ func (s *BSServer) RoundLatencyHistogram() LatencyHistogram {
 
 // TakeBatchQueuePeak returns the dispatcher queue's high-water mark
 // since the previous call and restarts the window — the per-scrape-
-// window backlog number the control plane exports. Note the lifetime
-// peak reported by BatchQueueDepth is reset too: a process being
-// scraped reports windowed peaks.
+// window backlog number the control plane exports.
 func (s *BSServer) TakeBatchQueuePeak() int64 { return s.hub.queue.ResetPeak() }
 
 // ServerStats is one consistent-enough read of the server's aggregate
