@@ -17,7 +17,8 @@
 // Lifecycle hardening: -idle-timeout evicts a UE that wedges
 // mid-protocol so it cannot hold a -max-ue slot forever;
 // -checkpoint-dir/-checkpoint-every enable periodic train-state
-// checkpoints and reconnect-with-resume; SIGTERM/SIGINT drains
+// checkpoints and reconnect-with-resume, kept in one crash-consistent
+// journal at <checkpoint-dir>/store.journal; SIGTERM/SIGINT drains
 // gracefully — the server stops accepting, checkpoints every live
 // session at its next step boundary, detaches the UEs cleanly and
 // prints the final per-session metrics.
@@ -50,10 +51,10 @@ func main() {
 	valAnchors := flag.Int("val-anchors", 128, "validation anchors per evaluation")
 	target := flag.Float64("target", 0, "stop a session early at this val RMSE in dB (0 = never)")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "fail a session whose connection stalls this long mid-operation (0 = never)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for session train-state checkpoints (empty = checkpoint/resume disabled)")
+	ckptDir := flag.String("checkpoint-dir", "", "directory holding the checkpoint journal store.journal (empty = checkpoint/resume disabled unless -store mem)")
 	ckptEvery := flag.Int("checkpoint-every", 50, "checkpoint interval in training steps")
-	storeKind := flag.String("store", "", "durable store backend: mem, dir (per-session files) or journal (single crash-consistent append log); empty = dir when -checkpoint-dir is set, else mem with checkpointing off")
-	journalCompact := flag.Int64("journal-compact-bytes", 64<<20, "journal size that arms compaction (with -store journal)")
+	storeKind := flag.String("store", "", "store backend: mem or journal (single crash-consistent append log under -checkpoint-dir); empty = journal when -checkpoint-dir is set, else mem with checkpointing off")
+	journalCompact := flag.Int64("journal-compact-bytes", 64<<20, "journal size that arms compaction")
 	retain := flag.Int("retain", 128, "finished-session snapshots kept for reporting")
 	workers := flag.Int("workers", 0, "tensor worker-pool size for parallel kernels (0 = min(GOMAXPROCS, 8); results are identical for any value)")
 	batchWindow := flag.Duration("batch-window", 0, "cross-session compute batching: rounds arriving within this window coalesce into one dispatch (0 = no coalescing wait; results are bit-identical for any value)")
@@ -69,9 +70,9 @@ func main() {
 		ReplicaID: *replicaID,
 		MaxUE:     *maxUE, Steps: *steps, EvalEvery: *evalEvery, ValAnchors: *valAnchors,
 		TargetRMSEdB: *target, IdleTimeout: *idleTimeout,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Retain: *retain,
+		CheckpointEvery: *ckptEvery, Retain: *retain,
 		BatchWindow: *batchWindow, BatchMax: *batchMax,
-	}, *storeKind, *journalCompact)
+	}, *storeKind, *ckptDir, *journalCompact)
 }
 
 // serveAdmin starts the control plane on addr (no-op when empty).
@@ -88,26 +89,19 @@ func serveAdmin(addr string, srv *transport.BSServer, onDrain func()) {
 	}()
 }
 
-// openStore builds the durable backend the -store flag names. The empty
-// kind defers to the server's default (a dir store over -checkpoint-dir
-// when set, else an in-memory mirror with checkpointing off). Both disk
-// backends live under -checkpoint-dir: the journal as a single
-// store.journal file, the dir backend as per-session files.
+// openStore builds the store the -store flag names. The empty kind means
+// the journal when -checkpoint-dir is set, else no store (the server's
+// in-memory mirror with checkpointing off). The journal is the single
+// file store.journal under -checkpoint-dir.
 func openStore(kind, ckptDir string, retain int, compactBytes int64) store.Store {
+	if kind == "" && ckptDir != "" {
+		kind = "journal"
+	}
 	switch kind {
 	case "":
 		return nil
 	case "mem":
 		return store.NewMem(retain)
-	case "dir":
-		if ckptDir == "" {
-			log.Fatal("mmsl-bs: -store dir requires -checkpoint-dir")
-		}
-		ds, err := store.OpenDir(ckptDir, retain)
-		if err != nil {
-			log.Fatalf("mmsl-bs: open dir store: %v", err)
-		}
-		return ds
 	case "journal":
 		if ckptDir == "" {
 			log.Fatal("mmsl-bs: -store journal requires -checkpoint-dir")
@@ -125,21 +119,21 @@ func openStore(kind, ckptDir string, retain int, compactBytes int64) store.Store
 		}
 		return j
 	}
-	log.Fatalf("mmsl-bs: unknown -store %q (want mem, dir or journal)", kind)
+	log.Fatalf("mmsl-bs: unknown -store %q (want mem or journal)", kind)
 	return nil
 }
 
 // serve runs the base station until the listener dies or a termination
 // signal triggers the graceful drain.
-func serve(addr, adminAddr string, cfg transport.ServerConfig, storeKind string, journalCompact int64) {
+func serve(addr, adminAddr string, cfg transport.ServerConfig, storeKind, ckptDir string, journalCompact int64) {
 	cfg.Logf = log.Printf
-	cfg.Store = openStore(storeKind, cfg.CheckpointDir, cfg.Retain, journalCompact)
+	cfg.Store = openStore(storeKind, ckptDir, cfg.Retain, journalCompact)
 	srv, err := transport.NewBSServer(cfg)
 	if err != nil {
 		log.Fatalf("mmsl-bs: %v", err)
 	}
-	if storeKind != "" {
-		// The server does not close an explicitly provided store.
+	if cfg.Store != nil {
+		// The server does not close its store.
 		defer func() {
 			if err := cfg.Store.Close(); err != nil {
 				log.Printf("mmsl-bs: store close: %v", err)

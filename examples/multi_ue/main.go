@@ -29,12 +29,14 @@ import (
 	"log"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/compress"
 	"repro/internal/split"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -62,12 +64,16 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(ckptDir)
+	ckptStore, err := store.OpenJournal(filepath.Join(ckptDir, "store.journal"), store.JournalOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv, err := transport.NewBSServer(transport.ServerConfig{
 		MaxUE: *ues,
 		Steps: *steps, EvalEvery: 30, ValAnchors: 64,
-		TargetRMSEdB:  10.0, // fallback for UEs that announce no target
-		IdleTimeout:   30 * time.Second,
-		CheckpointDir: ckptDir, CheckpointEvery: *ckptEvery,
+		TargetRMSEdB: 10.0, // fallback for UEs that announce no target
+		IdleTimeout:  30 * time.Second,
+		Store:        ckptStore, CheckpointEvery: *ckptEvery,
 		Logf: log.Printf,
 	})
 	if err != nil {
@@ -140,6 +146,9 @@ func main() {
 	<-serveDone
 	srv.Wait()
 	srv.Close()
+	if err := ckptStore.Close(); err != nil {
+		log.Printf("checkpoint store close: %v", err)
+	}
 
 	fmt.Println("\nsession   codec     state      steps   resumes   val RMSE    target      status   wire in/out")
 	ok := true

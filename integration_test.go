@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/online"
 	"repro/internal/radio"
 	"repro/internal/split"
+	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -368,12 +370,17 @@ func TestIntegrationMultiUEFaultInjection(t *testing.T) {
 	}
 	const steps = 60
 
-	newServer := func(dir string) *transport.BSServer {
+	newServer := func() *transport.BSServer {
+		j, err := store.OpenJournal(filepath.Join(t.TempDir(), "store.journal"), store.JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
 		srv, err := transport.NewBSServer(transport.ServerConfig{
 			MaxUE: nUE,
 			Steps: steps, EvalEvery: 15, ValAnchors: 24,
-			Provision:     multiUESessionEnv,
-			CheckpointDir: dir, CheckpointEvery: 5,
+			Provision: multiUESessionEnv,
+			Store:     j, CheckpointEvery: 5,
 			IdleTimeout: 30 * time.Second,
 		})
 		if err != nil {
@@ -416,7 +423,7 @@ func TestIntegrationMultiUEFaultInjection(t *testing.T) {
 		return us, err
 	}
 
-	srv := newServer(t.TempDir())
+	srv := newServer()
 	sessions := make([]*transport.UESession, nUE)
 	errs := make([]error, nUE)
 	var wg sync.WaitGroup
@@ -468,7 +475,7 @@ func TestIntegrationMultiUEFaultInjection(t *testing.T) {
 
 	// Determinism across the fault: an identical session that was never
 	// interrupted finishes at the bit-identical validation RMSE.
-	cleanSrv := newServer(t.TempDir())
+	cleanSrv := newServer()
 	clean, err := runSession(cleanSrv, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -156,7 +156,7 @@ func contains(xs []string, x string) bool {
 // metric bits must equal a solo run's exactly.
 func TestFailoverBitIdentityMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("3-cell crash matrix in -short")
+		t.Skip("2-cell crash matrix in -short")
 	}
 	prov := tinyProvision()
 	for _, backend := range invariantBackends {

@@ -31,13 +31,6 @@ var invariantBackends = []struct {
 	open func(t *testing.T) store.Store
 }{
 	{"mem", func(t *testing.T) store.Store { return store.NewMem(64) }},
-	{"dir", func(t *testing.T) store.Store {
-		s, err := store.OpenDir(t.TempDir(), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}},
 	{"journal", func(t *testing.T) store.Store {
 		s, err := store.OpenJournal(filepath.Join(t.TempDir(), "store.journal"), store.JournalOptions{Retain: 64})
 		if err != nil {
@@ -49,7 +42,7 @@ var invariantBackends = []struct {
 
 func TestHandoverBitIdentityMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("12-cell handover matrix in -short")
+		t.Skip("8-cell handover matrix in -short")
 	}
 	prov := tinyProvision()
 	for _, codec := range compress.IDs() {

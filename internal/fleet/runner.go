@@ -118,13 +118,21 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 	}
 	spec = env.Spec
 
-	ckptDir := ""
+	// A single checkpointing replica keeps its state in a journal; a
+	// replica fleet gets its stores below.
+	var ckptStore store.Store
 	if spec.Checkpoint && spec.Replicas == 1 {
-		ckptDir, err = os.MkdirTemp("", "mmsl-fleet-ckpt-*")
+		ckptDir, err := os.MkdirTemp("", "mmsl-fleet-ckpt-*")
 		if err != nil {
 			return nil, fmt.Errorf("fleet: checkpoint dir: %w", err)
 		}
 		defer os.RemoveAll(ckptDir)
+		j, err := store.OpenJournal(filepath.Join(ckptDir, "store.journal"), store.JournalOptions{Retain: retain})
+		if err != nil {
+			return nil, fmt.Errorf("fleet: checkpoint store: %w", err)
+		}
+		defer j.Close() // after the servers; the run's temp dir dies with it
+		ckptStore = j
 	}
 
 	rep := &Report{Final: make(map[string]Outcome, spec.UEs)}
@@ -190,7 +198,7 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Report, error) {
 			BatchWindow:     batchWindow,
 			BatchMax:        batchMax,
 			Retain:          retain,
-			CheckpointDir:   ckptDir,
+			Store:           ckptStore,
 			CheckpointEvery: 1,
 			OnSessionEnd:    onEnd,
 		}

@@ -115,10 +115,6 @@ func (ff *FaultFS) Remove(name string) error {
 	return ff.inner.Remove(name)
 }
 
-func (ff *FaultFS) ReadDir(dir string) ([]os.DirEntry, error) {
-	return ff.inner.ReadDir(dir)
-}
-
 func (ff *FaultFS) SyncDir(dir string) error {
 	if err := ff.mutate(); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -91,54 +92,6 @@ func TestCrashTornWriteSweep(t *testing.T) {
 	}
 }
 
-// TestCrashTornWriteDirBackend: the per-file backend under the same
-// injector — an acknowledged PutCheckpoint survives the cut; the file
-// being written when the budget ran out never appears torn under its
-// final name.
-func TestCrashTornWriteDirBackend(t *testing.T) {
-	blob := bytes.Repeat([]byte{0x5A}, 256)
-	for budget := int64(0); budget < 2048; budget += 64 {
-		dir := t.TempDir()
-		ff := NewFaultFS(OS, budget)
-		d, err := OpenDirFS(ff, dir, 8)
-		if err != nil {
-			continue // fault while creating the retire log
-		}
-		var acked []int
-		for i := 0; i < 4; i++ {
-			if err := d.PutCheckpoint("ue-0", i, blob); err != nil {
-				break
-			}
-			acked = append(acked, i)
-		}
-		d.Close()
-
-		r, err := OpenDir(dir, 8)
-		if err != nil {
-			t.Fatalf("budget=%d: reopen: %v", budget, err)
-		}
-		steps, err := r.CheckpointSteps("ue-0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every acknowledged step present and intact; no torn file may
-		// surface (a step beyond the acknowledged set with short bytes).
-		for _, i := range acked {
-			got, err := r.GetCheckpoint("ue-0", i)
-			if err != nil || !bytes.Equal(got, blob) {
-				t.Fatalf("budget=%d: acknowledged checkpoint %d: %v", budget, i, err)
-			}
-		}
-		for _, s := range steps {
-			got, err := r.GetCheckpoint("ue-0", s)
-			if err != nil || !bytes.Equal(got, blob) {
-				t.Fatalf("budget=%d: torn checkpoint %d surfaced under its final name", budget, s)
-			}
-		}
-		r.Close()
-	}
-}
-
 // TestFaultFSSemantics pins the injector's contract (the storage twin
 // of transport.FaultConn): the budget-exhausting write delivers only
 // the remainder, and once tripped every mutating op fails while reads
@@ -204,6 +157,65 @@ func TestWriteFileAtomicTornWrite(t *testing.T) {
 			}
 		} else if !bytes.Equal(got, oldContent) && !bytes.Equal(got, newContent) {
 			t.Fatalf("budget=%d: torn content %q under the final name", budget, got)
+		}
+	}
+}
+
+// TestCrashTornWriteDirBackend is the torn-write sweep for the one
+// file-per-session directory left: the UE half's checkpoint directory,
+// where each session keeps <SanitizeID(id)>.ue.ckpt, written through
+// WriteFileAtomic. Several sessions' files are written under a FaultFS
+// whose budget cuts one write short, for every budget up to the whole
+// sequence. Every acknowledged file must read back intact, and no file
+// may surface under a final name with torn bytes: a first write that
+// fails leaves the name absent, never short. Two ids that sanitise
+// alike must still land in two files.
+func TestCrashTornWriteDirBackend(t *testing.T) {
+	blob := bytes.Repeat([]byte{0x5A}, 256)
+	ids := []string{"ue-0", "ue/1", "ue_1", "ue 3"}
+	total := int64(len(ids) * len(blob))
+	for budget := int64(0); budget <= total+32; budget += 32 {
+		dir := t.TempDir()
+		ff := NewFaultFS(OS, budget)
+		var acked []string
+		for _, id := range ids {
+			path := filepath.Join(dir, SanitizeID(id)+".ue.ckpt")
+			err := WriteFileAtomicFS(ff, path, func(w io.Writer) error {
+				_, err := w.Write(blob)
+				return err
+			})
+			if err != nil {
+				break
+			}
+			acked = append(acked, path)
+		}
+		if budget > total && len(acked) != len(ids) {
+			t.Fatalf("budget=%d: %d of %d writes acknowledged with budget to spare", budget, len(acked), len(ids))
+		}
+
+		for _, p := range acked {
+			got, err := os.ReadFile(p)
+			if err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("budget=%d: acknowledged checkpoint %s: %v", budget, filepath.Base(p), err)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := 0
+		for _, e := range ents {
+			if !strings.HasSuffix(e.Name(), ".ue.ckpt") {
+				continue // the cut write's temp sibling, never read as a checkpoint
+			}
+			final++
+			got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("budget=%d: torn checkpoint %s surfaced under its final name", budget, e.Name())
+			}
+		}
+		if final < len(acked) {
+			t.Fatalf("budget=%d: %d checkpoint files for %d acknowledged writes", budget, final, len(acked))
 		}
 	}
 }

@@ -6,10 +6,9 @@ import (
 	"io"
 )
 
-// Single-writer guard. The dir and journal backends assume exactly one
-// process writes them: two servers adopting the same store directory
-// would interleave journal appends and checkpoint renames with no
-// ordering guarantee. Opening a disk backend therefore takes an
+// Single-writer guard. The journal assumes exactly one process writes
+// it: two servers adopting the same journal would interleave appends
+// with no ordering guarantee. Opening a disk backend therefore takes an
 // exclusive advisory lock on a ".lock" sibling and holds it until
 // Close. The lock is an OS-level file lock, not a pid file: the kernel
 // releases it when the holder dies, so a SIGKILLed server never leaves

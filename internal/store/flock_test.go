@@ -30,27 +30,39 @@ func TestJournalSingleWriterGuard(t *testing.T) {
 	j2.Close()
 }
 
-// TestDirSingleWriterGuard: the dir backend inherits the guard through
-// its embedded retire log — two servers adopting the same checkpoint
-// directory is exactly the interleaved-writes hazard the lock exists
-// to stop.
+// TestDirSingleWriterGuard: the guard is per store file, not per
+// directory. Replicas sharing one checkpoint directory, each with its
+// own journal, open side by side; a second opener of either is refused
+// with ErrLocked; and closing one lets a successor adopt it while the
+// other stays held.
 func TestDirSingleWriterGuard(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, 8)
+	p0, p1 := filepath.Join(dir, "bs-0.journal"), filepath.Join(dir, "bs-1.journal")
+	j0, err := OpenJournal(p0, JournalOptions{Retain: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDir(dir, 8); !errors.Is(err, ErrLocked) {
-		t.Fatalf("second opener: got %v, want ErrLocked", err)
+	j1, err := OpenJournal(p1, JournalOptions{Retain: 8})
+	if err != nil {
+		t.Fatalf("second journal in the same directory: %v", err)
 	}
-	if err := d.Close(); err != nil {
+	defer j1.Close()
+	for _, p := range []string{p0, p1} {
+		if _, err := OpenJournal(p, JournalOptions{Retain: 8}); !errors.Is(err, ErrLocked) {
+			t.Fatalf("second opener of %s: got %v, want ErrLocked", filepath.Base(p), err)
+		}
+	}
+	if err := j0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDir(dir, 8)
+	succ, err := OpenJournal(p0, JournalOptions{Retain: 8})
 	if err != nil {
-		t.Fatalf("reopen after close: %v", err)
+		t.Fatalf("successor after close: %v", err)
 	}
-	d2.Close()
+	succ.Close()
+	if _, err := OpenJournal(p1, JournalOptions{Retain: 8}); !errors.Is(err, ErrLocked) {
+		t.Fatalf("neighbour journal after the other closed: got %v, want ErrLocked", err)
+	}
 }
 
 // TestGuardSkippedOnNonLockingFS: an FS without the TryLock capability

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
-// FS is the narrow filesystem seam the disk backends write through, so
+// FS is the narrow filesystem seam the store writes through, so
 // the torn-write injector (FaultFS) can cut any write or sync exactly
 // like transport.FaultConn cuts a connection. OS is the real thing.
 type FS interface {
@@ -14,7 +17,6 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	ReadDir(dir string) ([]os.DirEntry, error)
 	// SyncDir fsyncs a directory, making a preceding rename or create in
 	// it durable.
 	SyncDir(dir string) error
@@ -45,9 +47,6 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) ReadDir(dir string) ([]os.DirEntry, error) {
-	return os.ReadDir(dir)
-}
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -97,4 +96,20 @@ func WriteFileAtomicFS(fsys FS, path string, write func(io.Writer) error) error 
 		return cleanup(err)
 	}
 	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// SanitizeID maps a UE-chosen session id onto a stable filesystem-safe
+// name, suffixed with a hash of the raw id so distinct ids that
+// sanitise alike stay distinct.
+func SanitizeID(id string) string {
+	clean := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '_', r == '-':
+			return r
+		}
+		return '_'
+	}, id)
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return fmt.Sprintf("%s-%08x", clean, h.Sum32())
 }

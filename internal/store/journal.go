@@ -88,11 +88,6 @@ type Journal struct {
 	next     *batch
 	flushing bool
 	spare    []pendingRec // a finished batch's record slice, for reuse
-
-	// retireOnly suppresses checkpoint-triggered compaction accounting
-	// asymmetries when the journal serves as Dir's retire log (no
-	// checkpoint records ever appended).
-	retireOnly bool
 }
 
 // batch is one group commit: the records one leader writes under one
@@ -671,7 +666,7 @@ func (j *Journal) maybeCompact() {
 		return
 	}
 	liveish := j.ckptLive + int64(journalHdrLen)
-	if !j.retireOnly && j.size-liveish <= j.size/2 {
+	if j.size-liveish <= j.size/2 {
 		return
 	}
 	j.compactLocked()

@@ -9,7 +9,7 @@ import (
 // Mem is the in-process backend: today's retention-ring semantics behind
 // the Store interface. Nothing survives the process, but a second
 // BSServer handed the same *Mem adopts its sessions — the in-process
-// failover primitive, and the test double for the disk backends.
+// failover primitive, and the test double for the journal.
 type Mem struct {
 	mu    sync.Mutex
 	ckpts map[string]map[int][]byte

@@ -2,20 +2,17 @@
 // Store interface covering the three kinds of state a BSServer must not
 // lose across a crash — train-state checkpoint blobs, retired-session
 // records, and the end-cause/lifetime aggregates the control plane
-// exports — with three backends:
+// exports — with two backends:
 //
 //   - Mem: the in-process ring the server always had. Nothing survives
 //     the process, but a second BSServer handed the same Store value
 //     adopts its sessions (the in-process failover primitive, and the
-//     test double for the durable backends).
-//   - Dir: per-session checkpoint files (the PR-4 on-disk layout,
-//     unchanged, so existing checkpoint directories adopt), written
-//     fsync-before-rename with a parent-directory sync, plus a small
-//     journaled retire log so retired sessions re-materialize at boot.
-//   - Journal: everything in one append-only file of length-prefixed,
-//     CRC-checksummed records. Recovery replays the journal and
-//     truncates at the first torn or corrupt record; a size-triggered
-//     compaction rewrites the live records into a fresh file.
+//     test double for the durable backend).
+//   - Journal: the one on-disk format — everything in one append-only
+//     file of length-prefixed, CRC-checksummed records. Recovery replays
+//     the journal and truncates at the first torn or corrupt record; a
+//     size-triggered compaction rewrites the live records into a fresh
+//     file.
 //
 // The interface is deliberately blob-oriented: the store knows nothing
 // about tensors, protocols or sessions beyond the summary record it is
@@ -50,16 +47,13 @@ func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 //
 // Durability on return, by backend: Journal — every write method,
 // deletes included (a prune is a tombstone record under the same fsync
-// as any other). Dir — PutCheckpoint (fsync, rename, parent-directory
-// fsync) and RetireSession (its embedded journal), but DeleteCheckpoint
-// is a bare unlink with no directory fsync, so a pruned blob can
-// reappear after a power cut. Mem — nothing outlives the process.
-// Callers must therefore tolerate a resurrected pruned checkpoint; they
-// do: resume reads only the step its token names, failover adopts every
-// step the store lists, and a resumed session's final prune lists the
-// store too — a stale blob is dead weight, never a wrong answer.
+// as any other). Mem — nothing outlives the process. Callers still
+// tolerate a stale checkpoint the store lists: resume reads only the
+// step its token names, failover adopts every step the store lists, and
+// a resumed session's final prune lists the store too — a stale blob is
+// dead weight, never a wrong answer.
 type Store interface {
-	// Kind names the backend: "mem", "dir" or "journal".
+	// Kind names the backend: "mem" or "journal".
 	Kind() string
 
 	// PutCheckpoint stores one half's train-state blob for (id, step),

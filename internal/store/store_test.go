@@ -18,14 +18,6 @@ type backend struct {
 }
 
 func allBackends() []backend {
-	openDir := func(t *testing.T, dir string) Store {
-		t.Helper()
-		d, err := OpenDir(dir, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
 	openJournal := func(t *testing.T, dir string) Store {
 		t.Helper()
 		j, err := OpenJournal(filepath.Join(dir, "store.journal"), JournalOptions{Retain: 8})
@@ -36,7 +28,6 @@ func allBackends() []backend {
 	}
 	return []backend{
 		{name: "mem", open: func(t *testing.T, string2 string) Store { return NewMem(8) }},
-		{name: "dir", open: openDir, reopen: openDir},
 		{name: "journal", open: openJournal, reopen: openJournal},
 	}
 }

@@ -15,22 +15,18 @@ import (
 // to forge. The retry is jittered so several would-be adopters racing
 // for the same store do not collide in lockstep.
 
-// OpenForTakeover opens the disk backend of the given kind ("dir" or
-// "journal") rooted at path, retrying ErrLocked with jittered backoff
+// OpenForTakeover opens the disk backend of the given kind (only
+// "journal" has one) at path, retrying ErrLocked with jittered backoff
 // until wait expires — the recovery path a survivor uses to adopt a
 // dead replica's flock'd store. Any error other than ErrLocked is
 // returned immediately; on a journal, replay truncates whatever torn
 // tail the dying writer left. wait ≤ 0 tries exactly once.
 func OpenForTakeover(kind, path string, retain int, wait time.Duration) (Store, error) {
 	open := func() (Store, error) {
-		switch kind {
-		case "dir":
-			return OpenDir(path, retain)
-		case "journal":
-			return OpenJournal(path, JournalOptions{Retain: retain})
-		default:
+		if kind != "journal" {
 			return nil, fmt.Errorf("store: takeover of %q backend not possible (no durable path)", kind)
 		}
+		return OpenJournal(path, JournalOptions{Retain: retain})
 	}
 	deadline := time.Now().Add(wait)
 	backoff := 5 * time.Millisecond

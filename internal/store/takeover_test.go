@@ -42,23 +42,38 @@ func TestTakeoverWaitsForFlockRelease(t *testing.T) {
 	}
 }
 
-// TestTakeoverDir: the dir backend takes over the same way.
+// TestTakeoverDir: the per-file dir layout is gone, so a takeover of
+// kind "dir" is a structured error that returns at once even with a
+// wait budget (only ErrLocked is retried). The checkpoint directory's
+// journal is taken over by kind "journal".
 func TestTakeoverDir(t *testing.T) {
 	dir := t.TempDir()
-	holder, err := OpenDir(dir, 8)
+	path := filepath.Join(dir, "store.journal")
+	holder, err := OpenJournal(path, JournalOptions{Retain: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := holder.PutCheckpoint("ue-d", 2, []byte("dir-durable")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenForTakeover("dir", dir, 8, 0); !errors.Is(err, ErrLocked) {
-		t.Fatalf("takeover of held dir: %v, want ErrLocked", err)
-	}
 	holder.Close()
-	st, err := OpenForTakeover("dir", dir, 8, time.Second)
+
+	start := time.Now()
+	st, err := OpenForTakeover("dir", dir, 8, 2*time.Second)
+	if err == nil {
+		st.Close()
+		t.Fatal("takeover of the retired dir kind must fail")
+	}
+	if errors.Is(err, ErrLocked) {
+		t.Fatalf("takeover of the dir kind: %v, want a non-retryable error", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("takeover of the dir kind retried for %v; only ErrLocked is retried", waited)
+	}
+
+	st, err = OpenForTakeover("journal", path, 8, time.Second)
 	if err != nil {
-		t.Fatalf("takeover after close: %v", err)
+		t.Fatalf("takeover of the directory's journal: %v", err)
 	}
 	defer st.Close()
 	if got, err := st.GetCheckpoint("ue-d", 2); err != nil || string(got) != "dir-durable" {

@@ -440,5 +440,5 @@ func (s *UESession) loadDiskCheckpoint(logf func(string, ...any)) {
 // ckptFileName sanitises a UE-chosen session id into a stable file name
 // for half's checkpoint.
 func ckptFileName(id, half string) string {
-	return fmt.Sprintf("%s.%s.ckpt", sanitizeID(id), half)
+	return fmt.Sprintf("%s.%s.ckpt", store.SanitizeID(id), half)
 }

@@ -181,7 +181,7 @@ func TestUESessionRideThroughRepeatedDrops(t *testing.T) {
 	prov := cachedProvision()
 	srv, err := NewBSServer(ServerConfig{
 		MaxUE: 1, Steps: 20, EvalEvery: 10, ValAnchors: 16,
-		Provision: prov, CheckpointDir: t.TempDir(), CheckpointEvery: 3,
+		Provision: prov, Store: testJournal(t), CheckpointEvery: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

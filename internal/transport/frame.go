@@ -56,6 +56,10 @@ func (fr *FrameReader) Release() {
 	}
 }
 
+// frameReadStep is the least a frame that outgrows the read buffer
+// grows it by per read; see readGrowing.
+const frameReadStep = 64 << 10
+
 // grow resizes the read buffer to n bytes, preserving current contents
 // (the frame header is read before the body length is known) and
 // growing capacity only.
@@ -92,17 +96,42 @@ func (fr *FrameReader) ReadFrame() (FrameHeader, []byte, error) {
 	if length > maxFramePayload {
 		return hdr, nil, fmt.Errorf("%w: length %d exceeds limit", ErrBadFrame, length)
 	}
-	// One read for payload + trailer; header stays in place at the front
-	// of the buffer so the CRC runs over one contiguous span.
-	buf := fr.grow(12 + int(length) + 4)
-	if _, err := io.ReadFull(fr.r, buf[12:]); err != nil {
+	// Payload + trailer follow the header in the buffer, so the CRC runs
+	// over one contiguous span. A buffer that already fits takes them in
+	// one read.
+	total := 12 + int(length) + 4
+	if cap(fr.buf) >= total {
+		if _, err := io.ReadFull(fr.r, fr.grow(total)[12:]); err != nil {
+			return hdr, nil, err
+		}
+	} else if err := fr.readGrowing(total); err != nil {
 		return hdr, nil, err
 	}
+	buf := fr.buf
 	body := buf[:12+length]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[12+length:]) {
 		return hdr, nil, ErrChecksum
 	}
 	return hdr, body[12:], nil
+}
+
+// readGrowing reads the rest of a frame the buffer cannot hold, growing
+// it by at most the bytes already held (at least frameReadStep) per
+// read, so memory tracks what the peer actually sent: a header that
+// claims a large payload and then stalls or hangs up costs one step,
+// not the claimed length.
+func (fr *FrameReader) readGrowing(total int) error {
+	for have := len(fr.buf); have < total; {
+		next := min(total, have+max(have, frameReadStep))
+		if _, err := io.ReadFull(fr.r, fr.grow(next)[have:]); err != nil {
+			if err == io.EOF && have > 12 {
+				err = io.ErrUnexpectedEOF // the frame broke off mid-payload
+			}
+			return err
+		}
+		have = next
+	}
+	return nil
 }
 
 // ReadMessage reads, validates and decodes one frame into the reader's

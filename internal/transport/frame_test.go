@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -142,4 +145,62 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 	p[0] = r.data[r.off]
 	r.off++
 	return 1, nil
+}
+
+// TestFrameReaderAllocTracksBytesReceived: a bare 12-byte header that
+// claims the largest legal payload and then hangs up must cost memory
+// for the bytes that arrived, not for the claimed length — anyone can
+// send such a header to the coordinator's hello peek.
+func TestFrameReaderAllocTracksBytesReceived(t *testing.T) {
+	header := []byte{frameMagic[0], frameMagic[1], byte(MsgSessionHello), ProtocolVersion, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(header[8:], maxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadRawMessage(bytes.NewReader(header))
+	runtime.ReadMemStats(&after)
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		t.Fatalf("header then EOF: err = %v, want EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("header claiming %d B then EOF allocated %d B, want < 1 MiB", maxFramePayload, got)
+	}
+}
+
+// TestFrameReaderLargeFrameRoundTrip: a frame many read steps long —
+// delivered whole or one byte per Read — still decodes, and a reused
+// reader then reads the same size with no further allocation.
+func TestFrameReaderLargeFrameRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := &Message{Type: MsgActivations, Step: 7, Anchors: []int32{1, 2}, Tensor: tensor.Randn(rng, 1, 4, 1, 64, 160)}
+	var frame bytes.Buffer
+	if err := WriteMessage(&frame, m); err != nil {
+		t.Fatal(err)
+	}
+	if frame.Len() < 4*frameReadStep {
+		t.Fatalf("test frame is %d B, want several read steps", frame.Len())
+	}
+	for name, r := range map[string]io.Reader{
+		"whole":      bytes.NewReader(frame.Bytes()),
+		"fragmented": &oneByteReader{data: frame.Bytes()},
+	} {
+		got, err := ReadMessage(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Step != m.Step || !got.Tensor.SameShape(m.Tensor) || !slices.Equal(got.Tensor.Data(), m.Tensor.Data()) {
+			t.Fatalf("%s: large frame did not round-trip", name)
+		}
+	}
+	fr := NewFrameReader(&replayReader{data: frame.Bytes()})
+	defer fr.Release()
+	if _, err := fr.ReadMessage(); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if _, err := fr.ReadMessage(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm reader allocates %.1f allocs/op on a large frame, want 0", avg)
+	}
 }

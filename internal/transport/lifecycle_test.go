@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -465,14 +464,15 @@ func TestPeerCheckpointRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// resumeHarnessRun drives one full UESession against a checkpointing
-// server, optionally cutting the first connection's UE-side writes
-// after cutBytes. It returns the session handle and the server.
-func resumeHarnessRun(t *testing.T, prov Provision, dir string, cutBytes int64) (*UESession, *BSServer, *pipeDialer) {
+// resumeHarnessRun drives one full UESession against a server
+// checkpointing into its own journal, optionally cutting the first
+// connection's UE-side writes after cutBytes. It returns the session
+// handle and the server.
+func resumeHarnessRun(t *testing.T, prov Provision, cutBytes int64) (*UESession, *BSServer, *pipeDialer) {
 	t.Helper()
 	srv, err := NewBSServer(ServerConfig{
 		MaxUE: 1, Steps: 20, EvalEvery: 10, ValAnchors: 16,
-		Provision: prov, CheckpointDir: dir, CheckpointEvery: 5,
+		Provision: prov, Store: testJournal(t), CheckpointEvery: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -507,9 +507,8 @@ func resumeHarnessRun(t *testing.T, prov Provision, dir string, cutBytes int64) 
 func TestBSServerResumeMatchesUninterrupted(t *testing.T) {
 	prov := cachedProvision()
 
-	cleanDir, faultDir := t.TempDir(), t.TempDir()
-	clean, cleanSrv, _ := resumeHarnessRun(t, prov, cleanDir, 0)
-	fault, faultSrv, _ := resumeHarnessRun(t, prov, faultDir, 3500)
+	clean, cleanSrv, _ := resumeHarnessRun(t, prov, 0)
+	fault, faultSrv, _ := resumeHarnessRun(t, prov, 3500)
 
 	if clean.Resumes() != 0 {
 		t.Fatalf("clean run resumed %d times", clean.Resumes())
@@ -527,15 +526,15 @@ func TestBSServerResumeMatchesUninterrupted(t *testing.T) {
 	if !bytes.Equal(clean.ckpt, fault.ckpt) {
 		t.Fatal("UE half diverged between uninterrupted and resumed runs")
 	}
-	// BS halves: the step-20 checkpoint files must match bit for bit.
-	read := func(dir string) []byte {
-		data, err := os.ReadFile(ckptPath(dir, "ue-0", 20))
+	// BS halves: the step-20 checkpoints must match bit for bit.
+	read := func(srv *BSServer) []byte {
+		blob, err := srv.Store().GetCheckpoint("ue-0", 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return blob
 	}
-	if !bytes.Equal(read(cleanDir), read(faultDir)) {
+	if !bytes.Equal(read(cleanSrv), read(faultSrv)) {
 		t.Fatal("BS half diverged between uninterrupted and resumed runs")
 	}
 
@@ -554,14 +553,14 @@ func TestBSServerResumeMatchesUninterrupted(t *testing.T) {
 
 	// Completed sessions garbage-collect their checkpoints down to the
 	// final-step artifact — every incarnation's intermediates included —
-	// so CheckpointDir stays flat over churn.
-	for _, dir := range []string{cleanDir, faultDir} {
-		matches, err := filepath.Glob(filepath.Join(dir, "*.bs.ckpt"))
+	// so the store stays flat over churn.
+	for name, srv := range map[string]*BSServer{"clean": cleanSrv, "fault": faultSrv} {
+		steps, err := srv.Store().CheckpointSteps("ue-0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(matches) != 1 || matches[0] != ckptPath(dir, "ue-0", 20) {
-			t.Fatalf("%s retains %v, want only the step-20 artifact", dir, matches)
+		if len(steps) != 1 || steps[0] != 20 {
+			t.Fatalf("%s run retains checkpoints at steps %v, want only the step-20 artifact", name, steps)
 		}
 	}
 }
@@ -573,7 +572,7 @@ func TestUESessionFreshJoinFallbackWhenResumeRejected(t *testing.T) {
 	prov := cachedProvision()
 	srv, err := NewBSServer(ServerConfig{
 		MaxUE: 1, Steps: 10, EvalEvery: 5, ValAnchors: 8,
-		Provision: prov, // no CheckpointDir: the BS cannot resume anyone
+		Provision: prov, // no Store: the BS cannot resume anyone
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,7 +609,7 @@ func TestUESessionFreshJoinFallbackWhenResumeRejected(t *testing.T) {
 // flag, never prose in the reason, may trigger the fresh-join fallback.
 func TestUESessionKeepsTokenOnUnrelatedRejection(t *testing.T) {
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 1, CheckpointDir: t.TempDir(),
+		MaxUE: 1, Store: testJournal(t),
 		Provision: func(Hello) (split.Config, *dataset.Dataset, *dataset.Split, error) {
 			return split.Config{}, nil, nil, errors.New("provision rig down (checkpoint fingerprint resume)")
 		},
@@ -648,7 +647,7 @@ func TestUESessionPurgesDiskCheckpointOnCompletion(t *testing.T) {
 	prov := cachedProvision()
 	srv, err := NewBSServer(ServerConfig{
 		MaxUE: 1, Steps: 20, EvalEvery: 10, ValAnchors: 16,
-		Provision: prov, CheckpointDir: t.TempDir(), CheckpointEvery: 5,
+		Provision: prov, Store: testJournal(t), CheckpointEvery: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -687,8 +686,7 @@ func TestUESessionPurgesDiskCheckpointOnCompletion(t *testing.T) {
 // with a drifted session configuration must be refused at join time.
 func TestBSServerResumeStaleFingerprintRejected(t *testing.T) {
 	prov := cachedProvision()
-	dir := t.TempDir()
-	us, srv, _ := resumeHarnessRun(t, prov, dir, 0)
+	us, srv, _ := resumeHarnessRun(t, prov, 0)
 	step := us.LastCheckpointStep()
 	if step == 0 {
 		t.Fatal("no checkpoint to resume from")
@@ -747,7 +745,7 @@ func TestBSServerResumeMissingCheckpointRejected(t *testing.T) {
 	}
 
 	withCkpt, err := NewBSServer(ServerConfig{
-		MaxUE: 1, Provision: prov, CheckpointDir: t.TempDir(),
+		MaxUE: 1, Provision: prov, Store: testJournal(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -761,7 +759,7 @@ func TestBSServerResumeMissingCheckpointRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := join(without); err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("resume without checkpoint dir: err = %v", err)
+		t.Fatalf("resume without a store: err = %v", err)
 	}
 }
 
@@ -771,10 +769,9 @@ func TestBSServerResumeMissingCheckpointRejected(t *testing.T) {
 // sessions at their next step boundary and detaches their UEs cleanly.
 func TestBSServerDrain(t *testing.T) {
 	prov := cachedProvision()
-	dir := t.TempDir()
 	srv, err := NewBSServer(ServerConfig{
 		MaxUE: 2, Steps: 1 << 30, EvalEvery: 1 << 30, ValAnchors: 8,
-		Provision: prov, CheckpointDir: dir, CheckpointEvery: 1 << 30,
+		Provision: prov, Store: testJournal(t), CheckpointEvery: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -822,7 +819,7 @@ func TestBSServerDrain(t *testing.T) {
 	}
 	// The drain left a resumable checkpoint at the last completed step
 	// on both halves.
-	if _, err := os.Stat(ckptPath(dir, h.SessionID, steps)); err != nil {
+	if _, err := srv.Store().GetCheckpoint(h.SessionID, steps); err != nil {
 		t.Fatalf("no BS drain checkpoint at step %d: %v", steps, err)
 	}
 	if got := us.LastCheckpointStep(); got != uint32(steps) {
@@ -945,7 +942,7 @@ func TestBSServerV2PeerInterop(t *testing.T) {
 	prov := cachedProvision()
 	srv, err := NewBSServer(ServerConfig{
 		MaxUE: 1, Steps: 6, EvalEvery: 3, ValAnchors: 8,
-		Provision: prov, CheckpointDir: t.TempDir(), CheckpointEvery: 2,
+		Provision: prov, Store: testJournal(t), CheckpointEvery: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1001,10 +998,9 @@ func TestBSServerV2PeerInterop(t *testing.T) {
 	if snaps[0].Metrics.Checkpoints.Load() != 0 {
 		t.Fatalf("v2 session wrote %d checkpoints, want 0", snaps[0].Metrics.Checkpoints.Load())
 	}
-	// No stray checkpoint files either.
-	matches, _ := filepath.Glob(filepath.Join(srv.cfg.CheckpointDir, "*.ckpt"))
-	if len(matches) != 0 {
-		t.Fatalf("v2 session left checkpoint files: %v", matches)
+	// No stray stored checkpoints either.
+	if steps, err := srv.Store().CheckpointSteps(h.SessionID); err != nil || len(steps) != 0 {
+		t.Fatalf("v2 session left checkpoints at steps %v (%v)", steps, err)
 	}
 }
 

@@ -53,7 +53,7 @@ type Policy struct {
 
 	// CheckpointEvery is the checkpoint interval in training steps.
 	// Binds at each session's next completed step. Whether checkpointing
-	// exists at all (ServerConfig.CheckpointDir) is boot-only.
+	// exists at all (ServerConfig.Store) is boot-only.
 	CheckpointEvery int
 
 	// DefaultCodec is granted to sessions whose hello requests

@@ -166,7 +166,7 @@ func TestPolicyMaxUEBindsAtJoin(t *testing.T) {
 // step boundary, so a swap takes effect for steps already in progress.
 func TestCheckpointIntervalRebinds(t *testing.T) {
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 50, Provision: tinySessionEnv,
+		MaxUE: 1, Store: testJournal(t), CheckpointEvery: 50, Provision: tinySessionEnv,
 	})
 	if err != nil {
 		t.Fatal(err)

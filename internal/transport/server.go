@@ -71,22 +71,16 @@ type ServerConfig struct {
 	// with no request in flight never times out.
 	IdleTimeout time.Duration
 
-	// CheckpointDir enables checkpoint/resume: protocol-v3 sessions
-	// persist their BS-half train state here every CheckpointEvery
-	// steps (and instruct the UE to persist its half), and a
-	// reconnecting UE presenting a resume token restores from the
-	// matching checkpoint. Empty disables checkpointing (unless Store
-	// is set, which enables it regardless).
-	CheckpointDir string
-
 	// Store, when set, is the durable backend for checkpoints, retired
-	// sessions and lifetime aggregates (see internal/store); sessions
-	// found in it at construction are adopted — re-materialized into
-	// the retention ring, their resume tokens honoured by a server that
-	// never served them live. Nil picks a default: a Dir store over
-	// CheckpointDir when that is set (the pre-store on-disk layout,
-	// unchanged), else an in-memory mirror with checkpointing disabled.
-	// An explicitly provided Store is not closed by the server.
+	// sessions and lifetime aggregates (see internal/store), and enables
+	// checkpoint/resume: protocol-v3 sessions persist their BS-half
+	// train state into it every CheckpointEvery steps (and instruct the
+	// UE to persist its half), and a reconnecting UE presenting a resume
+	// token restores from the matching checkpoint. Sessions found in it
+	// at construction are adopted — re-materialized into the retention
+	// ring, their resume tokens honoured by a server that never served
+	// them live. Nil means an in-memory mirror with checkpointing
+	// disabled. The server never closes the Store; the caller owns it.
 	Store store.Store
 
 	// StoreRetries is how many times a failed store write is retried
@@ -98,7 +92,7 @@ type ServerConfig struct {
 	StoreRetryBackoff time.Duration
 
 	// CheckpointEvery is the checkpoint interval in training steps
-	// (≤0: 50). Only consulted when CheckpointDir is set.
+	// (≤0: 50). Only consulted when Store is set.
 	CheckpointEvery int
 
 	// Retain bounds the retention ring of finished-session snapshots
@@ -174,7 +168,7 @@ func (c *ServerConfig) fillDefaults() {
 // already exhausted its retries and degraded the server.
 var errStoreDegraded = fmt.Errorf("transport: store degraded, write skipped")
 
-// ckptKeep is how many checkpoint files are kept per session: the
+// ckptKeep is how many checkpoints are kept per session: the
 // newest, plus its predecessor to cover a UE that died after the BS
 // checkpointed step S but before the UE's own step-S save landed.
 const ckptKeep = 2
@@ -192,14 +186,12 @@ type BSServer struct {
 	// session join or round boundary, never cached across one.
 	pol atomic.Pointer[Policy]
 
-	// bstore is the durable backend (never nil after NewBSServer);
-	// ownStore marks a server-constructed default that Close releases.
+	// bstore is the durable backend (never nil after NewBSServer).
 	// ckptEnabled is fixed at construction; storeDegraded flips once,
 	// on the first store write that exhausts its retries, and disables
 	// checkpointing for the rest of the process while serving
 	// continues.
 	bstore         store.Store
-	ownStore       bool
 	ckptEnabled    bool
 	adopted        int64
 	storeDegraded  atomic.Bool
@@ -225,27 +217,15 @@ func NewBSServer(cfg ServerConfig) (*BSServer, error) {
 	s.pol.Store(&boot)
 	s.store.onEnd = cfg.OnSessionEnd
 
-	// Durable backend: an explicit Store wins (and enables
-	// checkpointing — the caller chose durability); else CheckpointDir
-	// picks the per-file layout that older builds wrote; else an
-	// in-memory mirror that keeps the store path exercised but leaves
-	// checkpointing off, preserving the no-checkpoint-dir contract
-	// (resume tokens refused).
-	switch {
-	case cfg.Store != nil:
+	// Durable backend: a given Store enables checkpointing (the caller
+	// chose durability); without one an in-memory mirror keeps the store
+	// path exercised but leaves checkpointing off (resume tokens
+	// refused).
+	if cfg.Store != nil {
 		s.bstore = cfg.Store
 		s.ckptEnabled = true
-	case cfg.CheckpointDir != "":
-		ds, err := store.OpenDir(cfg.CheckpointDir, cfg.Retain)
-		if err != nil {
-			return nil, fmt.Errorf("transport: open checkpoint store: %w", err)
-		}
-		s.bstore = ds
-		s.ownStore = true
-		s.ckptEnabled = true
-	default:
+	} else {
 		s.bstore = store.NewMem(cfg.Retain)
-		s.ownStore = true
 	}
 
 	// Cold-start adoption: retired sessions a predecessor left in the
@@ -318,23 +298,17 @@ func (s *BSServer) storeWrite(what string, op func() error) error {
 	return err
 }
 
-// Close stops the compute dispatcher and releases the server-owned
-// store (an explicitly configured Store is flushed but left open — the
-// caller owns it, and may hand it to a successor). Safe at any time and
-// more than once: rounds already submitted to the dispatcher finish,
-// and a session still live fails at its next round. A crashed server
-// flushes nothing, like the killed process it models.
+// Close stops the compute dispatcher and flushes the store, leaving it
+// open: the caller owns it, and may hand it to a successor. Safe at any
+// time and more than once: rounds already submitted to the dispatcher
+// finish, and a session still live fails at its next round. A crashed
+// server flushes nothing, like the killed process it models.
 func (s *BSServer) Close() {
 	s.closeOnce.Do(func() {
 		s.hub.stop()
 		if !s.crashed.Load() {
 			if err := s.bstore.Flush(); err != nil {
 				s.cfg.Logf("bs-server: store flush: %v", err)
-			}
-		}
-		if s.ownStore {
-			if err := s.bstore.Close(); err != nil {
-				s.cfg.Logf("bs-server: store close: %v", err)
 			}
 		}
 	})
@@ -809,16 +783,15 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 	return nil
 }
 
-// pruneCheckpoints garbage-collects a completed session's checkpoint
-// files — every incarnation's intermediates — keeping only the final
-// step's as the terminal artifact, so CheckpointDir stays flat over
-// session churn. Failed and drained sessions keep their files: they are
-// the resume material. A never-resumed incarnation knows every file it
-// wrote (its checkpoint ring), so the common case removes those
+// pruneCheckpoints garbage-collects a completed session's checkpoints
+// — every incarnation's intermediates — keeping only the final step's
+// as the terminal artifact, so the store stays flat over session
+// churn. Failed and drained sessions keep theirs: they are the resume
+// material. A never-resumed incarnation knows every checkpoint it
+// wrote (its checkpoint ring), so the common case deletes those
 // directly; only a resumed incarnation — whose predecessors may have
-// left files outside its ring — pays for a directory glob. At fleet
-// scale this matters: a glob per completed session over a shared
-// checkpoint directory is O(sessions²) directory scanning.
+// left checkpoints outside its ring — asks the store to list the id's
+// steps.
 func (s *BSServer) pruneCheckpoints(sess *session, final int) {
 	steps, resumed := sess.ckptHistory()
 	if resumed {
@@ -915,7 +888,7 @@ func (s *BSServer) restore(sess *session, peer *BSPeer, step int) error {
 	return nil
 }
 
-// lastCheckpoint returns the newest on-disk checkpoint step (0: none).
+// lastCheckpoint returns the newest stored checkpoint step (0: none).
 func (s *session) lastCheckpoint() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -923,18 +896,6 @@ func (s *session) lastCheckpoint() int {
 		return 0
 	}
 	return s.ckptSteps[len(s.ckptSteps)-1]
-}
-
-// ckptPath names a session's BS-half checkpoint file at a step (the Dir
-// backend's on-disk contract; see store.CheckpointPath).
-func ckptPath(dir, id string, step int) string {
-	return store.CheckpointPath(dir, id, step)
-}
-
-// sanitizeID maps a UE-chosen session id onto a stable filesystem-safe
-// name (see store.SanitizeID).
-func sanitizeID(id string) string {
-	return store.SanitizeID(id)
 }
 
 // spreadAnchors subsamples up to n anchors evenly across the whole

@@ -22,14 +22,6 @@ type crashBackend struct {
 }
 
 func crashBackends() []crashBackend {
-	openDir := func(t *testing.T, dir string) store.Store {
-		t.Helper()
-		d, err := store.OpenDir(dir, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
 	openJournal := func(t *testing.T, dir string) store.Store {
 		t.Helper()
 		j, err := store.OpenJournal(filepath.Join(dir, "store.journal"), store.JournalOptions{Retain: 16})
@@ -40,9 +32,20 @@ func crashBackends() []crashBackend {
 	}
 	return []crashBackend{
 		{name: "mem", open: func(t *testing.T, string2 string) store.Store { return store.NewMem(16) }},
-		{name: "dir", open: openDir, reopen: openDir},
 		{name: "journal", open: openJournal, reopen: openJournal},
 	}
+}
+
+// testJournal opens a journal store under t.TempDir(), closed when the
+// test ends.
+func testJournal(t *testing.T) store.Store {
+	t.Helper()
+	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "store.journal"), store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j
 }
 
 // crashPhase runs one complete UESession against a fresh BSServer bound
