@@ -365,13 +365,13 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 // server.
 func BenchmarkHandshakeRoundTrip(b *testing.B) {
 	hello := &transport.Message{Type: transport.MsgSessionHello, Hello: &transport.Hello{
-		Version: transport.ProtocolVersion, SessionID: "ue-benchmark",
-		Seed: 42, Frames: 2400, Pool: 40, Modality: uint8(split.ImageRF),
+		SessionID: "ue-benchmark",
+		Seed:      42, Frames: 2400, Pool: 40, Modality: uint8(split.ImageRF),
 		ConfigFP: 0x1234567890ABCDEF,
 	}}
 	ack := &transport.Message{Type: transport.MsgSessionAck, Hello: &transport.Hello{
-		Version: transport.ProtocolVersion, SessionID: "ue-benchmark",
-		ConfigFP: 0x1234567890ABCDEF,
+		SessionID: "ue-benchmark",
+		ConfigFP:  0x1234567890ABCDEF,
 	}}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -33,9 +33,8 @@ import (
 )
 
 // ID identifies a codec on the wire (one byte in the session hello and
-// in every tensor-bearing frame). The zero value is CodecRaw, so
-// version-0/1 peers that never announce a codec get today's lossless
-// behaviour.
+// in every tensor-bearing frame). The zero value is CodecRaw, the
+// lossless identity codec.
 type ID uint8
 
 // The built-in codecs.

@@ -130,7 +130,6 @@ type sessionJSON struct {
 	ID          string  `json:"id"`
 	State       string  `json:"state"`
 	Epoch       uint32  `json:"epoch"`
-	Version     uint8   `json:"protocol_version"`
 	Seed        int64   `json:"seed"`
 	Codec       string  `json:"codec"`
 	Steps       int     `json:"steps"`
@@ -151,7 +150,6 @@ func toSessionJSON(snap transport.SessionSnapshot) sessionJSON {
 		ID:          snap.ID,
 		State:       snap.State.String(),
 		Epoch:       snap.Epoch,
-		Version:     snap.Version,
 		Seed:        snap.Hello.Seed,
 		Codec:       compress.ID(snap.Hello.Codec).String(),
 		Steps:       snap.Steps,

@@ -221,25 +221,28 @@ func (c *Coordinator) Close() {
 
 // HandleConn serves one UE connection: read the hello, place the
 // session, splice. The hello's raw wire bytes are relayed verbatim so
-// the replica sees exactly what the UE sent (CRC and all future fields
-// included); every later frame in either direction is copied untouched.
+// the replica sees exactly what the UE sent (CRC included); every later
+// frame in either direction is copied untouched. A hello that cannot be
+// read is answered with a diagnostic ack, as the BS answers it.
 func (c *Coordinator) HandleConn(conn io.ReadWriteCloser) error {
 	defer conn.Close()
 
 	m, raw, err := transport.ReadRawMessage(conn)
 	if err != nil {
+		// Another protocol version, corrupt or truncated: an ack, not a
+		// bare close, which the UE would retry as a transport failure.
 		c.refused.Add(1)
-		return fmt.Errorf("coord: read hello: %w", err)
+		err = fmt.Errorf("coord: read hello: %w", err)
+		_ = transport.WriteRefusal(conn, "", err, 0)
+		return err
 	}
-	ver := uint8(transport.ProtocolVersion)
 	if m.Type != transport.MsgSessionHello || m.Hello == nil {
 		c.refused.Add(1)
 		err := fmt.Errorf("coord: expected session hello, got %v", m.Type)
-		c.refuse(conn, ver, "", err)
+		_ = transport.WriteRefusal(conn, "", err, 0)
 		return err
 	}
 	h := *m.Hello
-	ver = min(h.Version, transport.ProtocolVersion)
 
 	rep, err := c.route(h)
 	if err != nil {
@@ -251,7 +254,7 @@ func (c *Coordinator) HandleConn(conn io.ReadWriteCloser) error {
 			c.refusedDown.Add(1)
 			return fmt.Errorf("coord: place session %q: %w", h.SessionID, err)
 		}
-		c.refuse(conn, ver, h.SessionID, err)
+		_ = transport.WriteRefusal(conn, h.SessionID, err, 0)
 		return fmt.Errorf("coord: place session %q: %w", h.SessionID, err)
 	}
 
@@ -262,7 +265,7 @@ func (c *Coordinator) HandleConn(conn io.ReadWriteCloser) error {
 			c.refusedDown.Add(1)
 			return fmt.Errorf("coord: dial replica %s: %w (%w)", rep.ID(), ErrReplicaDown, err)
 		}
-		c.refuse(conn, ver, h.SessionID, errors.New("replica unavailable"))
+		_ = transport.WriteRefusal(conn, h.SessionID, errors.New("replica unavailable"), 0)
 		return fmt.Errorf("coord: dial replica %s: %w", rep.ID(), err)
 	}
 	defer up.Close()
@@ -379,17 +382,6 @@ func (c *Coordinator) eligibleLocked() []Replica {
 		out = append(out, r)
 	}
 	return out
-}
-
-// refuse writes a rejection ack in the UE's own dialect, mirroring the
-// server's refusal shape so clients need no coordinator-specific path.
-func (c *Coordinator) refuse(w io.Writer, ver uint8, sessionID string, cause error) {
-	reason := cause.Error()
-	if len(reason) > 256 {
-		reason = reason[:256]
-	}
-	ack := transport.Hello{Version: ver, SessionID: sessionID, Err: reason}
-	_ = transport.WriteMessageVersion(w, &transport.Message{Type: transport.MsgSessionAck, Hello: &ack}, ver)
 }
 
 // Migrate hands the named session over from its current replica to

@@ -1,10 +1,13 @@
 package coord_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,6 +287,47 @@ func TestCoordinatorAllDraining(t *testing.T) {
 	wg.Wait()
 	if st := co.Stats(); st.Refused == 0 {
 		t.Fatalf("refusal not counted: %+v", st)
+	}
+}
+
+// restampConn frames every write at another protocol version, re-sealing
+// the CRC, the way a pre-v3 UE frames its hello. The write runs on its
+// own goroutine: the coordinator stops reading after the header, and
+// net.Pipe has no buffer to take the rest.
+type restampConn struct {
+	io.ReadWriter
+	version byte
+}
+
+func (c restampConn) Write(p []byte) (int, error) {
+	frame := append([]byte(nil), p...)
+	frame[3] = c.version
+	binary.BigEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
+	go c.ReadWriter.Write(frame)
+	return len(p), nil
+}
+
+// TestCoordinatorRefusesOlderHello: a hello framed at protocol version 2
+// is refused at the coordinator with the diagnostic ack the BS would
+// send — not relayed, and not dropped with a bare close the UE would
+// retry as a transport failure.
+func TestCoordinatorRefusesOlderHello(t *testing.T) {
+	prov := tinyProvision()
+	co, _ := testFleet(t, 1, 8, prov)
+	h, _, _ := tinyHello(prov, "ue-v2", 11)
+	ueEnd, coEnd := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- co.HandleConn(coEnd) }()
+	_, err := transport.JoinSession(restampConn{ueEnd, 2}, h)
+	ueEnd.Close()
+	if !errors.Is(err, transport.ErrSessionRejected) || !strings.Contains(err.Error(), "protocol version 2") {
+		t.Fatalf("v2 hello through the coordinator: err = %v, want a rejection naming version 2", err)
+	}
+	if err := <-done; err == nil {
+		t.Fatal("coordinator accepted a v2 hello")
+	}
+	if st := co.Stats(); st.Refused != 1 || st.Routed != 0 {
+		t.Fatalf("stats after a v2 hello: %+v", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -62,109 +61,4 @@ func TestMaxPoolIsUpperBoundOfAvgPool(t *testing.T) {
 			t.Fatal("window max below window mean")
 		}
 	}
-}
-
-func TestDropoutEvaluationIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDropout(rng, 0.5)
-	d.SetTraining(false)
-	x := tensor.Randn(rng, 1, 4, 4)
-	if tensor.MaxAbsDiff(d.Forward(x), x) != 0 {
-		t.Fatal("evaluation dropout not identity")
-	}
-}
-
-func TestDropoutTrainingPreservesExpectation(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := NewDropout(rng, 0.3)
-	x := tensor.Ones(1, 100, 100)
-	sum := 0.0
-	const reps = 20
-	for r := 0; r < reps; r++ {
-		sum += d.Forward(x).Sum()
-	}
-	mean := sum / (reps * 10000)
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("inverted dropout expectation = %g, want 1", mean)
-	}
-}
-
-func TestDropoutZeroesFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewDropout(rng, 0.4)
-	x := tensor.Ones(1, 200, 200)
-	out := d.Forward(x)
-	zeros := 0
-	for _, v := range out.Data() {
-		if v == 0 {
-			zeros++
-		}
-	}
-	frac := float64(zeros) / float64(out.Size())
-	if math.Abs(frac-0.4) > 0.02 {
-		t.Fatalf("dropped fraction = %g, want 0.4", frac)
-	}
-}
-
-func TestDropoutBackwardUsesSameMask(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := NewDropout(rng, 0.5)
-	x := tensor.Ones(1, 10, 10)
-	out := d.Forward(x)
-	grad := d.Backward(tensor.Ones(10, 10))
-	// Gradient must be nonzero exactly where the forward output is.
-	for i := range out.Data() {
-		if (out.Data()[i] == 0) != (grad.Data()[i] == 0) {
-			t.Fatal("backward mask differs from forward mask")
-		}
-	}
-}
-
-func TestDropoutRejectsBadRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, rate := range []float64{-0.1, 1.0, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rate %g accepted", rate)
-				}
-			}()
-			NewDropout(rng, rate)
-		}()
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice([]float64{0, 0}, 2))
-	p.Grad.CopyFrom(tensor.FromSlice([]float64{3, 4}, 2)) // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %g, want 5", pre)
-	}
-	post := math.Hypot(p.Grad.Data()[0], p.Grad.Data()[1])
-	if math.Abs(post-1) > 1e-12 {
-		t.Fatalf("post-clip norm = %g, want 1", post)
-	}
-	// Direction preserved.
-	if math.Abs(p.Grad.Data()[0]/p.Grad.Data()[1]-0.75) > 1e-12 {
-		t.Fatal("clip changed gradient direction")
-	}
-}
-
-func TestClipGradNormNoOpBelowThreshold(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice([]float64{0}, 1))
-	p.Grad.Data()[0] = 0.5
-	ClipGradNorm([]*Param{p}, 1)
-	if p.Grad.Data()[0] != 0.5 {
-		t.Fatal("clip modified a small gradient")
-	}
-}
-
-func TestClipGradNormPanicsOnBadMax(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for maxNorm 0")
-		}
-	}()
-	ClipGradNorm(nil, 0)
 }

@@ -59,7 +59,7 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 	// stays at BatchMax: a non-full pending set must wait for the
 	// window, the regime where a starvation bug would bite.
 	for i := 0; i < 2*batchMax; i++ {
-		if _, _, err := store.admit(Hello{SessionID: fmt.Sprintf("fake-%d", i)}, ProtocolVersion, nopCloser{}, 64); err != nil {
+		if _, _, err := store.admit(Hello{SessionID: fmt.Sprintf("fake-%d", i)}, nopCloser{}, 64); err != nil {
 			t.Fatal(err)
 		}
 	}

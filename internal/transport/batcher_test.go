@@ -184,7 +184,7 @@ func soloBS(conn net.Conn, cfg split.Config, d *dataset.Dataset, sp *dataset.Spl
 	}
 	h := *msg.Hello
 	ack := Hello{
-		Version: h.Version, SessionID: h.SessionID, Seed: h.Seed,
+		SessionID: h.SessionID, Seed: h.Seed,
 		Frames: h.Frames, Pool: h.Pool, Modality: h.Modality,
 		ConfigFP: cfg.Fingerprint(), Codec: h.Codec, Epoch: 1,
 	}

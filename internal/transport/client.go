@@ -66,7 +66,6 @@ var ErrResumeRejected = errors.New("transport: resume token rejected")
 // A rejection ack becomes an error wrapping ErrSessionRejected with the
 // BS's reason.
 func JoinSession(conn io.ReadWriter, h Hello) (*Hello, error) {
-	h.Version = ProtocolVersion
 	if err := WriteMessage(conn, &Message{Type: MsgSessionHello, Hello: &h}); err != nil {
 		return nil, fmt.Errorf("transport: UE write hello: %w", err)
 	}

@@ -3,12 +3,14 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"net"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/compress"
 	"repro/internal/tensor"
@@ -155,20 +157,42 @@ func restamp(frame []byte, version byte) []byte {
 	return out
 }
 
-// TestServerRefusesNewerFrameVersion: a frame stamped with a future
-// protocol version must draw a diagnostic ack, not a hang or a bare
-// close.
+// TestServerRefusesNewerFrameVersion: a frame stamped with any protocol
+// version but ProtocolVersion — older or newer — must draw a diagnostic
+// ack naming that version, not a hang or a bare close.
 func TestServerRefusesNewerFrameVersion(t *testing.T) {
-	frame := restamp(helloFrame(t, tinyHello(0)), ProtocolVersion+1)
-	err, ack := handleWithAck(t, negotiationServer(t), frame)
+	for _, version := range []byte{0, 1, 2, ProtocolVersion + 1} {
+		frame := restamp(helloFrame(t, tinyHello(0)), version)
+		err, ack := handleWithAck(t, negotiationServer(t), frame)
+		if err == nil {
+			t.Fatalf("version-%d hello accepted", version)
+		}
+		if ack == nil || ack.Type != MsgSessionAck || ack.Hello == nil || ack.Hello.Err == "" {
+			t.Fatalf("no diagnostic ack for version-%d hello (got %+v)", version, ack)
+		}
+		if want := fmt.Sprintf("protocol version %d", version); !strings.Contains(ack.Hello.Err, want) {
+			t.Fatalf("ack reason %q does not name %q", ack.Hello.Err, want)
+		}
+	}
+}
+
+// TestRefusalReasonCutAtRuneBoundary: a refusal reason embeds the
+// UE-chosen session id, so one past maxHelloString bytes must be cut at
+// a rune boundary. The reason is `transport: session "` (20 bytes) then
+// the id; with 3-byte runes from byte 20 on, byte 256 is inside a rune.
+func TestRefusalReasonCutAtRuneBoundary(t *testing.T) {
+	h := tinyHello(0)
+	h.SessionID = strings.Repeat("€", 80) // 240 bytes
+	h.ResumeStep = 1                      // refused: the server has no store
+	err, ack := handleWithAck(t, negotiationServer(t), helloFrame(t, h))
 	if err == nil {
-		t.Fatal("future-version hello accepted")
+		t.Fatal("resume against a storeless server accepted")
 	}
-	if ack == nil || ack.Type != MsgSessionAck || ack.Hello == nil || ack.Hello.Err == "" {
-		t.Fatalf("no diagnostic ack for future-version hello (got %+v)", ack)
+	if ack == nil || ack.Hello == nil || ack.Hello.Err == "" {
+		t.Fatalf("no diagnostic ack (got %+v)", ack)
 	}
-	if !strings.Contains(ack.Hello.Err, "version") {
-		t.Fatalf("ack reason %q does not mention the version", ack.Hello.Err)
+	if reason := ack.Hello.Err; !utf8.ValidString(reason) || len(reason) > maxHelloString {
+		t.Fatalf("ack reason (%d bytes) is not valid UTF-8 of at most %d bytes: %q", len(reason), maxHelloString, reason)
 	}
 }
 
@@ -222,83 +246,7 @@ func TestServerRejectsTruncatedHello(t *testing.T) {
 	}
 }
 
-// ---- mixed-version compatibility -----------------------------------------------
-
-// legacyFrame hand-builds a version-v frame the pre-codec protocol
-// would have produced: anchors, then an optional bare Depth64 tensor
-// section, then an optional hello section without the codec byte.
-func legacyFrame(t *testing.T, version byte, msgType MsgType, step uint32, tt *tensor.Tensor, hello []byte) []byte {
-	t.Helper()
-	payload := binary.BigEndian.AppendUint32(nil, 0) // no anchors
-	if tt == nil {
-		payload = append(payload, 0)
-	} else {
-		var enc bytes.Buffer
-		if err := tensor.Encode(&enc, tt, tensor.Depth64); err != nil {
-			t.Fatal(err)
-		}
-		payload = append(payload, 1)
-		payload = append(payload, enc.Bytes()...)
-	}
-	if hello != nil {
-		payload = append(payload, 1)
-		payload = append(payload, hello...)
-	}
-	header := make([]byte, 12)
-	header[0], header[1] = frameMagic[0], frameMagic[1]
-	header[2], header[3] = byte(msgType), version
-	binary.BigEndian.PutUint32(header[4:], step)
-	binary.BigEndian.PutUint32(header[8:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(header)
-	crc.Write(payload)
-	frame := append(header, payload...)
-	return binary.BigEndian.AppendUint32(frame, crc.Sum32())
-}
-
-// TestLegacyTensorFrameDecodesAsRaw: version-0/1 tensor sections (bare
-// Depth64, no codec id) must still decode, mapping onto the Raw codec.
-func TestLegacyTensorFrameDecodesAsRaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	want := tensor.Randn(rng, 1, 2, 3)
-	for _, version := range []byte{0, 1} {
-		frame := legacyFrame(t, version, MsgActivations, 7, want, nil)
-		got, err := ReadMessage(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("version %d: %v", version, err)
-		}
-		if got.Codec != compress.CodecRaw {
-			t.Fatalf("version %d: codec %v, want raw", version, got.Codec)
-		}
-		if tensor.MaxAbsDiff(got.Tensor, want) != 0 {
-			t.Fatalf("version %d: tensor not lossless", version)
-		}
-	}
-}
-
-// TestLegacyHelloDecodesAsRaw: a version-1 hello (no trailing codec
-// byte) must decode with Codec == 0, i.e. the Raw codec.
-func TestLegacyHelloDecodesAsRaw(t *testing.T) {
-	// Build the version-1 hello section: no trailing codec byte.
-	h := Hello{Version: 1, SessionID: "ue-legacy", Seed: 9, Frames: 100, Pool: 4}
-	legacy, err := appendHello(nil, &h, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := legacyFrame(t, 1, MsgSessionHello, 0, nil, legacy)
-	got, err := ReadMessage(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Hello == nil || got.Hello.SessionID != "ue-legacy" {
-		t.Fatalf("legacy hello decoded to %+v", got.Hello)
-	}
-	if got.Hello.Codec != uint8(compress.CodecRaw) {
-		t.Fatalf("legacy hello codec = %d, want raw", got.Hello.Codec)
-	}
-}
-
-// TestFrameRejectsUnknownTensorCodec: a version-2 frame naming a codec
+// TestFrameRejectsUnknownTensorCodec: a frame naming a codec
 // the receiver does not implement must be rejected as a bad frame.
 func TestFrameRejectsUnknownTensorCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

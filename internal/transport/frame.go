@@ -85,12 +85,11 @@ func (fr *FrameReader) ReadFrame() (FrameHeader, []byte, error) {
 	if header[0] != frameMagic[0] || header[1] != frameMagic[1] {
 		return hdr, nil, fmt.Errorf("%w: bad magic %x", ErrBadFrame, header[:2])
 	}
-	if header[3] > ProtocolVersion {
-		return hdr, nil, fmt.Errorf("%w: protocol version %d newer than %d",
+	if header[3] != ProtocolVersion {
+		return hdr, nil, fmt.Errorf("%w: protocol version %d, want %d",
 			ErrBadFrame, header[3], ProtocolVersion)
 	}
 	hdr.Type = MsgType(header[2])
-	hdr.Version = header[3]
 	hdr.Step = binary.BigEndian.Uint32(header[4:])
 	length := binary.BigEndian.Uint32(header[8:])
 	if length > maxFramePayload {
@@ -143,7 +142,7 @@ func (fr *FrameReader) ReadMessage() (*Message, error) {
 		return nil, err
 	}
 	fr.msg = Message{Type: hdr.Type, Step: hdr.Step}
-	if err := decodePayload(&fr.msg, payload, hdr.Version, &fr.sc); err != nil {
+	if err := decodePayload(&fr.msg, payload, &fr.sc); err != nil {
 		return nil, err
 	}
 	return &fr.msg, nil
@@ -165,7 +164,7 @@ func ReadRawMessage(r io.Reader) (*Message, []byte, error) {
 	raw := append([]byte(nil), fr.buf...)
 	m := &Message{Type: hdr.Type, Step: hdr.Step}
 	var sc decodeScratch
-	if err := decodePayload(m, payload, hdr.Version, &sc); err != nil {
+	if err := decodePayload(m, payload, &sc); err != nil {
 		return nil, nil, err
 	}
 	return m, raw, nil
@@ -193,8 +192,8 @@ func (fw *FrameWriter) Release() {
 	}
 }
 
-// WriteMessage encodes one frame at the given version into the writer's
-// buffer and writes it.
+// WriteMessage encodes one frame into the writer's buffer and writes
+// it. version must be ProtocolVersion (see AppendMessage).
 func (fw *FrameWriter) WriteMessage(m *Message, version uint8) error {
 	buf, err := AppendMessage(fw.buf[:0], m, version)
 	if err != nil {

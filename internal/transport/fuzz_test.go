@@ -19,7 +19,7 @@ import (
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(3))
 	hello := &Hello{
-		Version: ProtocolVersion, SessionID: "ue-7", Seed: 7, Frames: 600, Pool: 40,
+		SessionID: "ue-7", Seed: 7, Frames: 600, Pool: 40,
 		Modality: 2, ConfigFP: 0xFEEDFACE, TargetRMSEdB: 4.5, Codec: uint8(compress.CodecQuantInt8),
 		Epoch: 3, ResumeStep: 40, Flags: HelloFlagResumeRejected,
 	}
@@ -28,7 +28,7 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		{Type: MsgEvalRequest, Step: 2, Anchors: []int32{13, 21}},
 		{Type: MsgShutdown, Step: 3},
 		{Type: MsgSessionHello, Hello: hello},
-		{Type: MsgSessionAck, Hello: &Hello{Version: ProtocolVersion, SessionID: "ue-7", Err: "server full"}},
+		{Type: MsgSessionAck, Hello: &Hello{SessionID: "ue-7", Err: "server full"}},
 		{Type: MsgCheckpoint, Step: 40},
 	}
 	for _, codec := range compress.IDs() {

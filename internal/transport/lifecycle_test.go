@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -99,7 +97,7 @@ func TestSessionStoreBoundedOverChurn(t *testing.T) {
 	st := newSessionStore(retain)
 	for i := 0; i < cycles; i++ {
 		h := tinyHello(i % 5) // rejoin the same handful of ids
-		sess, superseded, err := st.admit(h, ProtocolVersion, nil, 4)
+		sess, superseded, err := st.admit(h, nil, 4)
 		if err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
@@ -130,7 +128,7 @@ func TestSessionStoreBoundedOverChurn(t *testing.T) {
 // incarnation's late transitions are no-ops.
 func TestSessionStateMachineFencing(t *testing.T) {
 	st := newSessionStore(4)
-	sess, _, err := st.admit(tinyHello(0), ProtocolVersion, nil, 1)
+	sess, _, err := st.admit(tinyHello(0), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +159,7 @@ func TestSessionStateMachineFencing(t *testing.T) {
 // (instead of 0, which would make the UE discard its half).
 func TestMarkResumedSeedsCheckpointRing(t *testing.T) {
 	st := newSessionStore(4)
-	sess, _, err := st.admit(tinyHello(0), ProtocolVersion, nil, 1)
+	sess, _, err := st.admit(tinyHello(0), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -915,92 +913,6 @@ func TestMemStoreKeepsDrainedCheckpoint(t *testing.T) {
 	}
 	if _, err := mem.GetCheckpoint("ue-0", steps); err != nil {
 		t.Fatalf("drained session's checkpoint at step %d after its record left the ring: %v", steps, err)
-	}
-}
-
-// ---- mixed-version interop -----------------------------------------------------
-
-// readRawFrame reads one whole frame off the wire, returning its bytes.
-func readRawFrame(t *testing.T, r io.Reader) []byte {
-	t.Helper()
-	header := make([]byte, 12)
-	if _, err := io.ReadFull(r, header); err != nil {
-		t.Fatal(err)
-	}
-	length := binary.BigEndian.Uint32(header[8:])
-	rest := make([]byte, length+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		t.Fatal(err)
-	}
-	return append(header, rest...)
-}
-
-// TestBSServerV2PeerInterop: a v2 UE joining a v3 server negotiates
-// down — every server frame is stamped v2, no checkpoint messages are
-// sent, and the session trains to a clean detach.
-func TestBSServerV2PeerInterop(t *testing.T) {
-	prov := cachedProvision()
-	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 1, Steps: 6, EvalEvery: 3, ValAnchors: 8,
-		Provision: prov, Store: testJournal(t), CheckpointEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := tinyHello(0)
-	cfg, d, _, err := prov(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ConfigFP = cfg.Fingerprint()
-	h.Version = 2
-
-	ueConn, bsConn := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- srv.Handle(bsConn) }()
-
-	// Hand-rolled v2 join: the hello frame is laid out and stamped v2.
-	if err := WriteMessageVersion(ueConn, &Message{Type: MsgSessionHello, Hello: &h}, 2); err != nil {
-		t.Fatal(err)
-	}
-	frame := readRawFrame(t, ueConn)
-	if frame[3] != 2 {
-		t.Fatalf("ack stamped version %d, want 2 — a v2 reader would reject it", frame[3])
-	}
-	ack, err := ReadMessage(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Type != MsgSessionAck || ack.Hello == nil || ack.Hello.Err != "" {
-		t.Fatalf("v2 join rejected: %+v", ack)
-	}
-
-	// Serve as a v2 peer; any MsgCheckpoint would fail the session
-	// since v2 peers don't know the message.
-	ue, err := NewUEPeer(cfg, d, ueConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ue.Ver = 2
-	ue.OnCheckpoint = func(step uint32) error {
-		return fmt.Errorf("v2 session received a checkpoint instruction at step %d", step)
-	}
-	if err := ue.Serve(); err != nil {
-		t.Fatalf("v2 UE serve: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("v2 session: %v", err)
-	}
-	snaps := srv.Sessions()
-	if len(snaps) != 1 || snaps[0].State != SessionDetached || snaps[0].Version != 2 {
-		t.Fatalf("v2 session snapshot: %+v", snaps)
-	}
-	if snaps[0].Metrics.Checkpoints.Load() != 0 {
-		t.Fatalf("v2 session wrote %d checkpoints, want 0", snaps[0].Metrics.Checkpoints.Load())
-	}
-	// No stray stored checkpoints either.
-	if steps, err := srv.Store().CheckpointSteps(h.SessionID); err != nil || len(steps) != 0 {
-		t.Fatalf("v2 session left checkpoints at steps %v (%v)", steps, err)
 	}
 }
 

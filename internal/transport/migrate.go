@@ -102,8 +102,8 @@ func (s *BSServer) MigrateOut(id string, timeout time.Duration) (*MigrationState
 	if sess == nil {
 		return nil, fmt.Errorf("transport: no live session %q", id)
 	}
-	if !s.checkpointEnabled(sess) {
-		return nil, fmt.Errorf("transport: session %q cannot migrate: checkpointing unavailable (no store, store degraded, or protocol < 3)", id)
+	if !s.checkpointEnabled() {
+		return nil, fmt.Errorf("transport: session %q cannot migrate: checkpointing unavailable (no store or store degraded)", id)
 	}
 	m, err := sess.requestMigration()
 	if err != nil {

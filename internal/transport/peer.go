@@ -23,14 +23,10 @@ type UEPeer struct {
 	Model *split.UEModel
 	Cfg   split.Config
 
-	// Ver is the protocol version this peer stamps on its frames
-	// (default ProtocolVersion); tests lower it to simulate old UEs.
-	Ver uint8
-
 	// OnCheckpoint, when set, is called for every MsgCheckpoint the BS
-	// sends (protocol ≥ 3): the UE must persist its half's train state
-	// at the given step so a later reconnect can resume from it. A
-	// returned error aborts the session.
+	// sends: the UE must persist its half's train state at the given
+	// step so a later reconnect can resume from it. A returned error
+	// aborts the session.
 	OnCheckpoint func(step uint32) error
 
 	// OnRequest, when set, observes every request frame the BS sends —
@@ -68,7 +64,6 @@ func NewUEPeer(cfg split.Config, d *dataset.Dataset, conn io.ReadWriter) (*UEPee
 	u := &UEPeer{
 		Model: model,
 		Cfg:   cfg,
-		Ver:   ProtocolVersion,
 		data:  d,
 		adam:  opt.NewAdam(model.Params(), cfg.LR, cfg.Beta1, cfg.Beta2),
 		conn:  conn,
@@ -149,7 +144,7 @@ func (u *UEPeer) Serve() error {
 			}
 			act := u.Model.Forward(batch)
 			reply := &Message{Type: MsgActivations, Step: reqStep, Tensor: act, Codec: u.Cfg.Codec}
-			if err := u.fw.WriteMessage(reply, u.Ver); err != nil {
+			if err := u.fw.WriteMessage(reply, ProtocolVersion); err != nil {
 				return fmt.Errorf("transport: UE write: %w", err)
 			}
 			if reqType == MsgEvalRequest {
@@ -222,11 +217,6 @@ type BSPeer struct {
 	Cfg   split.Config
 	Norm  dataset.Normalizer
 
-	// Ver is the protocol version this peer stamps on its frames
-	// (default ProtocolVersion); the multi-UE server lowers it to the
-	// session's negotiated version for old UEs.
-	Ver uint8
-
 	data    *dataset.Dataset
 	adam    *opt.Adam
 	conn    io.ReadWriter
@@ -279,7 +269,6 @@ func NewBSPeer(cfg split.Config, d *dataset.Dataset, sp *dataset.Split, conn io.
 		Model:   model,
 		Cfg:     cfg,
 		Norm:    norm,
-		Ver:     ProtocolVersion,
 		data:    d,
 		adam:    opt.NewAdam(model.Params(), cfg.LR, cfg.Beta1, cfg.Beta2),
 		conn:    conn,
@@ -340,7 +329,7 @@ func (b *BSPeer) RestoreState(r io.Reader) (int, error) {
 func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor, error) {
 	b.step++
 	req := &Message{Type: t, Step: b.step, Anchors: anchors}
-	if err := b.fw.WriteMessage(req, b.Ver); err != nil {
+	if err := b.fw.WriteMessage(req, ProtocolVersion); err != nil {
 		return nil, fmt.Errorf("transport: BS write: %w", err)
 	}
 	reply, err := b.fr.ReadMessage()
@@ -455,7 +444,7 @@ func (b *BSPeer) computeStep(anchors []int32, pooled *tensor.Tensor) (loss float
 // sendCutGradient ships the cut-layer gradient for the in-flight step.
 func (b *BSPeer) sendCutGradient(cut *tensor.Tensor) error {
 	msg := &Message{Type: MsgCutGradient, Step: b.step, Tensor: cut, Codec: b.Cfg.Codec}
-	if err := b.fw.WriteMessage(msg, b.Ver); err != nil {
+	if err := b.fw.WriteMessage(msg, ProtocolVersion); err != nil {
 		return fmt.Errorf("transport: BS write gradient: %w", err)
 	}
 	return nil
@@ -545,11 +534,11 @@ func (b *BSPeer) ShutdownAt(step uint32) error {
 	return b.writeControl(&Message{Type: MsgShutdown, Step: step})
 }
 
-// writeControl sends a control frame through the peer's writer in its
-// negotiated dialect — also the path the server uses for MsgCheckpoint,
-// so control frames never interleave with a staged data frame.
+// writeControl sends a control frame through the peer's writer — also
+// the path the server uses for MsgCheckpoint, so control frames never
+// interleave with a staged data frame.
 func (b *BSPeer) writeControl(m *Message) error {
-	return b.fw.WriteMessage(m, b.Ver)
+	return b.fw.WriteMessage(m, ProtocolVersion)
 }
 
 func toInt32(xs []int) []int32 {

@@ -124,7 +124,7 @@ func TestPolicyMaxUEBindsAtJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Occupy one slot without a connection (the starvation test's trick).
-	if _, _, err := srv.store.admit(Hello{SessionID: "occupant"}, ProtocolVersion, nopCloser{}, 8); err != nil {
+	if _, _, err := srv.store.admit(Hello{SessionID: "occupant"}, nopCloser{}, 8); err != nil {
 		t.Fatal(err)
 	}
 	p := srv.CurrentPolicy()
@@ -171,8 +171,7 @@ func TestCheckpointIntervalRebinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{ver: 3}
-	if srv.checkpointDue(sess, 10, false) {
+	if srv.checkpointDue(10, false) {
 		t.Fatal("step 10 due under interval 50")
 	}
 	p := srv.CurrentPolicy()
@@ -180,10 +179,10 @@ func TestCheckpointIntervalRebinds(t *testing.T) {
 	if err := srv.SetPolicy(p); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.checkpointDue(sess, 10, false) {
+	if !srv.checkpointDue(10, false) {
 		t.Fatal("step 10 not due after rebinding interval to 10")
 	}
-	if srv.checkpointDue(sess, 15, false) {
+	if srv.checkpointDue(15, false) {
 		t.Fatal("step 15 due under interval 10")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unicode/utf8"
 
 	"repro/internal/compress"
 	"repro/internal/tensor"
@@ -41,22 +42,13 @@ const (
 	MsgCheckpoint                      // BS→UE: train state checkpointed at Step; UE saves its half
 )
 
-// ProtocolVersion is stamped into every frame header. Version 0 is the
-// original 1:1 UE↔BS protocol without the session handshake; version 1
-// added the hello/ack handshake; version 2 added the negotiated
-// cut-layer payload codec (tensor sections carry a codec id, hellos a
-// requested codec); version 3 added the session lifecycle — hellos and
-// acks carry a resume token (epoch + last checkpointed step), and the
-// BS instructs the UE to checkpoint with MsgCheckpoint.
-//
-// Readers accept any version up to their own and reject newer ones;
-// version-0/1 tensor sections decode as the lossless Raw codec.
-// Compatibility is now negotiated on both sides: a reader understands
-// every older peer's frames, and a writer can stamp (and lay out) its
-// frames at any older version via WriteMessageVersion, which the
-// multi-UE server uses to talk to v1/v2 peers in their own dialect —
-// an old UE against a new BS negotiates down cleanly instead of
-// rejecting the BS's frames.
+// ProtocolVersion is stamped into every frame header and into every
+// hello, and it is the only version this package writes or reads: a
+// frame stamped anything else is ErrBadFrame at the reader, and the BS
+// and the coordinator answer a hello they cannot read with a diagnostic
+// ack. Tensor sections carry the negotiated codec id; hellos and acks
+// carry the codec and a resume token (epoch + last checkpointed step),
+// and the BS instructs the UE to checkpoint with MsgCheckpoint.
 const ProtocolVersion = 3
 
 // String names the message type for diagnostics.
@@ -88,7 +80,6 @@ func (t MsgType) String() string {
 // back. ConfigFP lets both ends detect a drifted configuration before any
 // tensor crosses the wire.
 type Hello struct {
-	Version      uint8   // sender's ProtocolVersion
 	SessionID    string  // UE-chosen session name, unique per BS
 	Seed         int64   // shared experiment seed
 	Frames       uint32  // synthetic dataset length
@@ -99,18 +90,18 @@ type Hello struct {
 	Err          string  // ack only: non-empty means the session was rejected
 	Codec        uint8   // compress.ID of the requested/granted payload codec
 
-	// Resume token (protocol ≥ 3). Epoch is the BS-assigned incarnation
-	// number of the session: each accepted connection for a session id
-	// gets a strictly larger epoch, fencing any half-dead predecessor.
-	// ResumeStep in a hello asks the BS to resume from the train-state
-	// checkpoint taken at that step (0: fresh join); in an ack it is the
-	// granted resume step. Flags carries the HelloFlag* bits.
+	// Resume token. Epoch is the BS-assigned incarnation number of the
+	// session: each accepted connection for a session id gets a strictly
+	// larger epoch, fencing any half-dead predecessor. ResumeStep in a
+	// hello asks the BS to resume from the train-state checkpoint taken
+	// at that step (0: fresh join); in an ack it is the granted resume
+	// step. Flags carries the HelloFlag* bits.
 	Epoch      uint32
 	ResumeStep uint32
 	Flags      uint8
 }
 
-// Hello flag bits (protocol ≥ 3).
+// Hello flag bits.
 const (
 	// HelloFlagResumeRejected marks a rejection ack whose cause is the
 	// resume token itself (missing checkpoint, stale fingerprint,
@@ -163,28 +154,14 @@ var (
 //	magic(2) type(1) version(1) step(4) length(4) payload(length) crc32(4)
 //
 // crc32 (IEEE) covers everything from magic through payload. The version
-// byte was reserved (always 0) before ProtocolVersion 1 introduced the
-// session handshake; readers accept any version up to their own.
+// byte is always ProtocolVersion.
 
-// WriteMessage encodes and writes one frame at the current
-// ProtocolVersion.
+// WriteMessage encodes and writes one frame. The frame is assembled in
+// one buffer and issued as a single Write, so a frame is never torn
+// across writes on its way into the kernel; the serving hot path uses
+// FrameWriter, which reuses the buffer across messages.
 func WriteMessage(w io.Writer, m *Message) error {
-	return WriteMessageVersion(w, m, ProtocolVersion)
-}
-
-// WriteMessageVersion encodes and writes one frame stamped — and laid
-// out — at the given protocol version, which must not exceed this
-// endpoint's own. The multi-UE server uses it to answer v1/v2 peers in
-// frames they can read: older hello layouts drop the trailing v2/v3
-// fields, and pre-codec tensor sections fall back to the bare Depth64
-// encoding (only valid for the Raw codec).
-//
-// The frame is assembled in one buffer and issued as a single Write, so
-// a frame is never torn across writes on its way into the kernel; the
-// serving hot path uses FrameWriter, which reuses the buffer across
-// messages.
-func WriteMessageVersion(w io.Writer, m *Message, version uint8) error {
-	buf, err := AppendMessage(nil, m, version)
+	buf, err := AppendMessage(nil, m, ProtocolVersion)
 	if err != nil {
 		return err
 	}
@@ -192,25 +169,40 @@ func WriteMessageVersion(w io.Writer, m *Message, version uint8) error {
 	return err
 }
 
+// WriteRefusal writes a rejection ack for sessionID to w: the cause's
+// text, cut to at most maxHelloString bytes at a rune boundary, becomes
+// the ack's Err and flags its Flags. The BS and the coordinator turn a
+// UE away through it alike, so a client sees one refusal shape at
+// either front door.
+func WriteRefusal(w io.Writer, sessionID string, cause error, flags uint8) error {
+	reason := cause.Error()
+	if len(reason) > maxHelloString {
+		n := maxHelloString
+		for n > 0 && !utf8.RuneStart(reason[n]) {
+			n--
+		}
+		reason = reason[:n]
+	}
+	ack := Hello{SessionID: sessionID, Err: reason, Flags: flags}
+	return WriteMessage(w, &Message{Type: MsgSessionAck, Hello: &ack})
+}
+
 // AppendMessage appends one complete frame (header, payload, CRC
-// trailer) for m to buf, laid out at the given protocol version, and
-// returns the extended slice — the zero-copy primitive behind
-// WriteMessageVersion and FrameWriter. A caller that reuses buf across
-// messages performs no per-message allocation once the buffer has grown
-// to the session's steady-state frame size.
+// trailer) for m to buf and returns the extended slice — the zero-copy
+// primitive behind WriteMessage and FrameWriter. version must be
+// ProtocolVersion; any other value is ErrBadFrame. A caller that reuses
+// buf across messages performs no per-message allocation once the
+// buffer has grown to the session's steady-state frame size.
 func AppendMessage(buf []byte, m *Message, version uint8) ([]byte, error) {
-	if version > ProtocolVersion {
-		return nil, fmt.Errorf("%w: cannot write protocol version %d (own is %d)",
+	if version != ProtocolVersion {
+		return nil, fmt.Errorf("%w: cannot write protocol version %d, want %d",
 			ErrBadFrame, version, ProtocolVersion)
 	}
-	if version < 3 && m.Type == MsgCheckpoint {
-		return nil, fmt.Errorf("%w: %v needs protocol ≥ 3 (writing %d)", ErrBadFrame, m.Type, version)
-	}
 	start := len(buf)
-	buf = append(buf, frameMagic[0], frameMagic[1], byte(m.Type), version)
+	buf = append(buf, frameMagic[0], frameMagic[1], byte(m.Type), ProtocolVersion)
 	buf = binary.BigEndian.AppendUint32(buf, m.Step)
 	buf = append(buf, 0, 0, 0, 0) // length, backfilled below
-	buf, err := appendPayload(buf, m, version)
+	buf, err := appendPayload(buf, m)
 	if err != nil {
 		return nil, err
 	}
@@ -240,26 +232,19 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // returns beside the payload bytes, for callers that follow frames
 // without decoding them.
 type FrameHeader struct {
-	Type    MsgType
-	Version uint8
-	Step    uint32
+	Type MsgType
+	Step uint32
 }
 
 // Payload layout: uint32 anchor count, anchors as int32, then an
 // optional tensor section, then an optional hello section (presence
-// flag byte + hello encoding).
-//
-// The tensor section is versioned. Version ≥ 2 frames carry the
-// negotiated codec explicitly:
+// flag byte + hello encoding). A frame without a hello simply ends
+// after the tensor section. The tensor section carries the negotiated
+// codec explicitly:
 //
 //	flag(1) codec(1) length(4) codec-encoded payload
-//
-// Version-0/1 frames carry `flag(1) tensor@Depth64` — exactly the Raw
-// codec's encoding without the id/length prefix — and decode with
-// Codec == compress.CodecRaw. Version-0 frames simply end after the
-// tensor section; their absence of a hello flag decodes as Hello == nil.
 
-func appendPayload(buf []byte, m *Message, version uint8) ([]byte, error) {
+func appendPayload(buf []byte, m *Message) ([]byte, error) {
 	if len(m.Anchors) > maxAnchors {
 		return nil, fmt.Errorf("%w: %d anchors exceeds limit", ErrBadFrame, len(m.Anchors))
 	}
@@ -270,18 +255,6 @@ func appendPayload(buf []byte, m *Message, version uint8) ([]byte, error) {
 	switch {
 	case m.Tensor == nil:
 		buf = append(buf, 0)
-	case version < 2:
-		// Pre-codec dialect: a bare Depth64 tensor section, which the
-		// receiver decodes as Raw — so only Raw can be spoken down.
-		if m.Codec != compress.CodecRaw {
-			return nil, fmt.Errorf("%w: codec %v needs protocol ≥ 2 (writing %d)",
-				ErrBadFrame, m.Codec, version)
-		}
-		var err error
-		buf, err = tensor.Append(append(buf, 1), m.Tensor, tensor.Depth64)
-		if err != nil {
-			return nil, err
-		}
 	default:
 		codec := compress.ForID(m.Codec)
 		if codec == nil {
@@ -300,14 +273,14 @@ func appendPayload(buf []byte, m *Message, version uint8) ([]byte, error) {
 	if m.Hello == nil {
 		return buf, nil
 	}
-	return appendHello(append(buf, 1), m.Hello, version)
+	return appendHello(append(buf, 1), m.Hello)
 }
 
-func appendHello(buf []byte, h *Hello, version uint8) ([]byte, error) {
+func appendHello(buf []byte, h *Hello) ([]byte, error) {
 	if len(h.SessionID) > maxHelloString || len(h.Err) > maxHelloString {
 		return nil, fmt.Errorf("%w: hello string exceeds %d bytes", ErrBadFrame, maxHelloString)
 	}
-	buf = append(buf, h.Version, h.Modality)
+	buf = append(buf, ProtocolVersion, h.Modality)
 	buf = binary.BigEndian.AppendUint16(buf, h.Pool)
 	buf = binary.BigEndian.AppendUint32(buf, h.Frames)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(h.Seed))
@@ -317,27 +290,7 @@ func appendHello(buf []byte, h *Hello, version uint8) ([]byte, error) {
 	buf = append(buf, h.SessionID...)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.Err)))
 	buf = append(buf, h.Err...)
-	if version < 2 {
-		// Version-1 hellos simply stop after the strings (and decode
-		// with Codec == Raw); requesting anything else cannot be said
-		// in this dialect.
-		if h.Codec != 0 || h.Epoch != 0 || h.ResumeStep != 0 || h.Flags != 0 {
-			return nil, fmt.Errorf("%w: hello codec/resume fields need protocol ≥ 2 (writing %d)",
-				ErrBadFrame, version)
-		}
-		return buf, nil
-	}
-	// The codec byte trails the version-1 layout so version-1 hellos
-	// keep decoding as Raw.
 	buf = append(buf, h.Codec)
-	if version < 3 {
-		if h.Epoch != 0 || h.ResumeStep != 0 || h.Flags != 0 {
-			return nil, fmt.Errorf("%w: hello resume token needs protocol ≥ 3 (writing %d)",
-				ErrBadFrame, version)
-		}
-		return buf, nil
-	}
-	// The version-3 resume token and flags trail the version-2 layout.
 	buf = binary.BigEndian.AppendUint32(buf, h.Epoch)
 	buf = binary.BigEndian.AppendUint32(buf, h.ResumeStep)
 	return append(buf, h.Flags), nil
@@ -348,8 +301,10 @@ func decodeHello(payload []byte) (*Hello, error) {
 	if len(payload) < fixed+2 {
 		return nil, fmt.Errorf("%w: hello section too short", ErrBadFrame)
 	}
+	if payload[0] != ProtocolVersion {
+		return nil, fmt.Errorf("%w: hello protocol version %d, want %d", ErrBadFrame, payload[0], ProtocolVersion)
+	}
 	h := &Hello{
-		Version:      payload[0],
 		Modality:     payload[1],
 		Pool:         binary.BigEndian.Uint16(payload[2:]),
 		Frames:       binary.BigEndian.Uint32(payload[4:]),
@@ -370,18 +325,13 @@ func decodeHello(payload []byte) (*Hello, error) {
 		*dst = string(payload[:n])
 		payload = payload[n:]
 	}
-	switch len(payload) {
-	case 0: // version-1 hello: no codec byte, Raw implied
-	case 1: // version-2 hello: codec byte only
-		h.Codec = payload[0]
-	case 10: // version-3 hello: codec byte + epoch + resume step + flags
-		h.Codec = payload[0]
-		h.Epoch = binary.BigEndian.Uint32(payload[1:])
-		h.ResumeStep = binary.BigEndian.Uint32(payload[5:])
-		h.Flags = payload[9]
-	default:
-		return nil, fmt.Errorf("%w: trailing bytes after hello", ErrBadFrame)
+	if len(payload) != 10 { // codec + epoch + resume step + flags
+		return nil, fmt.Errorf("%w: hello trailer is %d bytes, want 10", ErrBadFrame, len(payload))
 	}
+	h.Codec = payload[0]
+	h.Epoch = binary.BigEndian.Uint32(payload[1:])
+	h.ResumeStep = binary.BigEndian.Uint32(payload[5:])
+	h.Flags = payload[9]
 	return h, nil
 }
 
@@ -393,7 +343,7 @@ type decodeScratch struct {
 	tensor  *tensor.Tensor
 }
 
-func decodePayload(m *Message, payload []byte, version uint8, sc *decodeScratch) error {
+func decodePayload(m *Message, payload []byte, sc *decodeScratch) error {
 	if len(payload) < 5 {
 		return fmt.Errorf("%w: payload too short", ErrBadFrame)
 	}
@@ -421,7 +371,7 @@ func decodePayload(m *Message, payload []byte, version uint8, sc *decodeScratch)
 	switch hasTensor {
 	case 0:
 	case 1:
-		rest, err := decodeTensorSection(m, payload, version, sc)
+		rest, err := decodeTensorSection(m, payload, sc)
 		if err != nil {
 			return err
 		}
@@ -430,7 +380,7 @@ func decodePayload(m *Message, payload []byte, version uint8, sc *decodeScratch)
 		return fmt.Errorf("%w: bad tensor flag %d", ErrBadFrame, hasTensor)
 	}
 	if len(payload) == 0 {
-		return nil // version-0 payload: no hello section
+		return nil // no hello section
 	}
 	if payload[0] != 1 {
 		return fmt.Errorf("%w: bad hello flag %d", ErrBadFrame, payload[0])
@@ -444,26 +394,13 @@ func decodePayload(m *Message, payload []byte, version uint8, sc *decodeScratch)
 }
 
 // decodeTensorSection parses the tensor section after its presence flag
-// and returns the remaining payload. Version ≥ 2 sections are
-// length-prefixed and codec-tagged; earlier versions are a bare Depth64
-// tensor encoding, which the Raw codec inverts. With a scratch, the
-// tensor decodes into (and the scratch then tracks) the reusable
-// per-connection tensor.
-func decodeTensorSection(m *Message, payload []byte, version uint8, sc *decodeScratch) ([]byte, error) {
+// and returns the remaining payload. The section is length-prefixed and
+// codec-tagged. With a scratch, the tensor decodes into (and the
+// scratch then tracks) the reusable per-connection tensor.
+func decodeTensorSection(m *Message, payload []byte, sc *decodeScratch) ([]byte, error) {
 	var dst *tensor.Tensor
 	if sc != nil {
 		dst = sc.tensor
-	}
-	if version < 2 {
-		t, rest, err := tensor.DecodeBytes(dst, payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
-		m.Tensor, m.Codec = t, compress.CodecRaw
-		if sc != nil {
-			sc.tensor = t
-		}
-		return rest, nil
 	}
 	if len(payload) < 5 {
 		return nil, fmt.Errorf("%w: truncated tensor section", ErrBadFrame)

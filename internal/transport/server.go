@@ -28,9 +28,9 @@ import (
 // Session records live in a sessionStore (session.go): a bounded live
 // map plus a bounded retention ring of finished snapshots, so server
 // memory is flat over arbitrary session churn. With a checkpoint
-// directory configured, protocol-v3 sessions periodically persist both
-// halves' train state and a dropped UE can reconnect and resume from
-// the last checkpoint instead of restarting (see DESIGN.md §7).
+// store configured, sessions periodically persist both halves' train
+// state and a dropped UE can reconnect and resume from the last
+// checkpoint instead of restarting (see DESIGN.md §7).
 
 // SchedPolicy, SchedAsync and ServerConfig.Sched have one value and no
 // effect: sessions always step freely in parallel. They exist only
@@ -73,9 +73,9 @@ type ServerConfig struct {
 
 	// Store, when set, is the durable backend for checkpoints, retired
 	// sessions and lifetime aggregates (see internal/store), and enables
-	// checkpoint/resume: protocol-v3 sessions persist their BS-half
-	// train state into it every CheckpointEvery steps (and instruct the
-	// UE to persist its half), and a reconnecting UE presenting a resume
+	// checkpoint/resume: sessions persist their BS-half train state
+	// into it every CheckpointEvery steps (and instruct the UE to
+	// persist its half), and a reconnecting UE presenting a resume
 	// token restores from the matching checkpoint. Sessions found in it
 	// at construction are adopted — re-materialized into the retention
 	// ring, their resume tokens honoured by a server that never served
@@ -543,34 +543,23 @@ func (s *BSServer) Handle(conn io.ReadWriteCloser) error {
 	hr := NewFrameReader(cc)
 	msg, err := hr.ReadMessage()
 	if err != nil {
-		// A structurally broken hello (newer frame version, corrupt or
-		// truncated payload) still gets a best-effort diagnostic ack so
-		// the dialer learns why it was turned away instead of seeing a
-		// bare connection reset.
+		// A structurally broken hello (another frame or hello version,
+		// corrupt or truncated payload) still gets a best-effort
+		// diagnostic ack so the dialer learns why it was turned away
+		// instead of seeing a bare connection reset.
 		hr.Release()
 		err = fmt.Errorf("transport: server read hello: %w", err)
-		s.refuse(cc, Hello{}, ProtocolVersion, err)
+		s.refuse(cc, Hello{}, err, 0)
 		return err
 	}
 	if msg.Type != MsgSessionHello || msg.Hello == nil {
 		hr.Release()
 		err := fmt.Errorf("transport: expected SessionHello, got %v", msg.Type)
-		s.refuse(cc, Hello{}, ProtocolVersion, err)
+		s.refuse(cc, Hello{}, err, 0)
 		return err
 	}
 	h := *msg.Hello
 	hr.Release()
-	if h.Version > ProtocolVersion {
-		err := fmt.Errorf("transport: UE protocol version %d newer than %d", h.Version, ProtocolVersion)
-		s.refuse(cc, h, ProtocolVersion, err)
-		return err
-	}
-	// Negotiate down to the peer's dialect: every frame this session
-	// writes from here on is stamped (and laid out) at ver.
-	ver := h.Version
-	if ver < 1 {
-		ver = 1
-	}
 	if h.Codec == CodecServerDefault {
 		// The UE delegated the codec choice: grant the current policy's
 		// default, resolved here at join and fixed for the session's
@@ -579,23 +568,23 @@ func (s *BSServer) Handle(conn io.ReadWriteCloser) error {
 		h.Codec = uint8(s.CurrentPolicy().DefaultCodec)
 	} else if !compress.ID(h.Codec).Valid() {
 		err := fmt.Errorf("transport: unknown codec id %d in hello", h.Codec)
-		s.refuse(cc, h, ver, err)
+		s.refuse(cc, h, err, 0)
 		return err
 	}
 	if s.draining.Load() {
 		err := fmt.Errorf("transport: server draining, not accepting session %q", h.SessionID)
-		s.refuse(cc, h, ver, err)
+		s.refuse(cc, h, err, 0)
 		return err
 	}
 	if h.ResumeStep > 0 && !s.ckptEnabled {
 		err := fmt.Errorf("transport: session %q requests resume but server has no checkpoint store", h.SessionID)
-		s.refuseResume(cc, h, ver, err)
+		s.refuse(cc, h, err, HelloFlagResumeRejected)
 		return err
 	}
 
-	sess, superseded, err := s.store.admit(h, ver, conn, s.CurrentPolicy().MaxUE)
+	sess, superseded, err := s.store.admit(h, conn, s.CurrentPolicy().MaxUE)
 	if err != nil {
-		s.refuse(cc, h, ver, err)
+		s.refuse(cc, h, err, 0)
 		return err
 	}
 	if superseded != nil {
@@ -631,18 +620,17 @@ func (s *BSServer) Handle(conn io.ReadWriteCloser) error {
 	}
 	if err != nil {
 		s.fail(sess, err)
-		s.refuse(cc, h, ver, err)
+		s.refuse(cc, h, err, 0)
 		return err
 	}
 	defer peer.release()
-	peer.Ver = ver
 	if h.ResumeStep > 0 {
 		// A failure from here on is specific to the resume token — the
 		// same hello without it would have joined — so the rejection is
 		// flagged: the UE may drop the token and retrain fresh.
 		if err := s.restore(sess, peer, int(h.ResumeStep)); err != nil {
 			s.fail(sess, err)
-			s.refuseResume(cc, h, ver, err)
+			s.refuse(cc, h, err, HelloFlagResumeRejected)
 			return err
 		}
 	}
@@ -654,14 +642,12 @@ func (s *BSServer) Handle(conn io.ReadWriteCloser) error {
 		target = h.TargetRMSEdB
 	}
 	ack := Hello{
-		Version: ver, SessionID: h.SessionID, Seed: h.Seed,
+		SessionID: h.SessionID, Seed: h.Seed,
 		Frames: h.Frames, Pool: h.Pool, Modality: h.Modality,
 		ConfigFP: cfg.Fingerprint(), TargetRMSEdB: target, Codec: h.Codec,
+		Epoch: sess.epoch, ResumeStep: h.ResumeStep,
 	}
-	if ver >= 3 {
-		ack.Epoch, ack.ResumeStep = sess.epoch, h.ResumeStep
-	}
-	if err := WriteMessageVersion(cc, &Message{Type: MsgSessionAck, Hello: &ack}, ver); err != nil {
+	if err := WriteMessage(cc, &Message{Type: MsgSessionAck, Hello: &ack}); err != nil {
 		err = fmt.Errorf("transport: server write ack: %w", err)
 		s.fail(sess, err)
 		return err
@@ -682,28 +668,11 @@ func (s *BSServer) fail(sess *session, err error) {
 	s.store.finish(sess, SessionFailed, err)
 }
 
-// refuse best-effort sends a rejection ack in the peer's dialect.
-func (s *BSServer) refuse(conn io.Writer, h Hello, ver uint8, cause error) {
-	s.refuseFlags(conn, h, ver, cause, 0)
-}
-
-// refuseResume rejects a hello whose resume token — not the join as
-// such — is the problem, flagging the ack so the UE knows a fresh
-// rejoin can cure it.
-func (s *BSServer) refuseResume(conn io.Writer, h Hello, ver uint8, cause error) {
-	s.refuseFlags(conn, h, ver, cause, HelloFlagResumeRejected)
-}
-
-func (s *BSServer) refuseFlags(conn io.Writer, h Hello, ver uint8, cause error, flags uint8) {
-	reason := cause.Error()
-	if len(reason) > maxHelloString {
-		reason = reason[:maxHelloString]
-	}
-	ack := Hello{Version: ver, SessionID: h.SessionID, Err: reason}
-	if ver >= 3 {
-		ack.Flags = flags
-	}
-	_ = WriteMessageVersion(conn, &Message{Type: MsgSessionAck, Hello: &ack}, ver)
+// refuse best-effort sends a rejection ack. A hello whose resume token
+// — not the join as such — is the problem is refused with
+// HelloFlagResumeRejected, so the UE knows a fresh rejoin can cure it.
+func (s *BSServer) refuse(conn io.Writer, h Hello, cause error, flags uint8) {
+	_ = WriteRefusal(conn, h.SessionID, cause, flags)
 	s.cfg.Logf("bs-server: refused session %q: %v", h.SessionID, cause)
 }
 
@@ -741,7 +710,7 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 		}
 		done = step
 		stop := sess.record(step, loss, evalDue, rmse, target)
-		if s.checkpointDue(sess, step, stop) {
+		if s.checkpointDue(step, stop) {
 			if err := s.checkpoint(sess, peer, step); err != nil {
 				s.fail(sess, err)
 				return fmt.Errorf("transport: session %q checkpoint at step %d: %w", sess.id, step, err)
@@ -757,7 +726,7 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 	// session that ran to completion instead garbage-collects everything
 	// but its final checkpoint — the terminal model artifact.
 	var shutdownStep uint32
-	if drained && s.checkpointEnabled(sess) {
+	if drained && s.checkpointEnabled() {
 		if done > start && sess.lastCheckpoint() != done {
 			if err := s.checkpoint(sess, peer, done); err != nil {
 				s.fail(sess, err)
@@ -774,7 +743,7 @@ func (s *BSServer) train(sess *session, peer *BSPeer, sp *dataset.Split, target 
 		return fmt.Errorf("transport: session %q shutdown: %w", sess.id, err)
 	}
 	s.store.finish(sess, SessionDetached, nil)
-	if !drained && s.checkpointEnabled(sess) {
+	if !drained && s.checkpointEnabled() {
 		s.pruneCheckpoints(sess, done)
 	}
 	snap := sess.snapshot()
@@ -812,16 +781,14 @@ func (s *BSServer) pruneCheckpoints(sess *session, final int) {
 	}
 }
 
-// checkpointEnabled reports whether this incarnation checkpoints: the
-// server needs a durable store that has not degraded, and the peer must
-// speak protocol ≥ 3 (older UEs cannot be told to save their half, so a
-// one-sided checkpoint could never be resumed).
-func (s *BSServer) checkpointEnabled(sess *session) bool {
-	return s.ckptEnabled && !s.storeDegraded.Load() && sess.ver >= 3
+// checkpointEnabled reports whether sessions checkpoint: the server
+// needs a durable store that has not degraded.
+func (s *BSServer) checkpointEnabled() bool {
+	return s.ckptEnabled && !s.storeDegraded.Load()
 }
 
-func (s *BSServer) checkpointDue(sess *session, step int, last bool) bool {
-	if !s.checkpointEnabled(sess) {
+func (s *BSServer) checkpointDue(step int, last bool) bool {
+	if !s.checkpointEnabled() {
 		return false
 	}
 	// The interval is policy-resolved at each step boundary, so a live

@@ -231,14 +231,14 @@ func TestBSServerAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.store
-	first, old, err := st.admit(tinyHello(0), ProtocolVersion, nil, 2)
+	first, old, err := st.admit(tinyHello(0), nil, 2)
 	if err != nil || old != nil {
 		t.Fatalf("fresh admit: %v (superseded %v)", err, old)
 	}
 	// A duplicate id supersedes the live incarnation instead of being
 	// refused: the old record is fenced and retired, the slot count is
 	// unchanged.
-	second, superseded, err := st.admit(tinyHello(0), ProtocolVersion, nil, 2)
+	second, superseded, err := st.admit(tinyHello(0), nil, 2)
 	if err != nil || superseded != first {
 		t.Fatalf("duplicate admit should supersede: err=%v superseded=%v", err, superseded)
 	}
@@ -248,13 +248,13 @@ func TestBSServerAdmissionControl(t *testing.T) {
 	if !first.finished() {
 		t.Fatal("superseded session not fenced")
 	}
-	if _, _, err := st.admit(tinyHello(1), ProtocolVersion, nil, 2); err != nil {
+	if _, _, err := st.admit(tinyHello(1), nil, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.admit(tinyHello(2), ProtocolVersion, nil, 2); err == nil || !strings.Contains(err.Error(), "full") {
+	if _, _, err := st.admit(tinyHello(2), nil, 2); err == nil || !strings.Contains(err.Error(), "full") {
 		t.Fatalf("over-capacity admit: err = %v", err)
 	}
-	if _, _, err := st.admit(Hello{}, ProtocolVersion, nil, 2); err == nil {
+	if _, _, err := st.admit(Hello{}, nil, 2); err == nil {
 		t.Fatal("empty session id admitted")
 	}
 	if got := srv.ActiveSessions(); got != 2 {
@@ -266,10 +266,10 @@ func TestBSServerAdmissionControl(t *testing.T) {
 	if got := srv.ActiveSessions(); got != 1 {
 		t.Fatalf("ActiveSessions after detach = %d, want 1", got)
 	}
-	if _, _, err := st.admit(tinyHello(2), ProtocolVersion, nil, 2); err != nil {
+	if _, _, err := st.admit(tinyHello(2), nil, 2); err != nil {
 		t.Fatalf("admit after detach: %v", err)
 	}
-	if _, _, err := st.admit(tinyHello(3), ProtocolVersion, nil, 2); err == nil || !strings.Contains(err.Error(), "full") {
+	if _, _, err := st.admit(tinyHello(3), nil, 2); err == nil || !strings.Contains(err.Error(), "full") {
 		t.Fatalf("rejoin should respect capacity: err = %v", err)
 	}
 	// Finished sessions live on only as retained snapshots.
@@ -301,28 +301,40 @@ func TestBSServerRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestBSServerRejectsNewerHelloVersion patches the version byte inside
+// the hello section of an otherwise valid v3 frame (re-sealing the CRC):
+// the hello's own version is checked too, older or newer, and refused
+// with an ack naming it.
 func TestBSServerRejectsNewerHelloVersion(t *testing.T) {
-	srv, err := NewBSServer(ServerConfig{Provision: tinySessionEnv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := tinyHello(0)
-	h.Version = ProtocolVersion + 1
-	ueConn, bsConn := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- srv.Handle(bsConn) }()
-	if err := WriteMessage(ueConn, &Message{Type: MsgSessionHello, Hello: &h}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := ReadMessage(ueConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Type != MsgSessionAck || ack.Hello == nil || ack.Hello.Err == "" {
-		t.Fatalf("want rejection ack, got %+v", ack)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("server accepted newer hello version")
+	for _, version := range []byte{0, 1, 2, ProtocolVersion + 1} {
+		srv, err := NewBSServer(ServerConfig{Provision: tinySessionEnv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := helloFrame(t, tinyHello(0))
+		// header(12) + anchor count(4) + tensor flag(1) + hello flag(1)
+		frame[18] = version
+		frame = restamp(frame, ProtocolVersion)
+		ueConn, bsConn := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- srv.Handle(bsConn) }()
+		if _, err := ueConn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := ReadMessage(ueConn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Type != MsgSessionAck || ack.Hello == nil || ack.Hello.Err == "" {
+			t.Fatalf("hello version %d: want rejection ack, got %+v", version, ack)
+		}
+		if want := fmt.Sprintf("hello protocol version %d", version); !strings.Contains(ack.Hello.Err, want) {
+			t.Fatalf("ack reason %q does not name %q", ack.Hello.Err, want)
+		}
+		if err := <-done; err == nil {
+			t.Fatalf("server accepted hello version %d", version)
+		}
+		ueConn.Close()
 	}
 }
 

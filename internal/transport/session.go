@@ -87,7 +87,6 @@ type SessionSnapshot struct {
 	ID          string
 	Hello       Hello
 	Epoch       uint32 // incarnation number (1 for a fresh join)
-	Version     uint8  // negotiated protocol version
 	State       SessionState
 	Steps       int                     // training steps completed
 	ResumedFrom uint32                  // checkpoint step this incarnation resumed from (0: fresh)
@@ -121,7 +120,6 @@ type session struct {
 	id     string
 	hello  Hello
 	epoch  uint32
-	ver    uint8     // negotiated protocol version for this incarnation
 	closer io.Closer // underlying conn; closed to fence a superseded epoch
 
 	mu        sync.Mutex
@@ -249,7 +247,6 @@ func (s *session) snapshot() SessionSnapshot {
 		ID:          s.id,
 		Hello:       s.hello,
 		Epoch:       s.epoch,
-		Version:     s.ver,
 		State:       s.state,
 		Steps:       s.steps,
 		ResumedFrom: s.resumed,
@@ -342,7 +339,7 @@ func newSessionStore(retain int) *sessionStore {
 // incarnation (nil if none) is returned so the caller can close its
 // connection. The closer is published with the record so a follow-up
 // supersede can always reach this incarnation's connection.
-func (st *sessionStore) admit(h Hello, ver uint8, closer io.Closer, maxUE int) (sess, superseded *session, err error) {
+func (st *sessionStore) admit(h Hello, closer io.Closer, maxUE int) (sess, superseded *session, err error) {
 	if h.SessionID == "" {
 		return nil, nil, errors.New("transport: empty session id")
 	}
@@ -359,7 +356,7 @@ func (st *sessionStore) admit(h Hello, ver uint8, closer io.Closer, maxUE int) (
 	}
 	sess = &session{
 		id: h.SessionID, hello: h,
-		epoch: epoch + 1, ver: ver, closer: closer,
+		epoch: epoch + 1, closer: closer,
 		state: SessionJoined,
 		met:   metrics.NewSessionMetrics(h.SessionID),
 	}

@@ -21,7 +21,7 @@ func recordFromSnapshot(snap SessionSnapshot) store.SessionRecord {
 	rec := store.SessionRecord{
 		ID:          snap.ID,
 		Epoch:       snap.Epoch,
-		Version:     snap.Version,
+		Version:     ProtocolVersion,
 		Cause:       causeOf(snap.State, snap.cause),
 		Steps:       uint32(snap.Steps),
 		ResumedFrom: snap.ResumedFrom,
@@ -74,12 +74,11 @@ func snapshotFromRecord(rec store.SessionRecord) SessionSnapshot {
 	snap := SessionSnapshot{
 		ID: rec.ID,
 		Hello: Hello{
-			Version: rec.Version, SessionID: rec.ID, Seed: rec.Seed,
+			SessionID: rec.ID, Seed: rec.Seed,
 			Frames: rec.Frames, Pool: rec.Pool, Modality: rec.Modality,
 			Codec: rec.Codec, Epoch: rec.Epoch,
 		},
 		Epoch:       rec.Epoch,
-		Version:     rec.Version,
 		Steps:       int(rec.Steps),
 		ResumedFrom: rec.ResumedFrom,
 		LastLoss:    rec.LastLoss,

@@ -2,11 +2,11 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -88,10 +88,10 @@ func TestMessageRoundTripProperty(t *testing.T) {
 // including the empty-string and rejection-ack cases.
 func TestHelloRoundTrip(t *testing.T) {
 	hellos := []*Hello{
-		{Version: ProtocolVersion, SessionID: "ue-7", Seed: 42, Frames: 2400,
+		{SessionID: "ue-7", Seed: 42, Frames: 2400,
 			Pool: 40, Modality: 2, ConfigFP: 0xFEEDFACECAFEBEEF, TargetRMSEdB: 2.7},
-		{Version: ProtocolVersion, SessionID: "a", Seed: -1},
-		{Version: ProtocolVersion, SessionID: "ue-7", Err: "server full (8/8 UEs)"},
+		{SessionID: "a", Seed: -1},
+		{SessionID: "ue-7", Err: "server full (8/8 UEs)"},
 		{},
 	}
 	types := []MsgType{MsgSessionHello, MsgSessionAck}
@@ -126,41 +126,23 @@ func TestHelloRejectsOversizedStrings(t *testing.T) {
 	}
 }
 
-// TestReadRejectsNewerFrameVersion re-stamps a valid frame with a future
-// protocol version (fixing up the CRC) and expects rejection.
+// TestReadRejectsNewerFrameVersion re-stamps a valid frame with every
+// other protocol version, older or newer (fixing up the CRC), and
+// expects a rejection naming the version.
 func TestReadRejectsNewerFrameVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Message{Type: MsgShutdown}); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	frame[3] = ProtocolVersion + 1
-	crc := crc32.NewIEEE()
-	crc.Write(frame[:len(frame)-4])
-	binary.BigEndian.PutUint32(frame[len(frame)-4:], crc.Sum32())
-	if _, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("future version: err = %v, want ErrBadFrame", err)
-	}
-}
-
-// TestLegacyFrameStillDecodes: a version-0 frame (reserved byte zero, no
-// hello section) must remain readable for mixed-version deployments.
-func TestLegacyFrameStillDecodes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, &Message{Type: MsgBatchRequest, Step: 3, Anchors: []int32{7}}); err != nil {
 		t.Fatal(err)
 	}
-	frame := buf.Bytes()
-	frame[3] = 0
-	crc := crc32.NewIEEE()
-	crc.Write(frame[:len(frame)-4])
-	binary.BigEndian.PutUint32(frame[len(frame)-4:], crc.Sum32())
-	got, err := ReadMessage(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != MsgBatchRequest || got.Step != 3 || got.Hello != nil {
-		t.Fatalf("legacy frame decoded to %+v", got)
+	for _, version := range []byte{0, 1, 2, ProtocolVersion + 1} {
+		frame := restamp(buf.Bytes(), version)
+		_, err := ReadMessage(bytes.NewReader(frame))
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("version %d: err = %v, want ErrBadFrame", version, err)
+		}
+		if want := fmt.Sprintf("protocol version %d", version); !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: err %q does not name %q", version, err, want)
+		}
 	}
 }
 
