@@ -47,9 +47,12 @@ func hostileImages(rng *rand.Rand, n, cin, h, w int) *tensor.Tensor {
 // negatives in the inputs, −0 convolution outputs (an all-negative kernel
 // on a zero frame under a −0 bias), NaN and ±Inf outputs (v > 0 is false
 // for NaN; the mask must say so too), accumulators that start at −0, three
-// steps that accumulate without ZeroGrads, and every worker count.
+// steps that accumulate without ZeroGrads, and every worker count. The
+// chain runs on the Go row kernels, the fused layer on the Go and the AVX2
+// ones.
 func TestFusedUEMatchesLayerOracle(t *testing.T) {
 	defer tensor.SetWorkers(0)
+	defer tensor.SetAVX2(true)
 	type geom struct {
 		name                  string
 		n, cin, cout, h, w, k int
@@ -93,6 +96,7 @@ func TestFusedUEMatchesLayerOracle(t *testing.T) {
 				xs[1].Data()[3*g.cin*g.h*g.w+21] = math.Inf(-1)
 			}
 
+			tensor.SetAVX2(false)
 			conv := negZeroConv(k, bias, spec)
 			oracle := NewSequential(conv, NewReLU(), NewAvgPool2D(g.ph, g.pw))
 			var outs, kg, bg [steps][]float64
@@ -107,19 +111,21 @@ func TestFusedUEMatchesLayerOracle(t *testing.T) {
 					t.Fatalf("the case built no −0 convolution output: %g", v)
 				}
 			}
-			for w := 1; w <= tensor.NumShards; w++ {
-				tensor.SetWorkers(w)
-				fused := NewConvReLUAvgPool(negZeroConv(k, bias, spec), g.ph, g.pw)
-				for s := range xs {
-					name := fmt.Sprintf("workers %d step %d", w, s)
-					sliceBitsEqual(t, name+" pooled", fused.Forward(xs[s]).Data(), outs[s])
-					if fused.Backward(grads[s]) != nil {
-						t.Fatalf("%s: an input layer returned an input gradient", name)
+			bothKernelPaths(t, func(t *testing.T) {
+				for w := 1; w <= tensor.NumShards; w++ {
+					tensor.SetWorkers(w)
+					fused := NewConvReLUAvgPool(negZeroConv(k, bias, spec), g.ph, g.pw)
+					for s := range xs {
+						name := fmt.Sprintf("workers %d step %d", w, s)
+						sliceBitsEqual(t, name+" pooled", fused.Forward(xs[s]).Data(), outs[s])
+						if fused.Backward(grads[s]) != nil {
+							t.Fatalf("%s: an input layer returned an input gradient", name)
+						}
+						sliceBitsEqual(t, name+" K.Grad", fused.K.Grad.Data(), kg[s])
+						sliceBitsEqual(t, name+" B.Grad", fused.B.Grad.Data(), bg[s])
 					}
-					sliceBitsEqual(t, name+" K.Grad", fused.K.Grad.Data(), kg[s])
-					sliceBitsEqual(t, name+" B.Grad", fused.B.Grad.Data(), bg[s])
 				}
-			}
+			})
 		})
 	}
 }

@@ -192,6 +192,25 @@ func sliceBitsEqual(t *testing.T, name string, got, want []float64) {
 	}
 }
 
+// bothKernelPaths runs f as two subtests, "go" on the tensor package's Go
+// row loops and "avx2" on its AVX2 kernels; the second skips where the CPU
+// has none.
+func bothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer tensor.SetAVX2(true)
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if tensor.SetAVX2(path.avx) != path.avx {
+				t.Skip("the CPU has no AVX2")
+			}
+			f(t)
+		})
+	}
+}
+
 // sameWeights returns a fresh layer (no scratch, zero gradients) over
 // ref's parameter values.
 func sameWeights(ref *LSTM) *LSTM {
@@ -218,7 +237,7 @@ func sparseSeq(rng *rand.Rand, shape ...int) *tensor.Tensor {
 // oracle's by Float64bits, at the paper's shapes (one pixel + RF, 10×10
 // pixels + RF, RF only) and at small odd ones, with zeros in the inputs,
 // over three steps that accumulate into the same gradients, for every
-// worker count.
+// worker count, on the Go and the AVX2 row kernels.
 func TestLSTMMatchesPerTimestepOracle(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, c := range [][4]int{{64, 4, 2, 32}, {64, 4, 101, 32}, {64, 4, 1, 32}, {7, 3, 5, 6}, {1, 1, 1, 1}, {9, 5, 3, 7}} {
@@ -246,21 +265,23 @@ func TestLSTMMatchesPerTimestepOracle(t *testing.T) {
 				whg[s] = append([]float64(nil), oracle.whg...)
 				bg[s] = append([]float64(nil), oracle.bg...)
 			}
-			for w := 1; w <= tensor.NumShards; w++ {
-				tensor.SetWorkers(w)
-				l := sameWeights(ref)
-				for _, p := range l.Params() {
-					p.Grad.Fill(negZero)
+			bothKernelPaths(t, func(t *testing.T) {
+				for w := 1; w <= tensor.NumShards; w++ {
+					tensor.SetWorkers(w)
+					l := sameWeights(ref)
+					for _, p := range l.Params() {
+						p.Grad.Fill(negZero)
+					}
+					for s := 0; s < steps; s++ {
+						name := fmt.Sprintf("workers %d step %d", w, s)
+						sliceBitsEqual(t, name+" output", l.Forward(xs[s]).Data(), outs[s])
+						sliceBitsEqual(t, name+" dx", l.Backward(grads[s]).Data(), dxs[s])
+						sliceBitsEqual(t, name+" Wx.Grad", l.Wx.Grad.Data(), wxg[s])
+						sliceBitsEqual(t, name+" Wh.Grad", l.Wh.Grad.Data(), whg[s])
+						sliceBitsEqual(t, name+" B.Grad", l.B.Grad.Data(), bg[s])
+					}
 				}
-				for s := 0; s < steps; s++ {
-					name := fmt.Sprintf("workers %d step %d", w, s)
-					sliceBitsEqual(t, name+" output", l.Forward(xs[s]).Data(), outs[s])
-					sliceBitsEqual(t, name+" dx", l.Backward(grads[s]).Data(), dxs[s])
-					sliceBitsEqual(t, name+" Wx.Grad", l.Wx.Grad.Data(), wxg[s])
-					sliceBitsEqual(t, name+" Wh.Grad", l.Wh.Grad.Data(), whg[s])
-					sliceBitsEqual(t, name+" B.Grad", l.B.Grad.Data(), bg[s])
-				}
-			}
+			})
 		})
 	}
 }

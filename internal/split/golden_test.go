@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // The values TestTrainStepGolden expects, recorded at PR 12 (commit
@@ -39,11 +40,26 @@ func ueConvHash(params []*nn.Param) uint64 {
 // TestTrainStepGolden: 20 Trainer.Steps on the paper's one-pixel config
 // (Img+RF, 40×40 pooling over 40×40 frames, batch 64 × L 4) land on the
 // loss and the UE conv parameters the previous engine produced, bit for
-// bit.
+// bit, on the Go and on the AVX2 row kernels.
 func TestTrainStepGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden recorded on amd64; other targets may fuse multiply-adds")
 	}
+	defer tensor.SetAVX2(true)
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if tensor.SetAVX2(path.avx) != path.avx {
+				t.Skip("the CPU has no AVX2")
+			}
+			checkTrainStepGolden(t)
+		})
+	}
+}
+
+func checkTrainStepGolden(t *testing.T) {
 	gen := dataset.DefaultGenConfig()
 	gen.NumFrames = 600
 	gen.Seed = 1

@@ -10,8 +10,8 @@ import (
 // not depend on the CPU count (w ≥ 2 workers add w + 1 heap objects to
 // every call). DESIGN.md §6 accounts for each: the shard closure, plus
 // one boxed slice header per pooled scratch slice handed back — the
-// forward's start rows; the backward's kernel- and bias-gradient
-// partials, flipped kernel and start rows. Pooled scratch makes the
+// forward's start rows; the backward's partials (kernel and bias in one
+// buffer), flipped kernel and start rows. Pooled scratch makes the
 // counts meaningless under the race detector, whose sync.Pool drops
 // Puts.
 

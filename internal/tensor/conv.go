@@ -208,12 +208,12 @@ func convBackward(gradX, gradK *Tensor, gradBias []float64, x, k, gradOut *Tenso
 		}
 	}
 	kSize := cout * cin * kh * kw
-	partialK := getSliceZeroed(NumShards * kSize)
-	partialB := getSliceZeroed(NumShards * cout)
+	pStride := shardStride(kSize + cout)
+	partials := getSliceZeroed(NumShards * pStride)
 
 	ParallelFor(n, 4*kSize*oh*ow, func(shard, stride int) {
-		gkd := partialK[shard*kSize : (shard+1)*kSize]
-		gbd := partialB[shard*cout : (shard+1)*cout]
+		gkd := partials[shard*pStride:][:kSize]
+		gbd := partials[shard*pStride+kSize:][:cout]
 		for ni := shard; ni < n; ni += stride {
 			if !rows {
 				convBackSampleDirect(xd, kd, gxd, god, gkd, gbd,
@@ -228,20 +228,29 @@ func convBackward(gradX, gradK *Tensor, gradBias []float64, x, k, gradOut *Tenso
 		}
 	})
 
-	foldShardPartials(gradK.data, gradBias, partialK, partialB)
-	putSlice(partialK)
-	putSlice(partialB)
+	foldShardPartials(gradK.data, gradBias, partials, pStride)
+	putSlice(partials)
 }
+
+// shardStride rounds a per-shard block of n floats up to whole 64-byte
+// cache lines. Pooled buffers start on a line (power-of-two size classes,
+// page-aligned large objects), so blocks at this stride share no line and
+// two workers' stores never invalidate each other's.
+func shardStride(n int) int { return (n + 7) &^ 7 }
 
 // foldShardPartials adds the per-shard kernel- and bias-gradient partials
 // to the accumulators in shard order: the bit-deterministic reduction.
-func foldShardPartials(gradK, gradBias, partialK, partialB []float64) {
+// Shard s's block starts at partials[s·stride], kernel partials first,
+// then the bias partials. The fold stays a function of its own: the NaN
+// payload a sum of two NaNs keeps depends on the operand order the
+// compiler gives its adds, and both backward passes must share it.
+func foldShardPartials(gradK, gradBias, partials []float64, stride int) {
 	kSize, cout := len(gradK), len(gradBias)
 	for s := 0; s < NumShards; s++ {
-		for i, v := range partialK[s*kSize : (s+1)*kSize] {
+		for i, v := range partials[s*stride:][:kSize] {
 			gradK[i] += v
 		}
-		for i, v := range partialB[s*cout : (s+1)*cout] {
+		for i, v := range partials[s*stride+kSize:][:cout] {
 			gradBias[i] += v
 		}
 	}
@@ -362,7 +371,7 @@ func interiorSpan(n, w, kw, shift int) (lo, hi int) {
 // bit-equality with the direct loop). src is out itself or the row's
 // starting values. Edge positions skip the taps that fall outside in, the
 // way convSampleDirect does; the interior takes the taps three at a time
-// with no bounds checks.
+// with no bounds checks, four columns wide on the AVX2 path.
 func convRowTaps(out, src, in, taps []float64, shift int) {
 	lo, hi := interiorSpan(len(out), len(in), len(taps), shift)
 	// Output positions are independent of each other, so both edges can go
@@ -374,9 +383,15 @@ func convRowTaps(out, src, in, taps []float64, shift int) {
 	}
 	o := out[lo:hi]
 	s := src[lo:hi][:len(o)]
+	avx := useAVX2.Load()
 	t := 0
 	for ; t+3 <= len(taps); t += 3 {
 		k0, k1, k2 := taps[t], taps[t+1], taps[t+2]
+		if avx {
+			convRowTaps3AVX2(o, s, in[lo+shift+t:][:len(o)+2], k0, k1, k2)
+			s = o
+			continue
+		}
 		x0 := in[lo+shift+t:][:len(o)]
 		x1 := in[lo+shift+t+1:][:len(o)]
 		x2 := in[lo+shift+t+2:][:len(o)]
@@ -481,8 +496,12 @@ func flipKernel(kd []float64, cin, cout, kh, kw int) []float64 {
 // The direct loop skips g == 0 terms; the row kernels add them anyway.
 // That is bit-identical because a ±0 add is an identity on any
 // accumulator reachable from a +0 start, and it keeps the hot loops
-// branch-free.
+// branch-free. 3×3 kernels on the AVX2 path take convGradK3SampleRows.
 func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
+	if kh == 3 && kw == 3 && cin > 0 && useAVX2.Load() {
+		convGradK3SampleRows(xd, god, gkd, gbd, ni, ng, cin, cout, h, w, oh, ow, padH, padW)
+		return
+	}
 	for co := 0; co < cout; co++ {
 		gmap := god[(ng*cout+co)*oh*ow:][:oh*ow]
 		acc := gbd[co]
@@ -499,6 +518,72 @@ func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, k
 			}
 		}
 	}
+}
+
+// convGradK3SampleRows is convGradKSampleRows for a 3×3 kernel on the
+// AVX2 path, walked with the output row outermost: where all three kernel
+// rows fall inside the image, gradK3RowsAVX2 folds the row's interior into
+// all nine accumulators at once, lane t of kernel row r in acc[4·r+t],
+// between the Go left and right edges. Each accumulator still takes its
+// terms in ascending (oy, ox), every row in the order left edge, interior,
+// right edge. The bias chain rides along in the first input channel's
+// walk, in ascending (oy, ox) as well.
+func convGradK3SampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, oh, ow, padH, padW int) {
+	shift := -padW
+	lo, hi := interiorSpan(ow, w, 3, shift)
+	var acc [12]float64
+	for co := 0; co < cout; co++ {
+		gmap := god[(ng*cout+co)*oh*ow:][:oh*ow]
+		b := gbd[co]
+		for ci := 0; ci < cin; ci++ {
+			gk := gkd[(co*cin+ci)*9:][:9]
+			copy(acc[0:3], gk[0:3])
+			copy(acc[4:7], gk[3:6])
+			copy(acc[8:11], gk[6:9])
+			img := xd[(ni*cin+ci)*h*w:][:h*w]
+			for oy := 0; oy < oh; oy++ {
+				g := gmap[oy*ow:][:ow]
+				iy := oy - padH // the input row under kernel row 0
+				if iy < 0 || iy+3 > h || lo == hi {
+					for r := 0; r < 3; r++ {
+						if iy+r >= 0 && iy+r < h {
+							convRowGradK(acc[4*r:][:3], g, img[(iy+r)*w:][:w], shift)
+						}
+					}
+					if ci == 0 {
+						b = sumInto(b, g)
+					}
+					continue
+				}
+				r0, r1, r2 := img[iy*w:][:w], img[(iy+1)*w:][:w], img[(iy+2)*w:][:w]
+				convRowGradKEdge(acc[0:3], g, r0, shift, 0, lo)
+				convRowGradKEdge(acc[4:7], g, r1, shift, 0, lo)
+				convRowGradKEdge(acc[8:11], g, r2, shift, 0, lo)
+				// The kernel runs the bias chain on every channel; only the
+				// first channel's sum is kept.
+				n := hi - lo + 2 // the interior's input columns
+				bi := gradK3RowsAVX2(&acc, g[lo:hi], r0[lo+shift:][:n], r1[lo+shift:][:n], r2[lo+shift:][:n], sumInto(b, g[:lo]))
+				convRowGradKEdge(acc[0:3], g, r0, shift, hi, ow)
+				convRowGradKEdge(acc[4:7], g, r1, shift, hi, ow)
+				convRowGradKEdge(acc[8:11], g, r2, shift, hi, ow)
+				if ci == 0 {
+					b = sumInto(bi, g[hi:])
+				}
+			}
+			copy(gk[0:3], acc[0:3])
+			copy(gk[3:6], acc[4:7])
+			copy(gk[6:9], acc[8:11])
+		}
+		gbd[co] = b
+	}
+}
+
+// sumInto returns acc plus the values of g, added one at a time in order.
+func sumInto(acc float64, g []float64) float64 {
+	for _, gv := range g {
+		acc += gv
+	}
+	return acc
 }
 
 // AvgPool2D applies non-overlapping average pooling with window (ph, pw) to

@@ -106,23 +106,24 @@ func ConvReLUAvgPoolBackwardInto(gradK *Tensor, gradBias []float64, x *Tensor, m
 	blk := cout * oh * ow
 	pooled := blk / (ph * pw)
 	kSize := cout * cin * kh * kw
-	// One sample's upstream map per shard, then the per-shard partials.
-	scratch := getSlice(NumShards * (blk + kSize + cout))
+	// One sample's upstream map per shard, then the per-shard partials,
+	// each block on cache lines of its own.
+	upStride, pStride := shardStride(blk), shardStride(kSize+cout)
+	scratch := getSlice(NumShards * (upStride + pStride))
 	defer putSlice(scratch)
-	ups, partials := scratch[:NumShards*blk], scratch[NumShards*blk:]
+	ups, partials := scratch[:NumShards*upStride], scratch[NumShards*upStride:]
 	clear(partials)
-	partialK, partialB := partials[:NumShards*kSize], partials[NumShards*kSize:]
 
 	ParallelFor(n, 4*kSize*oh*ow, func(shard, stride int) {
-		up := ups[shard*blk:][:blk]
-		gkd := partialK[shard*kSize:][:kSize]
-		gbd := partialB[shard*cout:][:cout]
+		up := ups[shard*upStride:][:blk]
+		gkd := partials[shard*pStride:][:kSize]
+		gbd := partials[shard*pStride+kSize:][:cout]
 		for ni := shard; ni < n; ni += stride {
 			maskedUnpoolSample(up, mask[ni*blk:][:blk], god[ni*pooled:][:pooled], ow, ph, pw)
 			convGradKSampleRows(xd, up, gkd, gbd, ni, 0, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
 		}
 	})
-	foldShardPartials(gradK.data, gradBias, partialK, partialB)
+	foldShardPartials(gradK.data, gradBias, partials, pStride)
 }
 
 // maskedUnpoolSample rebuilds one sample's gradient with respect to the

@@ -126,18 +126,21 @@ func buildConvCase(tc convCase, seed int64) (x, k *Tensor, bias []float64, gradO
 
 // TestConvIm2colMatchesDirectForward: the engine's forward (row kernels
 // at stride 1, the direct nest otherwise) equals the direct oracle
-// bit-for-bit on every geometry. The name predates the row kernels.
+// bit-for-bit on every geometry, on the Go and the AVX2 row kernels. The
+// name predates the row kernels.
 func TestConvIm2colMatchesDirectForward(t *testing.T) {
 	for _, tc := range convCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			x, k, bias, _ := buildConvCase(tc, 11)
-			bitsEqual(t, "forward",
-				Conv2D(x, k, bias, tc.spec),
-				Conv2DDirect(x, k, bias, tc.spec))
-			// nil bias path
-			bitsEqual(t, "forward_nobias",
-				Conv2D(x, k, nil, tc.spec),
-				Conv2DDirect(x, k, nil, tc.spec))
+			bothKernelPaths(t, func(t *testing.T) {
+				bitsEqual(t, "forward",
+					Conv2D(x, k, bias, tc.spec),
+					Conv2DDirect(x, k, bias, tc.spec))
+				// nil bias path
+				bitsEqual(t, "forward_nobias",
+					Conv2D(x, k, nil, tc.spec),
+					Conv2DDirect(x, k, nil, tc.spec))
+			})
 		})
 	}
 }
@@ -164,13 +167,15 @@ func checkConvBackwardMatchesDirect(t *testing.T, name string, x, k, gradOut *Te
 }
 
 // TestConvIm2colMatchesDirectBackward: the engine's gradients equal the
-// direct oracle bit-for-bit on every geometry, with and without gradX.
-// The name predates the row kernels.
+// direct oracle bit-for-bit on every geometry, with and without gradX, on
+// the Go and the AVX2 row kernels. The name predates the row kernels.
 func TestConvIm2colMatchesDirectBackward(t *testing.T) {
 	for _, tc := range convCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			x, k, _, gradOut := buildConvCase(tc, 23)
-			checkConvBackwardMatchesDirect(t, "", x, k, gradOut, tc.spec)
+			bothKernelPaths(t, func(t *testing.T) {
+				checkConvBackwardMatchesDirect(t, "", x, k, gradOut, tc.spec)
+			})
 		})
 	}
 }
@@ -179,8 +184,13 @@ func TestConvIm2colMatchesDirectBackward(t *testing.T) {
 // channels, image, kernel and pads (stride 1 on three draws of four, so
 // the row kernels take most of them) against the direct oracle. Images
 // are drawn from 1×1 up, so kernels overhanging the image, empty
-// interiors and output columns no tap reaches all occur.
+// interiors and output columns no tap reaches all occur. The draws run
+// once on the Go and once on the AVX2 row kernels.
 func TestConvRandomGeometryMatchesDirect(t *testing.T) {
+	bothKernelPaths(t, checkRandomGeometries)
+}
+
+func checkRandomGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260930))
 	for draw := 0; draw < 300; draw++ {
 		tc := convCase{
@@ -207,9 +217,11 @@ func TestConvRandomGeometryMatchesDirect(t *testing.T) {
 // TestWorkerCountInvariance: conv forward/backward (with and without the
 // input gradient), the fused conv→ReLU→pool pair and all three matmul
 // kernels produce bit-identical results for every worker-pool size — the
-// shard decomposition, not the worker count, fixes reduction order.
+// shard decomposition, not the worker count, fixes reduction order — and
+// for either row-kernel path: the reference is the Go path on one worker.
 func TestWorkerCountInvariance(t *testing.T) {
 	defer SetWorkers(0)
+	defer SetAVX2(true)
 	workerCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, runtime.NumCPU()}
 
 	rng := rand.New(rand.NewSource(31))
@@ -246,26 +258,29 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 
 	SetWorkers(1)
+	SetAVX2(false)
 	ref := runAll()
-	for _, w := range workerCounts {
-		got := SetWorkers(w)
-		if got < 1 || got > NumShards {
-			t.Fatalf("SetWorkers(%d) returned %d outside [1, %d]", w, got, NumShards)
+	bothKernelPaths(t, func(t *testing.T) {
+		for _, w := range workerCounts {
+			got := SetWorkers(w)
+			if got < 1 || got > NumShards {
+				t.Fatalf("SetWorkers(%d) returned %d outside [1, %d]", w, got, NumShards)
+			}
+			r := runAll()
+			bitsEqual(t, "MatMul", r.mm, ref.mm)
+			bitsEqual(t, "MatMulTransA", r.mmA, ref.mmA)
+			bitsEqual(t, "MatMulTransB", r.mmB, ref.mmB)
+			bitsEqual(t, "Conv2D", r.fwd, ref.fwd)
+			bitsEqual(t, "gradX", r.gX, ref.gX)
+			bitsEqual(t, "gradK", r.gK, ref.gK)
+			bitsEqualSlice(t, "gradBias", r.gB, ref.gB)
+			bitsEqual(t, "gradK without gradX", r.nilK, ref.gK)
+			bitsEqualSlice(t, "gradBias without gradX", r.nilB, ref.gB)
+			bitsEqual(t, "fused pooled", r.pooled, ref.pooled)
+			bitsEqual(t, "fused gradK", r.poolK, ref.poolK)
+			bitsEqualSlice(t, "fused gradBias", r.poolB, ref.poolB)
 		}
-		r := runAll()
-		bitsEqual(t, "MatMul", r.mm, ref.mm)
-		bitsEqual(t, "MatMulTransA", r.mmA, ref.mmA)
-		bitsEqual(t, "MatMulTransB", r.mmB, ref.mmB)
-		bitsEqual(t, "Conv2D", r.fwd, ref.fwd)
-		bitsEqual(t, "gradX", r.gX, ref.gX)
-		bitsEqual(t, "gradK", r.gK, ref.gK)
-		bitsEqualSlice(t, "gradBias", r.gB, ref.gB)
-		bitsEqual(t, "gradK without gradX", r.nilK, ref.gK)
-		bitsEqualSlice(t, "gradBias without gradX", r.nilB, ref.gB)
-		bitsEqual(t, "fused pooled", r.pooled, ref.pooled)
-		bitsEqual(t, "fused gradK", r.poolK, ref.poolK)
-		bitsEqualSlice(t, "fused gradBias", r.poolB, ref.poolB)
-	}
+	})
 }
 
 // naiveProduct is the three matrix products as triple loops that spell
@@ -324,8 +339,12 @@ func sparseRandn(rng *rand.Rand, shape ...int) *Tensor {
 // blocks of four, with zeros and negative zeros among the factors and
 // any worker count; and a zero left factor skips its term even opposite
 // an infinity, inside a block of four and in the remainder, where the
-// product would be NaN.
+// product would be NaN. All of it runs on the Go and the AVX2 row kernels.
 func TestMatMulMatchesNaive(t *testing.T) {
+	bothKernelPaths(t, checkProductsMatchNaive)
+}
+
+func checkProductsMatchNaive(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(73))
 	check := func(name string, a, at, b, bt *Tensor) {

@@ -16,23 +16,28 @@ import "fmt"
 // over o, as four separate adds in p order, so one load and one store of
 // o[j] serve four multiply-adds; a block holding a zero takes its p one at
 // a time, which keeps the skip rule (and 0·Inf) as the scalar loop has it.
+// On the AVX2 path (kernels.go) both run four columns per instruction.
 func RowMatMul(o, a []float64, as int, b []float64) {
 	n := len(o)
 	k := len(b) / n
 	for j := range o {
 		o[j] = 0
 	}
+	avx := useAVX2.Load()
 	p := 0
 	for ; p+4 <= k; p += 4 {
 		a0, a1, a2, a3 := a[p*as], a[(p+1)*as], a[(p+2)*as], a[(p+3)*as]
-		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-			rowAXPYs(o, a[p*as:], as, b[p*n:(p+4)*n])
-		} else {
+		switch {
+		case a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0:
+			rowAXPYs(o, a[p*as:], as, b[p*n:(p+4)*n], avx)
+		case avx:
+			rowAXPY4AVX2(o, b[p*n:(p+4)*n], a0, a1, a2, a3)
+		default:
 			rowAXPY4(o, b[p*n:(p+4)*n], a0, a1, a2, a3)
 		}
 	}
 	if p < k {
-		rowAXPYs(o, a[p*as:], as, b[p*n:k*n])
+		rowAXPYs(o, a[p*as:], as, b[p*n:k*n], avx)
 	}
 }
 
@@ -56,16 +61,19 @@ func rowAXPY4(o, b []float64, a0, a1, a2, a3 float64) {
 }
 
 // rowAXPYs adds a[p·as]·B[p,:] to o for every row p of b, one at a time,
-// skipping zero a.
-func rowAXPYs(o, a []float64, as int, b []float64) {
+// skipping zero a; avx runs each row on axpyAVX2.
+func rowAXPYs(o, a []float64, as int, b []float64, avx bool) {
 	n := len(o)
 	for p := 0; p*n < len(b); p++ {
 		av := a[p*as]
-		if av == 0 {
-			continue
-		}
-		for j, bv := range b[p*n:][:n] {
-			o[j] += av * bv
+		switch {
+		case av == 0:
+		case avx:
+			axpyAVX2(o, b[p*n:][:n], av)
+		default:
+			for j, bv := range b[p*n:][:n] {
+				o[j] += av * bv
+			}
 		}
 	}
 }
