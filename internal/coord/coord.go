@@ -38,6 +38,11 @@ var ErrReplicaDown = errors.New("coord: replica down")
 // handoverWindow bounds the handover latency ring.
 const handoverWindow = 1024
 
+// helloTimeout bounds the wait for a connection's session hello, so that
+// a client that sends part of one and stalls is refused instead of
+// holding a goroutine and a connection forever. Tests shorten it.
+var helloTimeout = 10 * time.Second
+
 // Options configures a Coordinator.
 type Options struct {
 	// Logf receives diagnostics; nil discards them.
@@ -223,11 +228,24 @@ func (c *Coordinator) Close() {
 // session, splice. The hello's raw wire bytes are relayed verbatim so
 // the replica sees exactly what the UE sent (CRC included); every later
 // frame in either direction is copied untouched. A hello that cannot be
-// read is answered with a diagnostic ack, as the BS answers it.
+// read is answered with a diagnostic ack, as the BS answers it, and so
+// is one that does not arrive within helloTimeout on a connection that
+// takes a read deadline.
 func (c *Coordinator) HandleConn(conn io.ReadWriteCloser) error {
 	defer conn.Close()
 
+	dl, _ := conn.(interface{ SetReadDeadline(time.Time) error })
+	if dl != nil {
+		// A connection that refuses the deadline is read without one,
+		// as every connection was before.
+		_ = dl.SetReadDeadline(time.Now().Add(helloTimeout))
+	}
 	m, raw, err := transport.ReadRawMessage(conn)
+	if dl != nil {
+		// Cleared before routing, which may park on a handover barrier,
+		// and before the splice, whose reads have no deadline.
+		_ = dl.SetReadDeadline(time.Time{})
+	}
 	if err != nil {
 		// Another protocol version, corrupt or truncated: an ack, not a
 		// bare close, which the UE would retry as a transport failure.

@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -328,6 +329,49 @@ func TestCoordinatorRefusesOlderHello(t *testing.T) {
 	}
 	if st := co.Stats(); st.Refused != 1 || st.Routed != 0 {
 		t.Fatalf("stats after a v2 hello: %+v", st)
+	}
+}
+
+// TestCoordinatorRefusesStalledHello: a client that sends half a hello
+// and stalls is refused once the hello deadline passes, with the
+// diagnostic ack, instead of holding the connection forever; the refusal
+// is counted.
+func TestCoordinatorRefusesStalledHello(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	defer coord.SetHelloTimeout(deadline)()
+	prov := tinyProvision()
+	co, _ := testFleet(t, 1, 8, prov)
+	h, _, _ := tinyHello(prov, "ue-stalled", 11)
+	var frame bytes.Buffer
+	if err := transport.WriteMessage(&frame, &transport.Message{Type: transport.MsgSessionHello, Hello: &h}); err != nil {
+		t.Fatal(err)
+	}
+	ueEnd, coEnd := net.Pipe()
+	defer ueEnd.Close()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- co.HandleConn(coEnd) }()
+	if _, err := ueEnd.Write(frame.Bytes()[:frame.Len()/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ueEnd.SetReadDeadline(time.Now().Add(20 * deadline)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := transport.ReadMessage(ueEnd)
+	if err != nil {
+		t.Fatalf("no refusal for a stalled hello: %v", err)
+	}
+	if reply.Type != transport.MsgSessionAck || reply.Hello == nil || reply.Hello.Err == "" {
+		t.Fatalf("stalled hello answered with %v %+v, want a rejection ack", reply.Type, reply.Hello)
+	}
+	if err := <-done; err == nil {
+		t.Fatal("coordinator accepted a stalled hello")
+	}
+	if took := time.Since(start); took < deadline {
+		t.Fatalf("stalled hello refused after %v, before its %v deadline", took, deadline)
+	}
+	if st := co.Stats(); st.Refused != 1 || st.Routed != 0 {
+		t.Fatalf("stats after a stalled hello: %+v", st)
 	}
 }
 

@@ -42,6 +42,7 @@ type LSTM struct {
 	tanhC         []float64 // (T, N, H) tanh of the cell leaving step t
 	dz            []float64 // (T, N, 4H) pre-activation gradients; Forward's h·Wh scratch
 	shard         []float64 // (NumShards, 4H) per-shard row scratch
+	whT           []float64 // (4H, H) Backward's transpose of Wh
 
 	out, dx *tensor.Tensor
 }
@@ -70,7 +71,7 @@ func (l *LSTM) carve(n, T int) {
 	l.batch, l.seqLen = n, T
 	d, hid := l.InDim, l.Hidden
 	rows := T * n
-	need := rows*(d+11*hid) + tensor.NumShards*4*hid
+	need := rows*(d+11*hid) + tensor.NumShards*4*hid + 4*hid*hid
 	if l.buf == nil || l.buf.Size() < need {
 		l.buf = tensor.EnsureShape(l.buf, need)
 	}
@@ -84,6 +85,7 @@ func (l *LSTM) carve(n, T int) {
 	l.hs, l.cs, l.tanhC = take(rows*hid), take(rows*hid), take(rows*hid)
 	l.gates, l.dz = take(rows*4*hid), take(rows*4*hid)
 	l.shard = take(tensor.NumShards * 4 * hid)
+	l.whT = take(4 * hid * hid)
 }
 
 // Forward consumes a (N, T, D) sequence and returns the final hidden state
@@ -154,6 +156,13 @@ func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = tensor.EnsureShape(l.dx, n, T, d)
 	gd, dxd := grad.Data(), l.dx.Data()
 	wx, wh := l.Wx.Value.Data(), l.Wh.Value.Data()
+	// The recurrent gradient dh = dz·Whᵀ runs on Whᵀ's rows, transposed
+	// afresh here because Wh changes between passes.
+	for j := 0; j < hid; j++ {
+		for p, w := range wh[j*4*hid:][:4*hid] {
+			l.whT[p*hid+j] = w
+		}
+	}
 
 	// Phase 1, over batch rows: the gate derivatives of every step into
 	// dz, and the input gradient.
@@ -184,7 +193,7 @@ func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
 					dc[j] = dcv * fv // carried to step t-1
 				}
 				tensor.RowMatMulTransB(dxd[(i*T+t)*d:][:d], dz, wx)
-				tensor.RowMatMulTransB(dh, dz, wh)
+				tensor.RowMatMulTransBT(dh, dz, l.whT)
 			}
 		}
 	})

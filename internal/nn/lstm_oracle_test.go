@@ -286,6 +286,37 @@ func TestLSTMMatchesPerTimestepOracle(t *testing.T) {
 	}
 }
 
+// TestLSTMTransposeFollowsWh: Backward's recurrent gradient runs on a
+// transpose of Wh, which must follow Wh as it changes. Wh is rewritten in
+// place between forward/backward pairs, as an optimiser step does, and
+// dx and the three parameter gradients still equal the per-timestep
+// oracle's, whose dh is the untransposed a·Bᵀ, by Float64bits.
+func TestLSTMTransposeFollowsWh(t *testing.T) {
+	for _, c := range [][4]int{{64, 4, 2, 32}, {9, 5, 3, 7}} {
+		n, T, d, hid := c[0], c[1], c[2], c[3]
+		t.Run(fmt.Sprintf("N%d_T%d_D%d_H%d", n, T, d, hid), func(t *testing.T) {
+			bothKernelPaths(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(31*n + hid)))
+				l := NewLSTM(rng, d, hid)
+				oracle := newLSTMOracle(l) // shares l's parameter values
+				wh := l.Wh.Value.Data()
+				for pass := 0; pass < 3; pass++ {
+					x, grad := sparseSeq(rng, n, T, d), sparseSeq(rng, n, hid)
+					name := fmt.Sprintf("pass %d", pass)
+					sliceBitsEqual(t, name+" output", l.Forward(x).Data(), oracle.forward(x))
+					sliceBitsEqual(t, name+" dx", l.Backward(grad).Data(), oracle.backward(grad))
+					sliceBitsEqual(t, name+" Wx.Grad", l.Wx.Grad.Data(), oracle.wxg)
+					sliceBitsEqual(t, name+" Wh.Grad", l.Wh.Grad.Data(), oracle.whg)
+					sliceBitsEqual(t, name+" B.Grad", l.B.Grad.Data(), oracle.bg)
+					for i := range wh {
+						wh[i] = wh[i]*0.5 + rng.NormFloat64()*0.1
+					}
+				}
+			})
+		})
+	}
+}
+
 // TestLSTMWorkerCountInvariance: a forward/backward pass wide enough to
 // fan out gives the same bits on every worker-pool size (the LSTM's part
 // of the tensor package's TestWorkerCountInvariance).

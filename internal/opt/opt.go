@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Optimizer updates parameter values from their accumulated gradients.
@@ -113,6 +114,7 @@ type Adam struct {
 	params                []*nn.Param
 	m, v                  [][]float64
 	t                     int
+	k                     [8]float64 // tensor.AdamRow's constants for the current step
 }
 
 // NewAdam returns an Adam optimiser with the paper's hyper-parameters as
@@ -140,16 +142,9 @@ func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.k = [8]float64{a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, c1, c2, a.LR, a.Eps}
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		w, g := p.Value.Data(), p.Grad.Data()
-		for j := range w {
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
-			mHat := m[j] / c1
-			vHat := v[j] / c2
-			w[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		tensor.AdamRow(p.Value.Data(), p.Grad.Data(), a.m[i], a.v[i], &a.k)
 	}
 }
 

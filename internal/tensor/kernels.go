@@ -4,14 +4,16 @@ import "sync/atomic"
 
 // AVX2 row kernels. On amd64 hosts with AVX2 the hottest row loops run
 // four float64 lanes wide in hand-written assembly (kernels_amd64.s):
-// rowAXPY4 and the rows of rowAXPYs under every RowMatMul, the three-tap
-// block of convRowTaps, and the interiors of a 3×3 kernel gradient. Each
-// lane is one independent output element or accumulator, which receives
-// its terms in the order the Go loop gives them, multiplied and added as
-// two rounded operations with the operands in the Go loop's order. The
-// results are therefore the Go loops' to the bit, NaN payloads included,
-// and the Go loops stay as the fallback everywhere else and as the oracle
-// the kernels are tested against (DESIGN.md §6 has the rules).
+// rowAXPY4 and the rows of rowAXPYs under every RowMatMul and
+// RowMatMulTransBT, the three-tap block of convRowTaps, the interiors of a
+// 3×3 kernel gradient, and AdamRow. Each lane is one independent output
+// element or accumulator, which receives its terms in the order the Go
+// loop gives them, multiplied and added as two rounded operations with
+// the operands in the Go loop's order (divisions and square roots round
+// correctly in either form). The results are therefore the Go loops' to
+// the bit, NaN payloads included, and the Go loops stay as the fallback
+// everywhere else and as the oracle the kernels are tested against
+// (DESIGN.md §6 has the rules).
 
 // useAVX2 selects the AVX2 kernels. It is set at start-up where the CPU
 // supports them and changed only by SetAVX2.

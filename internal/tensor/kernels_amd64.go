@@ -52,3 +52,8 @@ func convRowTaps3AVX2(o, s, in []float64, k0, k1, k2 float64)
 //
 //go:noescape
 func gradK3RowsAVX2(acc *[12]float64, g, in0, in1, in2 []float64, b float64) float64
+
+// adamAVX2 is adamRow; g, m and v are at least len(w) long.
+//
+//go:noescape
+func adamAVX2(w, g, m, v []float64, k *[8]float64)

@@ -286,3 +286,86 @@ gradkdone:
 	VMOVSD X6, ret+112(FP)
 	VZEROUPPER
 	RET
+
+// func adamAVX2(w, g, m, v []float64, k *[8]float64)
+//
+// adamRow, k = β₁, 1−β₁, β₂, 1−β₂, c1, c2, lr, ε: m = (1−β₁)·g + m·β₁;
+// v = ((1−β₂)·g)·g + v·β₂; w = w − ((m/c1)·lr) / (√(v/c2) + ε). VDIVPD and
+// VSQRTPD round as DIVSD and SQRTSD do, and the subtraction and the
+// divisions keep the Go loop's operands because they have no other order.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	MOVQ k+96(FP), R10
+	VBROADCASTSD 0(R10), Y0
+	VBROADCASTSD 8(R10), Y1
+	VBROADCASTSD 16(R10), Y2
+	VBROADCASTSD 24(R10), Y3
+	VBROADCASTSD 32(R10), Y4
+	VBROADCASTSD 40(R10), Y5
+	VBROADCASTSD 48(R10), Y6
+	VBROADCASTSD 56(R10), Y7
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	XORQ AX, AX
+
+adamvec:
+	CMPQ AX, DX
+	JAE  adamtail
+	VMOVUPD (SI)(AX*8), Y8
+	VMOVUPD (R8)(AX*8), Y9
+	VMULPD  Y0, Y9, Y9
+	VMULPD  Y8, Y1, Y10
+	VADDPD  Y9, Y10, Y10
+	VMOVUPD Y10, (R8)(AX*8)
+	VMOVUPD (R9)(AX*8), Y9
+	VMULPD  Y2, Y9, Y9
+	VMULPD  Y8, Y3, Y11
+	VMULPD  Y8, Y11, Y11
+	VADDPD  Y9, Y11, Y11
+	VMOVUPD Y11, (R9)(AX*8)
+	VDIVPD  Y4, Y10, Y10
+	VMULPD  Y6, Y10, Y10
+	VDIVPD  Y5, Y11, Y11
+	VSQRTPD Y11, Y9
+	VADDPD  Y7, Y9, Y9
+	VDIVPD  Y9, Y10, Y10
+	VMOVUPD (DI)(AX*8), Y8
+	VSUBPD  Y10, Y8, Y8
+	VMOVUPD Y8, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     adamvec
+
+adamtail:
+	CMPQ    AX, CX
+	JAE     adamdone
+	VMOVSD  (SI)(AX*8), X8
+	VMOVSD  (R8)(AX*8), X9
+	VMULSD  X0, X9, X9
+	VMULSD  X8, X1, X10
+	VADDSD  X9, X10, X10
+	VMOVSD  X10, (R8)(AX*8)
+	VMOVSD  (R9)(AX*8), X9
+	VMULSD  X2, X9, X9
+	VMULSD  X8, X3, X11
+	VMULSD  X8, X11, X11
+	VADDSD  X9, X11, X11
+	VMOVSD  X11, (R9)(AX*8)
+	VDIVSD  X4, X10, X10
+	VMULSD  X6, X10, X10
+	VDIVSD  X5, X11, X11
+	VSQRTSD X11, X11, X9
+	VADDSD  X7, X9, X9
+	VDIVSD  X9, X10, X10
+	VMOVSD  (DI)(AX*8), X8
+	VSUBSD  X10, X8, X8
+	VMOVSD  X8, (DI)(AX*8)
+	INCQ    AX
+	JMP     adamtail
+
+adamdone:
+	VZEROUPPER
+	RET

@@ -18,3 +18,5 @@ func convRowTaps3AVX2(o, s, in []float64, k0, k1, k2 float64) { panic(noAVX2) }
 func gradK3RowsAVX2(acc *[12]float64, g, in0, in1, in2 []float64, b float64) float64 {
 	panic(noAVX2)
 }
+
+func adamAVX2(w, g, m, v []float64, k *[8]float64) { panic(noAVX2) }

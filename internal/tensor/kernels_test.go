@@ -75,11 +75,17 @@ func payloadsPinned() bool {
 // bitsMatch fails t unless got and want hold the same bit patterns.
 func bitsMatch(t *testing.T, name string, got, want []float64) {
 	t.Helper()
-	pinned := payloadsPinned()
+	matchBits(t, name, got, want, payloadsPinned())
+}
+
+// matchBits is bitsMatch, comparing NaN payloads only if payloads is set:
+// otherwise a NaN matches any NaN.
+func matchBits(t *testing.T, name string, got, want []float64, payloads bool) {
+	t.Helper()
 	for i := range want {
 		g, w := math.Float64bits(got[i]), math.Float64bits(want[i])
-		if g != w && (pinned || !math.IsNaN(got[i]) || !math.IsNaN(want[i])) {
-			t.Fatalf("%s: element %d of %d is %#016x on AVX2, %#016x in Go", name, i, len(want), g, w)
+		if g != w && (payloads || !math.IsNaN(got[i]) || !math.IsNaN(want[i])) {
+			t.Fatalf("%s: element %d of %d is %#016x, want %#016x", name, i, len(want), g, w)
 		}
 	}
 }
@@ -116,6 +122,45 @@ func checkRowKernels(t *testing.T, next func() float64, n, off, shift int) {
 		rowAXPYs(got, a, 1, b, true)
 	}
 	bitsMatch(t, "rowAXPYs", got, want)
+
+	// RowMatMulTransBT on each path, with 0…3 rows of Bᵀ past its last
+	// four-row block, and against RowMatMulTransB on B itself: the same
+	// chains, but compiled with other operand orders, so NaNs there match
+	// any NaN.
+	for _, k := range []int{off, 4 + off} {
+		av, bt := offsetSlice(k, off, next), offsetSlice(k*n, off, next)
+		b := make([]float64, n*k)
+		for p := 0; p < k; p++ {
+			for j := 0; j < n; j++ {
+				b[j*k+p] = bt[p*n+j]
+			}
+		}
+		want, got = append([]float64(nil), o...), append([]float64(nil), o...)
+		withAVX2(false, func() { RowMatMulTransBT(want, av, bt) })
+		withAVX2(true, func() { RowMatMulTransBT(got, av, bt) })
+		bitsMatch(t, "RowMatMulTransBT", got, want)
+		RowMatMulTransB(want, av, b)
+		matchBits(t, "RowMatMulTransBT against RowMatMulTransB", got, want, false)
+	}
+
+	// AdamRow under hostile constants and under the paper's at step 3,
+	// with a negative second moment first, so that its square root is NaN.
+	const b1, b2 = 0.9, 0.999
+	for _, k := range []*[8]float64{
+		{next(), next(), next(), next(), next(), next(), next(), next()},
+		{b1, 1 - b1, b2, 1 - b2, 1 - b1*b1*b1, 1 - b2*b2*b2, 1e-3, 1e-8},
+	} {
+		w, g, m, v := offsetSlice(n, off, next), offsetSlice(n, off, next), offsetSlice(n, off, next), offsetSlice(n, off, next)
+		if n > 0 {
+			v[0] = -1.5
+		}
+		ww, wm, wv := append([]float64(nil), w...), append([]float64(nil), m...), append([]float64(nil), v...)
+		withAVX2(false, func() { AdamRow(ww, g, wm, wv, k) })
+		withAVX2(true, func() { AdamRow(w, g, m, v, k) })
+		bitsMatch(t, "AdamRow w", w, ww)
+		bitsMatch(t, "AdamRow m", m, wm)
+		bitsMatch(t, "AdamRow v", v, wv)
+	}
 
 	// convRowTaps with one and two three-tap blocks, into a separate start
 	// row and in place.
@@ -160,8 +205,10 @@ func checkRowKernels(t *testing.T, next func() float64, n, off, shift int) {
 // Float64bits on every row length 0…140 (every vector tail), at four
 // offsets into the backing array and three row shifts, over values a third
 // of which are NaNs of distinct payloads, signed zeros, infinities and
-// subnormals, so that NaN meets NaN in either operand of each add (the
-// payloads are pinned in uninstrumented builds only: payloadsPinned).
+// subnormals, so that NaN meets NaN in either operand of each add,
+// multiply and division (the payloads are pinned in uninstrumented builds
+// only: payloadsPinned). The kernels are those under RowMatMul,
+// RowMatMulTransBT, convRowTaps, the 3×3 kernel gradient and AdamRow.
 func TestAVX2KernelsMatchGo(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("the CPU has no AVX2")

@@ -71,10 +71,20 @@ func rowAXPYs(o, a []float64, as int, b []float64, avx bool) {
 		case avx:
 			axpyAVX2(o, b[p*n:][:n], av)
 		default:
-			for j, bv := range b[p*n:][:n] {
-				o[j] += av * bv
-			}
+			axpy(o, b[p*n:][:n], av)
 		}
+	}
+}
+
+// axpy adds a·b to o, axpyAVX2's Go twin. Its one compiled body serves
+// every caller, so that all of them keep the operand order axpyAVX2
+// reproduces.
+//
+//go:noinline
+func axpy(o, b []float64, a float64) {
+	b = b[:len(o)]
+	for j, bv := range b {
+		o[j] += a * bv
 	}
 }
 
@@ -96,6 +106,36 @@ func RowMatMulTransB(o, a, b []float64) {
 			s3 += av * b3[p]
 		}
 		o[j], o[j1], o[j2], o[j3] = s0, s1, s2, s3
+	}
+}
+
+// RowMatMulTransBT is RowMatMulTransB(o, a, b) to the bit, given bt =
+// Bᵀ (len(a)×len(o), row-major) instead of B: o[j] = 0 + Σ_p a[p]·bt[p,j],
+// in ascending p with no term skipped. Each output is the same chain of
+// rounded multiplies and adds, but the chains now lie along bt's rows, so
+// they run as RowMatMul's four-row passes (on the AVX2 kernels where
+// chosen) rather than as RowMatMulTransB's dot products. A caller that
+// reuses one B for many rows pays the transpose once.
+func RowMatMulTransBT(o, a, bt []float64) {
+	n := len(o)
+	for j := range o {
+		o[j] = 0
+	}
+	avx := useAVX2.Load()
+	p := 0
+	for ; p+4 <= len(a); p += 4 {
+		if avx {
+			rowAXPY4AVX2(o, bt[p*n:(p+4)*n], a[p], a[p+1], a[p+2], a[p+3])
+		} else {
+			rowAXPY4(o, bt[p*n:(p+4)*n], a[p], a[p+1], a[p+2], a[p+3])
+		}
+	}
+	for ; p < len(a); p++ {
+		if avx {
+			axpyAVX2(o, bt[p*n:][:n], a[p])
+		} else {
+			axpy(o, bt[p*n:][:n], a[p])
+		}
 	}
 }
 

@@ -244,9 +244,28 @@ func (h *computeHub) dispatch() {
 
 func (h *computeHub) computeWorker() {
 	defer h.workers.Done()
+	s := &scatter{h: h}
+	s.fn = s.runMembers
 	for g := range h.execq {
-		h.runGroup(g)
+		s.runGroup(g)
 	}
+}
+
+// scatterFLOPs is the cost one member's share of a round declares to the
+// tensor pool's fan-out gate. A share is at least a gradient copy and an
+// Adam step over the BS half (4520 parameters at paper scale, about 60
+// kFLOPs), which clears the gate, so any two members fan out.
+const scatterFLOPs = 1 << 15
+
+// scatter runs clone groups for one compute worker. The members of a
+// group run on the tensor worker pool, since each member's parameters,
+// optimiser and arena are its own and the representative's state is only
+// read. fn is the runMembers method value, made once per worker, so that a
+// round hands ParallelFor its shard function without allocating one.
+type scatter struct {
+	h  *computeHub
+	g  []*roundTask // the group being scattered; g[0] is the representative
+	fn func(shard, stride int)
 }
 
 // runGroup executes one coalesced batch of same-key rounds: the
@@ -254,10 +273,9 @@ func (h *computeHub) computeWorker() {
 // and the result is scattered to every member whose parameters and
 // inputs are bit-identical to the representative's. The equality guard
 // runs *before* the representative's optimiser update mutates its
-// parameters; members that fail it compute solo. A shared member is
-// counted before its done is sent, so a caller that saw its round
-// complete never reads a stale SharedRounds.
-func (h *computeHub) runGroup(g []*roundTask) {
+// parameters; members that fail it compute solo. The representative's
+// done is sent last, once every member has finished reading its state.
+func (s *scatter) runGroup(g []*roundTask) {
 	rep := g[0]
 	for _, t := range g[1:] {
 		t.shared = slices.Equal(rep.anchors, t.anchors) &&
@@ -265,15 +283,27 @@ func (h *computeHub) runGroup(g []*roundTask) {
 			split.ParamsBitsEqual(rep.peer.Model.Params(), t.peer.Model.Params())
 	}
 	rep.loss, rep.cut = rep.peer.computeStep(rep.anchors, rep.pooled)
-	for _, t := range g[1:] {
+	s.g = g
+	tensor.ParallelFor(len(g)-1, scatterFLOPs, s.fn)
+	s.g = nil
+	rep.done <- struct{}{}
+}
+
+// runMembers finishes the members of shard's stride: each takes the shared
+// round or computes solo. A shared member is counted before its done is
+// sent, so a caller that saw its round complete never reads a stale
+// SharedRounds.
+func (s *scatter) runMembers(shard, stride int) {
+	rep, members := s.g[0], s.g[1:]
+	for i := shard; i < len(members); i += stride {
+		t := members[i]
 		if t.shared && shareStep(rep, t) {
-			h.sharedRounds.Add(1)
+			s.h.sharedRounds.Add(1)
 		} else {
 			t.loss, t.cut = t.peer.computeStep(t.anchors, t.pooled)
 		}
 		t.done <- struct{}{}
 	}
-	rep.done <- struct{}{}
 }
 
 // shareStep applies the representative's already-computed round to a

@@ -303,25 +303,34 @@ func TestBatchedMatchesSoloBitIdentical(t *testing.T) {
 }
 
 // TestBatchedMatchesSoloAcrossWorkers re-runs the raw-codec identity
-// check under a different tensor worker-pool size: the shared GEMM must
-// be bit-stable against kernel parallelism too.
+// check under two tensor worker-pool sizes, with six clones: one worker
+// scatters a group's members on the compute worker itself, three fan
+// them out, so the shared GEMM and the parallel scatter must both be
+// bit-stable against kernel parallelism.
 func TestBatchedMatchesSoloAcrossWorkers(t *testing.T) {
 	old := tensor.Workers()
 	defer tensor.SetWorkers(old)
 	const steps = 8
-	hellos := batchHellos(2, compress.CodecRaw)
+	hellos := batchHellos(6, compress.CodecRaw)
 
-	tensor.SetWorkers(3)
-	batched, srv := runBatchedSessions(t, hellos, steps, batchedWindow)
-	if srv.SharedRounds() == 0 {
-		t.Error("batching never engaged")
-	}
-	unbatched, _ := runBatchedSessions(t, hellos, steps, 0)
 	tensor.SetWorkers(1)
+	solo := make(map[string]sessionRun, len(hellos))
 	for _, h := range hellos {
-		solo := runSoloSession(t, h, steps)
-		equalRuns(t, h.SessionID, batched[h.SessionID], solo)
-		equalRuns(t, h.SessionID+" (window 0)", unbatched[h.SessionID], solo)
+		solo[h.SessionID] = runSoloSession(t, h, steps)
+	}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			tensor.SetWorkers(workers)
+			batched, srv := runBatchedSessions(t, hellos, steps, batchedWindow)
+			if srv.SharedRounds() == 0 {
+				t.Error("batching never engaged")
+			}
+			unbatched, _ := runBatchedSessions(t, hellos, steps, 0)
+			for _, h := range hellos {
+				equalRuns(t, h.SessionID, batched[h.SessionID], solo[h.SessionID])
+				equalRuns(t, h.SessionID+" (window 0)", unbatched[h.SessionID], solo[h.SessionID])
+			}
+		})
 	}
 }
 
