@@ -116,6 +116,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"kind":             st.StoreKind,
 			"degraded":         st.StoreDegraded,
 			"journal_bytes":    st.StoreJournalBytes,
+			"live_checkpoints": st.StoreLiveCheckpoints,
+			"live_blobs":       st.StoreLiveBlobs,
 			"write_errors":     st.StoreWriteErrors,
 			"restore_errors":   st.RestoreErrors,
 			"recoveries":       st.StoreRecoveries,

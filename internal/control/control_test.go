@@ -158,8 +158,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestStoreHealthEndpoints: a journal-backed server surfaces its store
-// on /metrics (kind, journal growth, record counts) and /healthz (the
-// store detail map).
+// on /metrics (kind, journal growth, record counts, blob sharing) and
+// /healthz (the store detail map). Two sessions of one seed end on
+// bit-identical checkpoints, which the journal holds as one blob.
 func TestStoreHealthEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	j, err := store.OpenJournal(filepath.Join(dir, "store.journal"), store.JournalOptions{Retain: 8})
@@ -172,6 +173,11 @@ func TestStoreHealthEndpoints(t *testing.T) {
 		Store: j, CheckpointEvery: 3,
 	})
 	runSession(t, srv, 0)
+	clone := tinyHello(0)
+	clone.SessionID = "ue-0-clone"
+	if err := runHello(srv, clone); err != nil {
+		t.Fatal(err)
+	}
 	c := New(srv, Options{})
 
 	rec := do(t, c, "GET", "/metrics", "")
@@ -185,7 +191,8 @@ func TestStoreHealthEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`mmsl_store_info{kind="journal"} 1`,
 		"mmsl_store_degraded 0",
-		"mmsl_store_live_checkpoints 1",
+		"mmsl_store_live_checkpoints 2",
+		"mmsl_store_live_blobs 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -205,6 +212,8 @@ func TestStoreHealthEndpoints(t *testing.T) {
 			Kind            string `json:"kind"`
 			Degraded        bool   `json:"degraded"`
 			JournalBytes    int64  `json:"journal_bytes"`
+			LiveCheckpoints int64  `json:"live_checkpoints"`
+			LiveBlobs       int64  `json:"live_blobs"`
 			WriteErrors     int64  `json:"write_errors"`
 			RestoreErrors   int64  `json:"restore_errors"`
 			Recoveries      int64  `json:"recoveries"`
@@ -219,6 +228,9 @@ func TestStoreHealthEndpoints(t *testing.T) {
 	}
 	if health.Store.JournalBytes == 0 {
 		t.Fatal("healthz journal_bytes zero after a checkpointed session")
+	}
+	if health.Store.LiveCheckpoints != 2 || health.Store.LiveBlobs != 1 {
+		t.Fatalf("healthz store: %d live checkpoints on %d blobs, want 2 on 1", health.Store.LiveCheckpoints, health.Store.LiveBlobs)
 	}
 }
 

@@ -98,6 +98,7 @@ func collectBS(c *collector, bs *transport.BSServer, extra string) {
 	gauge("mmsl_store_degraded", "Whether a store write exhausted its retries (1): serving continues, checkpointing disabled.", b2f(st.StoreDegraded))
 	gauge("mmsl_store_journal_bytes", "Size of the store's journal (or retire-log) file.", float64(st.StoreJournalBytes))
 	gauge("mmsl_store_live_checkpoints", "Checkpoint blobs currently retrievable from the store.", float64(st.StoreLiveCheckpoints))
+	gauge("mmsl_store_live_blobs", "Distinct blobs behind the live checkpoints: the journal stores bit-identical ones once.", float64(st.StoreLiveBlobs))
 	counter("mmsl_store_records_total", "Store records appended, including those replayed by recovery at open.", float64(st.StoreRecords))
 	counter("mmsl_store_compactions_total", "Journal compactions performed.", float64(st.StoreCompactions))
 	counter("mmsl_store_recoveries_total", "Store opens that found and truncated a torn journal tail.", float64(st.StoreRecoveries))

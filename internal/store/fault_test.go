@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,119 @@ func TestCrashTornWriteSweep(t *testing.T) {
 			t.Fatalf("budget=%d: append after crash-reopen: %v", budget, err)
 		}
 		j.Close()
+	}
+}
+
+// TestCrashTornWriteSweepSharedBlobs is the power-cut drill over shared
+// blobs: three ids put one blob in one held batch, a fourth in a later
+// batch, the owner is pruned while references to it are live, the file
+// is compacted, and a reference into the compacted file and a second
+// shared pair follow — under a FaultFS whose budget cuts one write
+// short, for every budget up to the whole sequence. After a clean
+// reopen every acknowledged put reads its exact bytes, every
+// acknowledged prune stays pruned, and every key the journal lists at
+// all reads the bytes it was put with.
+func TestCrashTornWriteSweepSharedBlobs(t *testing.T) {
+	shared, other := gcBlob("shared", 1), gcBlob("other", 1)
+	blobs := map[string][]byte{"lead": gcBlob("lead", 1),
+		"a": shared, "b": shared, "c": shared, "d": shared, "e": shared, "f": other, "g": other}
+	// drive returns, per id, the last acknowledged operation: true for a
+	// put, false for a prune (absent: nothing acknowledged).
+	drive := func(dir string, budget int64) (acked map[string]bool, path string) {
+		acked = make(map[string]bool)
+		path = filepath.Join(dir, "s.journal")
+		fsys := &hookFS{FS: NewFaultFS(OS, budget)}
+		j, err := OpenJournal(path, JournalOptions{Retain: 8, FS: fsys})
+		if err != nil {
+			return acked, path
+		}
+		defer j.Close()
+		gate := newSyncGate()
+		fsys.sync = gate.sync
+		leader := make(chan error, 1)
+		go func() { leader <- j.PutCheckpoint("lead", 1, blobs["lead"]) }()
+		select {
+		case <-gate.entered:
+		case <-leader: // the leader's own write failed before its Sync
+			return acked, path
+		}
+		queuedPuts := map[string]chan error{"lead": leader}
+		for _, id := range []string{"a", "b", "c"} {
+			queuedPuts[id] = queuePut(t, j, id, 1, blobs[id])
+		}
+		close(gate.release)
+		failed := false
+		for id, ch := range queuedPuts {
+			if err := recv(t, ch, "put"); err != nil {
+				failed = true
+			} else {
+				acked[id] = true
+			}
+		}
+		if failed {
+			return acked, path
+		}
+		steps := []func() (string, bool, error){
+			func() (string, bool, error) { return "d", true, j.PutCheckpoint("d", 1, shared) },
+			func() (string, bool, error) { return "a", false, j.DeleteCheckpoint("a", 1) },
+			func() (string, bool, error) { return "", false, j.Compact() },
+			func() (string, bool, error) { return "e", true, j.PutCheckpoint("e", 1, shared) },
+			func() (string, bool, error) { return "f", true, j.PutCheckpoint("f", 1, other) },
+			func() (string, bool, error) { return "g", true, j.PutCheckpoint("g", 1, other) },
+			func() (string, bool, error) { return "f", false, j.DeleteCheckpoint("f", 1) },
+		}
+		for _, step := range steps {
+			id, isPut, err := step()
+			if err != nil {
+				return acked, path
+			}
+			if id != "" {
+				acked[id] = isPut
+			}
+		}
+		return acked, path
+	}
+
+	fullAcks, fullPath := drive(t.TempDir(), 1<<30)
+	if len(fullAcks) != len(blobs) {
+		t.Fatalf("dry run acknowledged %d ids, want %d", len(fullAcks), len(blobs))
+	}
+	fi, err := os.Stat(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The compaction rewrites the file, so the sequence writes more than
+	// the file finally holds: sweep past its size with room to spare.
+	total := 3 * fi.Size()
+	reachedEnd := false
+	for budget := int64(0); budget <= total; budget += 5 {
+		acked, path := drive(t.TempDir(), budget)
+		reachedEnd = reachedEnd || reflect.DeepEqual(acked, fullAcks)
+		j, err := OpenJournal(path, JournalOptions{Retain: 8})
+		if err != nil {
+			t.Fatalf("budget=%d: reopen: %v", budget, err)
+		}
+		for id, blob := range blobs {
+			got, err := j.GetCheckpoint(id, 1)
+			present, known := acked[id]
+			switch {
+			case err == nil && !bytes.Equal(got, blob):
+				t.Fatalf("budget=%d: %s@1 reads other bytes than it was put with", budget, id)
+			case err != nil && !IsNotFound(err):
+				t.Fatalf("budget=%d: %s@1: %v", budget, id, err)
+			case known && present && err != nil:
+				t.Fatalf("budget=%d: acknowledged checkpoint %s@1 lost", budget, id)
+			case known && !present && err == nil:
+				t.Fatalf("budget=%d: acknowledged prune of %s@1 undone", budget, id)
+			}
+		}
+		if err := j.RetireSession(testRecord(50)); err != nil {
+			t.Fatalf("budget=%d: append after crash-reopen: %v", budget, err)
+		}
+		j.Close()
+	}
+	if !reachedEnd {
+		t.Fatal("no budget in the sweep let the whole sequence through")
 	}
 }
 

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,19 +107,35 @@ func heldBatch(t *testing.T, fsys *hookFS, path string, followers int) (j *Journ
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate, leader = holdFlush(j, fsys)
+	for i := 0; i < followers; i++ {
+		id := fmt.Sprintf("f-%d", i)
+		results = append(results, queuePut(t, j, id, 1, gcBlob(id, 1)))
+	}
+	return j, gate, leader, results
+}
+
+// holdFlush starts a put of lead@1 on j and returns once its flush is
+// held in Sync; closing gate.release lets it finish.
+func holdFlush(j *Journal, fsys *hookFS) (gate *syncGate, leader chan error) {
 	gate = newSyncGate()
 	fsys.sync = gate.sync
 	leader = make(chan error, 1)
 	go func() { leader <- j.PutCheckpoint("lead", 1, gcBlob("lead", 1)) }()
 	<-gate.entered
-	for i := 0; i < followers; i++ {
-		ch := make(chan error, 1)
-		results = append(results, ch)
-		id := fmt.Sprintf("f-%d", i)
-		go func() { ch <- j.PutCheckpoint(id, 1, gcBlob(id, 1)) }()
-	}
-	waitQueued(t, j, followers)
-	return j, gate, leader, results
+	return gate, leader
+}
+
+// queuePut starts a put that queues behind the flush in flight and
+// returns once it has joined the queue, so that the next batch holds
+// its records in the order queuePut was called.
+func queuePut(t *testing.T, j *Journal, id string, step int, blob []byte) chan error {
+	t.Helper()
+	n := queued(j)
+	ch := make(chan error, 1)
+	go func() { ch <- j.PutCheckpoint(id, step, blob) }()
+	waitQueued(t, j, n+1)
+	return ch
 }
 
 func recv(t *testing.T, ch chan error, what string) error {
@@ -295,6 +314,22 @@ func TestGroupCommitCloseFailsQueued(t *testing.T) {
 // exact bytes, every acknowledged prune stays pruned and every
 // acknowledged retire is counted.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
+	concurrentWriters(t, gcBlob, 16)
+}
+
+// TestGroupCommitConcurrentSharedWriters is the same hammer on clones:
+// every writer puts the same blob at a step, so references are made in
+// batches and across them while owners are pruned, compaction rewrites
+// shared regions and readers read them. The two steps left end up on
+// one blob each.
+func TestGroupCommitConcurrentSharedWriters(t *testing.T) {
+	concurrentWriters(t, func(_ string, step int) []byte { return gcBlob("clone", step) }, 2)
+}
+
+// concurrentWriters runs the concurrent-writers hammer with blobOf(id,
+// step) as the blob each writer puts; the reopened journal must hold
+// the surviving checkpoints on liveBlobs blobs.
+func concurrentWriters(t *testing.T, blobOf func(id string, step int) []byte, liveBlobs int64) {
 	const writers, rounds = 8, 24
 	path := filepath.Join(t.TempDir(), "s.journal")
 	j, err := OpenJournal(path, JournalOptions{Retain: 4, CompactBytes: 8 << 10})
@@ -324,7 +359,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 			for _, s := range steps {
 				// A step listed may be pruned before the read; one read
 				// must be the exact blob.
-				if blob, err := j.GetCheckpoint(id, s); err == nil && !bytes.Equal(blob, gcBlob(id, s)) {
+				if blob, err := j.GetCheckpoint(id, s); err == nil && !bytes.Equal(blob, blobOf(id, s)) {
 					t.Errorf("%s@%d read back wrong bytes mid-run", id, s)
 				} else if err != nil && !IsNotFound(err) {
 					t.Errorf("%s@%d: %v", id, s, err)
@@ -347,7 +382,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("w-%d", w)
 			for s := 1; s <= rounds; s++ {
-				if err := j.PutCheckpoint(id, s, gcBlob(id, s)); err != nil {
+				if err := j.PutCheckpoint(id, s, blobOf(id, s)); err != nil {
 					t.Errorf("put %s@%d: %v", id, s, err)
 					return
 				}
@@ -379,8 +414,8 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if st := r.Stats(); st.Recoveries != 0 {
-		t.Fatalf("cleanly closed journal needed recovery: %+v", st)
+	if st := r.Stats(); st.Recoveries != 0 || st.LiveBlobs != liveBlobs {
+		t.Fatalf("cleanly closed journal: %+v, want no recovery and %d live blobs", st, liveBlobs)
 	}
 	for w := 0; w < writers; w++ {
 		id := fmt.Sprintf("w-%d", w)
@@ -389,7 +424,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 			t.Fatalf("%s holds steps %v after reopen, want the last two", id, steps)
 		}
 		for _, s := range steps {
-			if blob, err := r.GetCheckpoint(id, s); err != nil || !bytes.Equal(blob, gcBlob(id, s)) {
+			if blob, err := r.GetCheckpoint(id, s); err != nil || !bytes.Equal(blob, blobOf(id, s)) {
 				t.Fatalf("%s@%d after reopen: %v", id, s, err)
 			}
 		}
@@ -493,10 +528,11 @@ func goldenJournalOps(t *testing.T, j *Journal) {
 	must(j.DeleteCheckpoint("ue-a", 20))
 }
 
-// TestJournalGoldenFormat pins the one durable format across the
-// group-commit rewrite: a journal written by the parent commit replays
-// to the same state as the live one, and the same operations written
-// today produce the same bytes.
+// TestJournalGoldenFormat pins the durable format across the
+// group-commit rewrite and the version-2 bump: a journal written by the
+// parent commit replays to the same state as the live one, and the same
+// operations written today produce the same bytes but for the version
+// field (bytes 8–11), which reads 2.
 func TestJournalGoldenFormat(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_pr11.bin"))
 	if err != nil {
@@ -514,8 +550,11 @@ func TestJournalGoldenFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(written, fixture) {
-		t.Fatalf("the same operations now write %d bytes that differ from the parent's %d", len(written), len(fixture))
+	if len(written) != len(fixture) || !bytes.Equal(written[:8], fixture[:8]) || !bytes.Equal(written[12:], fixture[12:]) {
+		t.Fatalf("the same operations now write %d bytes that differ from the parent's %d beyond the version field", len(written), len(fixture))
+	}
+	if v := binary.BigEndian.Uint32(written[8:]); v != 2 {
+		t.Fatalf("today's journal is stamped version %d, want 2", v)
 	}
 
 	oldPath := filepath.Join(dir, "old.journal")
@@ -580,4 +619,366 @@ func TestJournalPutCheckpointAllocs(t *testing.T) {
 	}); n > 2 {
 		t.Fatalf("PutCheckpoint allocates %.0f times per call, want ≤ 2", n)
 	}
+}
+
+// goldenSharedOps continues goldenJournalOps with what only format 2
+// writes: two ids putting one blob in one batch (held in flight, so the
+// batch is deterministic), a third putting it in a later batch, the
+// owning record pruned while references to it are live, and a
+// compaction that writes the blob once. After it the same again on a
+// second blob, so the file keeps an in-batch reference and a pruned
+// owner, plus a key re-put with its own bytes and a reference into the
+// compacted part.
+func goldenSharedOps(t *testing.T, j *Journal, fsys *hookFS) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func(blob []byte, ids ...string) {
+		gate, leader := holdFlush(j, fsys) // lead@1, the same bytes every time
+		results := []chan error{leader}
+		for _, id := range ids {
+			results = append(results, queuePut(t, j, id, 1, blob))
+		}
+		close(gate.release)
+		for _, ch := range results {
+			must(recv(t, ch, "put"))
+		}
+	}
+	shared, other := goldenBlob(48, 5), goldenBlob(56, 6)
+	batch(shared, "ue-c", "ue-d")
+	must(j.PutCheckpoint("ue-e", 1, shared))
+	must(j.DeleteCheckpoint("ue-c", 1))
+	must(j.Compact())
+	batch(other, "ue-f", "ue-g")
+	must(j.PutCheckpoint("ue-a", 40, shared))
+	must(j.DeleteCheckpoint("ue-f", 1))
+	must(j.RetireSession(testRecord(6)))
+}
+
+// blobCopies counts the checkpoint records of a journal image that carry
+// blob in full.
+func blobCopies(t *testing.T, whole, blob []byte) int {
+	t.Helper()
+	_, bodies := journalFrames(t, whole)
+	n := 0
+	for _, body := range bodies {
+		if body[0] != recCheckpoint {
+			continue
+		}
+		r := recReader{b: body[1:]}
+		r.string16()
+		r.u32()
+		if bytes.Equal(r.b[r.off:], blob) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJournalGoldenSharedBlobs pins format 2 byte for byte:
+// goldenJournalOps then goldenSharedOps write exactly
+// testdata/journal_v2.bin, which holds the shared blob once, and the
+// fixture replays to the state the live journal holds.
+func TestJournalGoldenSharedBlobs(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_v2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fsys := &hookFS{FS: OS}
+	livePath := filepath.Join(dir, "live.journal")
+	live, err := OpenJournal(livePath, JournalOptions{Retain: 3, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	goldenJournalOps(t, live)
+	goldenSharedOps(t, live, fsys)
+	written, err := os.ReadFile(livePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, fixture) {
+		t.Fatalf("the golden operations write %d bytes that differ from the fixture's %d", len(written), len(fixture))
+	}
+	shared, other := goldenBlob(48, 5), goldenBlob(56, 6)
+	for _, blob := range [][]byte{shared, other, gcBlob("lead", 1)} {
+		if n := blobCopies(t, fixture, blob); n != 1 {
+			t.Fatalf("blob %x is on file %d times, want once", blob[:4], n)
+		}
+	}
+
+	oldPath := filepath.Join(dir, "old.journal")
+	if err := os.WriteFile(oldPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := OpenJournal(oldPath, JournalOptions{Retain: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if st := old.Stats(); st.Recoveries != 0 || st.RecoveredRecords != 15 || st.LiveCheckpoints != 7 || st.LiveBlobs != 5 {
+		t.Fatalf("fixture replayed as %+v", st)
+	}
+	for _, key := range []struct {
+		id   string
+		step int
+		want []byte
+	}{
+		{"ue-β/x", 5, goldenBlob(40, 4)},
+		{"ue-a", 30, []byte{}},
+		{"ue-a", 40, shared},
+		{"ue-d", 1, shared},
+		{"ue-e", 1, shared},
+		{"ue-g", 1, other},
+		{"lead", 1, gcBlob("lead", 1)},
+	} {
+		for name, j := range map[string]*Journal{"replayed": old, "live": live} {
+			if blob, err := j.GetCheckpoint(key.id, key.step); err != nil || !bytes.Equal(blob, key.want) {
+				t.Fatalf("%s %s@%d: %x, %v", name, key.id, key.step, blob, err)
+			}
+		}
+	}
+	for _, id := range []string{"ue-c", "ue-f"} {
+		if _, err := old.GetCheckpoint(id, 1); !IsNotFound(err) {
+			t.Fatalf("pruned owner %s@1 replayed: %v", id, err)
+		}
+	}
+	a, _ := old.RetiredSessions()
+	b, _ := live.RetiredSessions()
+	if !reflect.DeepEqual(a, b) || len(a) != 3 || a[2].ID != "ue-6" {
+		t.Fatalf("replayed retire ring %v, live %v", a, b)
+	}
+	if old.Aggregates() != live.Aggregates() {
+		t.Fatalf("replayed aggregates %+v, live %+v", old.Aggregates(), live.Aggregates())
+	}
+}
+
+// TestJournalGoldenUpgradesV1: a version-1 journal opened and closed by
+// today's code differs from the original in its version field alone,
+// which now reads 2.
+func TestJournalGoldenUpgradesV1(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_pr11.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.BigEndian.Uint32(fixture[8:]); v != 1 {
+		t.Fatalf("fixture is version %d, want 1", v)
+	}
+	path := filepath.Join(t.TempDir(), "v1.journal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, JournalOptions{Retain: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), fixture...)
+	binary.BigEndian.PutUint32(want[8:], 2)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("open and close rewrote %d bytes into %d beyond the version field", len(fixture), len(got))
+	}
+}
+
+// TestJournalGoldenRefusesNewerVersion: a header from a newer format is
+// refused loudly and the file is left as it was.
+func TestJournalGoldenRefusesNewerVersion(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_v2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(fixture[8:], 3)
+	path := filepath.Join(t.TempDir(), "v3.journal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := OpenJournal(path, JournalOptions{}); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			j.Close()
+		}
+		t.Fatalf("version-3 journal: err = %v, want ErrCorrupt", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, fixture) {
+		t.Fatalf("refused journal was modified: %v", err)
+	}
+}
+
+// TestGroupCommitSharedBlobWrittenOnce: clones putting one blob in one
+// batch write it once — the first record carries it, the others
+// reference it — under one Sync; a put in a later batch references the
+// live copy; every key reads the blob back, before and after a reopen.
+func TestGroupCommitSharedBlobWrittenOnce(t *testing.T) {
+	const clones = 5
+	fsys := &hookFS{FS: OS}
+	path := filepath.Join(t.TempDir(), "s.journal")
+	j, err := OpenJournal(path, JournalOptions{Retain: 8, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	shared := bytes.Repeat([]byte("clone state|"), 500)
+	gate, leader := holdFlush(j, fsys)
+	var results []chan error
+	for i := 0; i < clones; i++ {
+		results = append(results, queuePut(t, j, fmt.Sprintf("c-%d", i), 1, shared))
+	}
+	var syncs int
+	var mu sync.Mutex
+	fsys.sync = func() error { mu.Lock(); syncs++; mu.Unlock(); return nil }
+	close(gate.release)
+	for _, ch := range append(results, leader) {
+		if err := recv(t, ch, "put"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	if syncs != 1 {
+		t.Fatalf("%d queued clones took %d Syncs, want 1", clones, syncs)
+	}
+	mu.Unlock()
+	if err := j.PutCheckpoint("c-late", 1, shared); err != nil {
+		t.Fatal(err)
+	}
+	want := journalHdrLen + frameLen("lead", len(gcBlob("lead", 1))) + frameLen("c-0", len(shared)) +
+		frameLen("c-late", refTrailerLen)
+	for i := 1; i < clones; i++ {
+		want += frameLen(fmt.Sprintf("c-%d", i), refTrailerLen)
+	}
+	if st := j.Stats(); st.JournalBytes != want || st.LiveCheckpoints != clones+2 || st.LiveBlobs != 2 {
+		t.Fatalf("stats = %+v, want %d bytes, %d checkpoints on 2 blobs", st, want, clones+2)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := blobCopies(t, whole, shared); n != 1 {
+		t.Fatalf("shared blob on file %d times, want once", n)
+	}
+	ids := []string{"c-late"}
+	for i := 0; i < clones; i++ {
+		ids = append(ids, fmt.Sprintf("c-%d", i))
+	}
+	check := func(j *Journal, when string) {
+		t.Helper()
+		for _, id := range ids {
+			if blob, err := j.GetCheckpoint(id, 1); err != nil || !bytes.Equal(blob, shared) {
+				t.Fatalf("%s: %s@1: %v", when, id, err)
+			}
+		}
+	}
+	check(j, "live")
+	j.Close()
+	r, err := OpenJournal(path, JournalOptions{Retain: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r, "reopened")
+	if st := r.Stats(); st.Recoveries != 0 || st.LiveBlobs != 2 {
+		t.Fatalf("reopen: %+v", st)
+	}
+}
+
+// crcTwin returns a blob of a's length and CRC32-C whose bytes differ
+// from a's in its first eight. CRCs of equal-length inputs are affine in
+// the input bits, so flipping any set of bits whose CRC deltas XOR to
+// zero keeps the CRC; 64 candidate bits in a 32-bit space always hold
+// such a set, found by Gaussian elimination.
+func crcTwin(t *testing.T, a []byte) []byte {
+	t.Helper()
+	base := crc32.Checksum(a, crcTable)
+	var basis [32]struct {
+		delta uint32
+		flips uint64
+	}
+	flipped := make([]byte, len(a))
+	for i := 0; i < 64; i++ {
+		copy(flipped, a)
+		flipped[i/8] ^= 1 << (i % 8)
+		delta, flips := crc32.Checksum(flipped, crcTable)^base, uint64(1)<<i
+		for delta != 0 {
+			hb := 31 - bits.LeadingZeros32(delta)
+			if basis[hb].delta == 0 {
+				basis[hb].delta, basis[hb].flips = delta, flips
+				break
+			}
+			delta ^= basis[hb].delta
+			flips ^= basis[hb].flips
+		}
+		if delta == 0 {
+			twin := append([]byte(nil), a...)
+			for k := 0; k < 64; k++ {
+				if flips>>k&1 == 1 {
+					twin[k/8] ^= 1 << (k % 8)
+				}
+			}
+			return twin
+		}
+	}
+	t.Fatal("no CRC twin among 64 bits")
+	return nil
+}
+
+// TestGroupCommitCRCTwinsStayApart: two blobs of one length and one
+// CRC32-C but different bytes — in one batch, and across batches — are
+// each written in full and read back as themselves: an equal CRC never
+// makes a reference on its own.
+func TestGroupCommitCRCTwinsStayApart(t *testing.T) {
+	a := gcBlob("twin", 1)
+	b := crcTwin(t, a)
+	if bytes.Equal(a, b) || crc32.Checksum(a, crcTable) != crc32.Checksum(b, crcTable) {
+		t.Fatal("crcTwin returned no twin")
+	}
+	fsys := &hookFS{FS: OS}
+	path := filepath.Join(t.TempDir(), "s.journal")
+	j, err := OpenJournal(path, JournalOptions{Retain: 8, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	gate, leader := holdFlush(j, fsys)
+	results := []chan error{leader, queuePut(t, j, "in-a", 1, a), queuePut(t, j, "in-b", 1, b)}
+	close(gate.release)
+	for _, ch := range results {
+		if err := recv(t, ch, "put"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.PutCheckpoint("out-b", 1, b); err != nil { // meets a's region in the content index
+		t.Fatal(err)
+	}
+	if err := j.PutCheckpoint("out-a", 1, a); err != nil { // a true duplicate: referenced
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"in-a": a, "in-b": b, "out-b": b, "out-a": a}
+	check := func(j *Journal, when string) {
+		t.Helper()
+		for id, blob := range want {
+			if got, err := j.GetCheckpoint(id, 1); err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("%s: %s@1 read %x, %v", when, id, got, err)
+			}
+		}
+		if st := j.Stats(); st.LiveBlobs != 4 {
+			t.Fatalf("%s: %d live blobs, want lead, a and b twice", when, st.LiveBlobs)
+		}
+	}
+	check(j, "live")
+	j.Close()
+	r, err := OpenJournal(path, JournalOptions{Retain: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r, "reopened")
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,10 +21,18 @@ import (
 //
 // Record types:
 //
-//	recRetire     session retire record (encodeSession)
-//	recAggregates consolidated aggregate base (written by compaction)
-//	recCheckpoint u16 idLen | id | u32 step | blob
-//	recPrune      u16 idLen | id | u32 step  (checkpoint tombstone)
+//	recRetire        session retire record (encodeSession)
+//	recAggregates    consolidated aggregate base (written by compaction)
+//	recCheckpoint    u16 idLen | id | u32 step | blob
+//	recPrune         u16 idLen | id | u32 step  (checkpoint tombstone)
+//	recCheckpointRef u16 idLen | id | u32 step | u64 blobOff | u32 blobLen
+//
+// A checkpoint whose bytes the file already holds is written once: a
+// later key with the same blob gets a recCheckpointRef naming the
+// earlier record's blob region. Replay accepts a reference only if an
+// earlier record of the same file wrote exactly that region, so a torn
+// tail can never leave a reference without its blob. Regions are
+// refcounted; a region leaves the index when its last key does.
 //
 // Every append is fsynced before it is acknowledged, so an acknowledged
 // write survives a SIGKILL. Appends are group-committed: records that
@@ -39,13 +48,22 @@ import (
 var journalMagic = [8]byte{'M', 'M', 'S', 'L', 'J', 'R', 'N', '1'}
 
 const (
-	journalVersion = 1
+	// journalVersion 2 added recCheckpointRef. A version-1 file replays
+	// unchanged and has its header rewritten to 2 at open, so that a
+	// version-1 reader refuses the file instead of truncating it at the
+	// first reference.
+	journalVersion = 2
 	journalHdrLen  = 8 + 4
 
-	recRetire     byte = 1
-	recAggregates byte = 2
-	recCheckpoint byte = 3
-	recPrune      byte = 4
+	recRetire        byte = 1
+	recAggregates    byte = 2
+	recCheckpoint    byte = 3
+	recPrune         byte = 4
+	recCheckpointRef byte = 5
+
+	// refTrailerLen is what a reference adds to a checkpoint head: the
+	// u64 offset and u32 length of the blob it names.
+	refTrailerLen = 8 + 4
 
 	// maxRecordBody caps a single record body; anything larger in a
 	// length prefix is treated as corruption, so a torn length field
@@ -71,23 +89,23 @@ type Journal struct {
 	path         string
 	compactBytes int64
 
-	mu       sync.Mutex
-	cond     *sync.Cond // on mu: a flush finished, or the queue was failed
-	f        File
-	lock     io.Closer // single-writer guard (nil on non-locking FS)
-	size     int64     // current durable file length (append offset)
-	ckptLive int64     // total frame bytes of retrievable checkpoint records
-	ckpts    map[string]map[int]blobRegion
-	ring     *retireRing
-	st       Stats
-	closed   bool
-	poison   error // non-nil: the file handle is unusable, every write fails
+	mu     sync.Mutex
+	cond   *sync.Cond // on mu: a flush finished, or the queue was failed
+	f      File
+	lock   io.Closer // single-writer guard (nil on non-locking FS)
+	size   int64     // current durable file length (append offset)
+	idx    ckptIndex // where every retrievable checkpoint's blob lies
+	ring   *retireRing
+	st     Stats
+	closed bool
+	poison error // non-nil: the file handle is unusable, every write fails
 
 	// Group commit (see append): next collects the records waiting for a
 	// leader, flushing is set while a leader is writing with mu released.
 	next     *batch
 	flushing bool
 	spare    []pendingRec // a finished batch's record slice, for reuse
+	scratch  []byte       // the leader's read-back buffer (see sameBytes)
 }
 
 // batch is one group commit: the records one leader writes under one
@@ -101,10 +119,14 @@ type batch struct {
 // pendingRec is one queued record. Its frame is head followed by tail;
 // tail is the caller's checkpoint blob, borrowed (not copied) until the
 // batch completes — the caller is parked in append for exactly that long.
+// The flush leader may turn a recCheckpoint into a recCheckpointRef
+// (toRef) before writing it.
 type pendingRec struct {
 	head, tail []byte
-	id         string         // recCheckpoint, recPrune
-	step       int            // recCheckpoint, recPrune
+	id         string         // recCheckpoint(Ref), recPrune
+	step       int            // recCheckpoint(Ref), recPrune
+	crc        uint32         // recCheckpoint(Ref): crc32c of the blob
+	ref        blobRegion     // recCheckpointRef: the region it names
 	sess       *SessionRecord // recRetire
 }
 
@@ -115,6 +137,39 @@ func (r *pendingRec) size() int64 { return int64(len(r.head) + len(r.tail)) }
 type blobRegion struct {
 	off  int64 // blob start
 	size int   // blob length
+}
+
+// ckptIndex maps checkpoint keys to blob regions of the file. Several
+// keys may name one region; regions are refcounted and leave the index
+// with their last key.
+type ckptIndex struct {
+	keys    map[string]map[int]blobRegion
+	regions map[int64]liveRegion // by blob offset
+	content map[contentKey]int64 // a live region's blob offset, by content
+	live    int64                // every key's checkpoint head plus every region's blob
+}
+
+func newCkptIndex() ckptIndex {
+	return ckptIndex{
+		keys:    make(map[string]map[int]blobRegion),
+		regions: make(map[int64]liveRegion),
+		content: make(map[contentKey]int64),
+	}
+}
+
+// liveRegion is one blob region in the index and the number of
+// checkpoint keys naming it.
+type liveRegion struct {
+	contentKey
+	refs int
+}
+
+// contentKey is what a duplicate blob is looked up by. Equal keys are a
+// candidate only: the bytes are always compared before a reference is
+// written.
+type contentKey struct {
+	crc  uint32 // crc32c of the blob
+	size int
 }
 
 // OpenJournal opens (creating if absent) the journal at path and replays
@@ -134,7 +189,7 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 		fs:           fsys,
 		path:         path,
 		compactBytes: compact,
-		ckpts:        make(map[string]map[int]blobRegion),
+		idx:          newCkptIndex(),
 		ring:         newRetireRing(opts.Retain),
 		st:           Stats{Kind: "journal"},
 	}
@@ -169,7 +224,8 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 }
 
 // recover replays the journal into the in-memory index, truncating the
-// file at the first torn or corrupt record.
+// file at the first torn or corrupt record, and upgrades a version-1
+// header.
 func (j *Journal) recover() error {
 	fi, err := j.f.Stat()
 	if err != nil {
@@ -188,9 +244,13 @@ func (j *Journal) recover() error {
 	if [8]byte(hdr[:8]) != journalMagic {
 		return fmt.Errorf("%w: %s is not a journal (bad magic)", ErrCorrupt, j.path)
 	}
-	if v := binary.BigEndian.Uint32(hdr[8:]); v != journalVersion {
+	v := binary.BigEndian.Uint32(hdr[8:])
+	if v != 1 && v != journalVersion {
 		return fmt.Errorf("%w: journal version %d, want %d", ErrCorrupt, v, journalVersion)
 	}
+	// written holds every checkpoint blob region replayed so far, live or
+	// not: the regions a reference may name.
+	written := make(map[int64]contentKey)
 	valid := int64(journalHdrLen)
 	off := valid
 	frame := make([]byte, recHdrLen)
@@ -210,7 +270,7 @@ func (j *Journal) recover() error {
 		if crc32.Checksum(body, crcTable) != wantCRC {
 			break // torn or bit-rotted body
 		}
-		if err := j.apply(body, off+recHdrLen); err != nil {
+		if err := j.apply(body, off+recHdrLen, written); err != nil {
 			break // structurally valid frame, undecodable body
 		}
 		off += recHdrLen + bodyLen
@@ -219,10 +279,16 @@ func (j *Journal) recover() error {
 		j.st.RecoveredRecords++
 	}
 	if valid < size {
-		return j.truncateTo(valid, size, true)
+		if err := j.truncateTo(valid, size, true); err != nil {
+			return err
+		}
+	} else {
+		j.size = size
+		j.st.JournalBytes = size
 	}
-	j.size = size
-	j.st.JournalBytes = size
+	if v != journalVersion {
+		return j.writeVersion()
+	}
 	return nil
 }
 
@@ -268,10 +334,23 @@ func (j *Journal) writeHeader() error {
 	return nil
 }
 
+// writeVersion stamps today's version over an older one, durably, before
+// the journal appends anything an older reader could not parse.
+func (j *Journal) writeVersion() error {
+	if _, err := j.f.WriteAt(binary.BigEndian.AppendUint32(nil, journalVersion), 8); err != nil {
+		return fmt.Errorf("store: write journal version: %w", err)
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("store: sync journal version: %w", err)
+	}
+	return nil
+}
+
 // apply indexes one replayed record body (applyPending is its twin for a
 // record just committed, which needs no decoding). bodyOff is the body's
-// file offset, locating checkpoint blobs for later reads.
-func (j *Journal) apply(body []byte, bodyOff int64) error {
+// file offset, locating checkpoint blobs for later reads; written holds
+// the blob regions earlier records wrote, and gains this record's.
+func (j *Journal) apply(body []byte, bodyOff int64, written map[int64]contentKey) error {
 	switch body[0] {
 	case recRetire:
 		rec, err := decodeSession(body[1:])
@@ -292,11 +371,24 @@ func (j *Journal) apply(body []byte, bodyOff int64) error {
 		if r.err != nil {
 			return r.err
 		}
-		blobOff := 1 + 2 + len(id) + 4
-		j.indexCheckpoint(id, step, blobRegion{
-			off:  bodyOff + int64(blobOff),
-			size: len(body) - blobOff,
-		})
+		blob := r.b[r.off:]
+		reg := blobRegion{off: bodyOff + int64(len(body)-len(blob)), size: len(blob)}
+		key := contentKey{crc: crc32.Checksum(blob, crcTable), size: len(blob)}
+		written[reg.off] = key
+		j.idx.put(id, step, reg, key.crc)
+	case recCheckpointRef:
+		r := recReader{b: body[1:]}
+		id := r.string16()
+		step := int(r.u32())
+		reg := blobRegion{off: int64(r.u64()), size: int(r.u32())}
+		if r.err != nil || r.off != len(r.b) {
+			return fmt.Errorf("%w: checkpoint reference", ErrCorrupt)
+		}
+		key, ok := written[reg.off]
+		if !ok || key.size != reg.size {
+			return fmt.Errorf("%w: reference to %d+%d names no earlier blob", ErrCorrupt, reg.off, reg.size)
+		}
+		j.idx.put(id, step, reg, key.crc)
 	case recPrune:
 		r := recReader{b: body[1:]}
 		id := r.string16()
@@ -304,36 +396,68 @@ func (j *Journal) apply(body []byte, bodyOff int64) error {
 		if r.err != nil {
 			return r.err
 		}
-		j.dropCheckpoint(id, step)
+		j.idx.drop(id, step)
 	default:
 		return fmt.Errorf("%w: unknown record type %d", ErrCorrupt, body[0])
 	}
 	return nil
 }
 
-func (j *Journal) indexCheckpoint(id string, step int, reg blobRegion) {
-	m := j.ckpts[id]
+// put points (id, step) at reg, a region holding a blob with the given
+// CRC, replacing whatever the key named before.
+func (x *ckptIndex) put(id string, step int, reg blobRegion, crc uint32) {
+	m := x.keys[id]
 	if m == nil {
 		m = make(map[int]blobRegion)
-		j.ckpts[id] = m
+		x.keys[id] = m
 	}
+	// Take the new reference before dropping the old: a key re-put with
+	// its own blob names the same region, which must not leave the index
+	// in between.
+	lr, ok := x.regions[reg.off]
+	if !ok {
+		lr.contentKey = contentKey{crc: crc, size: reg.size}
+		if _, dup := x.content[lr.contentKey]; !dup {
+			x.content[lr.contentKey] = reg.off
+		}
+		x.live += int64(reg.size)
+	}
+	lr.refs++
+	x.regions[reg.off] = lr
 	if old, ok := m[step]; ok {
-		j.ckptLive -= frameLen(id, old.size)
+		x.unref(old.off)
+	} else {
+		x.live += frameLen(id, 0)
 	}
 	m[step] = reg
-	j.ckptLive += frameLen(id, reg.size)
 }
 
-func (j *Journal) dropCheckpoint(id string, step int) {
-	if m := j.ckpts[id]; m != nil {
+func (x *ckptIndex) drop(id string, step int) {
+	if m := x.keys[id]; m != nil {
 		if reg, ok := m[step]; ok {
-			j.ckptLive -= frameLen(id, reg.size)
+			x.unref(reg.off)
+			x.live -= frameLen(id, 0)
 			delete(m, step)
 			if len(m) == 0 {
-				delete(j.ckpts, id)
+				delete(x.keys, id)
 			}
 		}
 	}
+}
+
+// unref drops one key's reference to the region at off; the last one
+// takes the region out of the index.
+func (x *ckptIndex) unref(off int64) {
+	lr := x.regions[off]
+	if lr.refs--; lr.refs > 0 {
+		x.regions[off] = lr
+		return
+	}
+	delete(x.regions, off)
+	if x.content[lr.contentKey] == off {
+		delete(x.content, lr.contentKey)
+	}
+	x.live -= int64(lr.size)
 }
 
 // frameLen is the full on-file footprint of a checkpoint record.
@@ -350,12 +474,29 @@ func newFrame(typ byte, payload []byte, extraCap int) []byte {
 	return append(frame, payload...)
 }
 
-// checkpointHead is the frame of a recCheckpoint or recPrune record up to
-// and including the step — everything but a checkpoint's blob.
+// checkpointHead is the frame of a checkpoint, reference or prune record
+// up to and including the step — everything but a checkpoint's blob or a
+// reference's trailer. Its capacity leaves room for the trailer (toRef).
 func checkpointHead(typ byte, id string, step int) []byte {
-	head := newFrame(typ, nil, 2+len(id)+4)
+	head := newFrame(typ, nil, 2+len(id)+4+refTrailerLen)
 	head = appendString16(head, id)
 	return binary.BigEndian.AppendUint32(head, uint32(step))
+}
+
+// appendRefTrailer completes a recCheckpointRef head: the region it names.
+func appendRefTrailer(head []byte, reg blobRegion) []byte {
+	head = binary.BigEndian.AppendUint64(head, uint64(reg.off))
+	return binary.BigEndian.AppendUint32(head, uint32(reg.size))
+}
+
+// toRef rewrites a recCheckpoint in place into a recCheckpointRef naming
+// reg, which holds the same bytes as its blob, and reseals it.
+func (r *pendingRec) toRef(reg blobRegion) {
+	r.head[recHdrLen] = recCheckpointRef
+	r.head = appendRefTrailer(r.head, reg)
+	r.tail = nil
+	r.ref = reg
+	sealFrame(r.head, nil)
 }
 
 // sealFrame fills in the length and CRC of a frame whose body is
@@ -435,6 +576,9 @@ func (j *Journal) flush(b *batch) {
 	var err error
 	for i := range b.recs {
 		r := &b.recs[i]
+		if r.head[recHdrLen] == recCheckpoint {
+			j.dedup(f, b.recs[:i], base, r)
+		}
 		if err = writeFrame(f, end, r.head, r.tail); err != nil {
 			err = fmt.Errorf("store: journal append: %w", err)
 			break
@@ -474,6 +618,48 @@ func (j *Journal) flush(b *batch) {
 	j.cond.Broadcast()
 }
 
+// dedup turns the checkpoint record r into a reference when the file
+// already holds its blob's bytes: in an earlier checkpoint record of the
+// same batch (earlier, whose first frame starts at base), or in a live
+// region. Equal CRC and length only nominate a candidate; the bytes are
+// compared before anything is rewritten. Called by the flush leader with
+// j.mu released: nothing changes the index while flushing is set.
+func (j *Journal) dedup(f File, earlier []pendingRec, base int64, r *pendingRec) {
+	if len(r.tail) <= refTrailerLen {
+		return // a reference would be no smaller than the blob
+	}
+	off := base
+	for i := range earlier {
+		e := &earlier[i]
+		if e.head[recHdrLen] == recCheckpoint && e.crc == r.crc && bytes.Equal(e.tail, r.tail) {
+			r.toRef(blobRegion{off: off + int64(len(e.head)), size: len(e.tail)})
+			return
+		}
+		off += e.size()
+	}
+	if at, ok := j.idx.content[contentKey{crc: r.crc, size: len(r.tail)}]; ok && j.sameBytes(f, at, r.tail) {
+		r.toRef(blobRegion{off: at, size: len(r.tail)})
+	}
+}
+
+// sameBytes reports whether the file holds want at off, reading it back
+// through a scratch buffer only the flush leader uses. A failed read
+// answers false: the record is then written in full.
+func (j *Journal) sameBytes(f File, off int64, want []byte) bool {
+	if j.scratch == nil {
+		j.scratch = make([]byte, 64<<10)
+	}
+	for len(want) > 0 {
+		got := j.scratch[:min(len(want), len(j.scratch))]
+		if _, err := f.ReadAt(got, off); err != nil || !bytes.Equal(got, want[:len(got)]) {
+			return false
+		}
+		want = want[len(got):]
+		off += int64(len(got))
+	}
+	return true
+}
+
 // applyPending indexes one just-committed record whose frame starts at
 // frameOff.
 func (j *Journal) applyPending(r *pendingRec, frameOff int64) {
@@ -481,12 +667,14 @@ func (j *Journal) applyPending(r *pendingRec, frameOff int64) {
 	case recRetire:
 		j.ring.push(*r.sess)
 	case recCheckpoint:
-		j.indexCheckpoint(r.id, r.step, blobRegion{
+		j.idx.put(r.id, r.step, blobRegion{
 			off:  frameOff + int64(len(r.head)),
 			size: len(r.tail),
-		})
+		}, r.crc)
+	case recCheckpointRef:
+		j.idx.put(r.id, r.step, r.ref, r.crc)
 	case recPrune:
-		j.dropCheckpoint(r.id, r.step)
+		j.idx.drop(r.id, r.step)
 	}
 }
 
@@ -513,16 +701,19 @@ func (j *Journal) waitFlush() {
 func (j *Journal) Kind() string { return "journal" }
 
 // PutCheckpoint implements Store. The blob is not copied: it is
-// checksummed in place and written to the file from the caller's slice.
+// checksummed in place and written to the file from the caller's slice —
+// or not written at all, when the file already holds the same bytes and
+// a reference to them takes its place (see dedup).
 func (j *Journal) PutCheckpoint(id string, step int, blob []byte) error {
 	head := checkpointHead(recCheckpoint, id, step)
 	sealFrame(head, blob)
+	crc := crc32.Checksum(blob, crcTable)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.writable(); err != nil {
 		return err
 	}
-	if err := j.append(pendingRec{head: head, tail: blob, id: id, step: step}); err != nil {
+	if err := j.append(pendingRec{head: head, tail: blob, id: id, step: step, crc: crc}); err != nil {
 		return err
 	}
 	j.maybeCompact()
@@ -536,7 +727,7 @@ func (j *Journal) GetCheckpoint(id string, step int) ([]byte, error) {
 	if j.closed {
 		return nil, os.ErrClosed
 	}
-	reg, ok := j.ckpts[id][step]
+	reg, ok := j.idx.keys[id][step]
 	if !ok {
 		return nil, fmt.Errorf("store: checkpoint %s@%d: %w", id, step, ErrNotFound)
 	}
@@ -554,7 +745,7 @@ func (j *Journal) DeleteCheckpoint(id string, step int) error {
 	if err := j.writable(); err != nil {
 		return err
 	}
-	if _, ok := j.ckpts[id][step]; !ok {
+	if _, ok := j.idx.keys[id][step]; !ok {
 		return nil
 	}
 	head := checkpointHead(recPrune, id, step)
@@ -570,8 +761,8 @@ func (j *Journal) DeleteCheckpoint(id string, step int) error {
 func (j *Journal) CheckpointSteps(id string) ([]int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	steps := make([]int, 0, len(j.ckpts[id]))
-	for step := range j.ckpts[id] {
+	steps := make([]int, 0, len(j.idx.keys[id]))
+	for step := range j.idx.keys[id] {
 		steps = append(steps, step)
 	}
 	sort.Ints(steps)
@@ -614,10 +805,11 @@ func (j *Journal) Stats() Stats {
 	defer j.mu.Unlock()
 	st := j.st
 	var live int64
-	for _, m := range j.ckpts {
+	for _, m := range j.idx.keys {
 		live += int64(len(m))
 	}
 	st.LiveCheckpoints = live
+	st.LiveBlobs = int64(len(j.idx.regions))
 	return st
 }
 
@@ -665,7 +857,7 @@ func (j *Journal) maybeCompact() {
 	if j.size < j.compactBytes || j.flushing || j.writable() != nil {
 		return
 	}
-	liveish := j.ckptLive + int64(journalHdrLen)
+	liveish := j.idx.live + int64(journalHdrLen)
 	if j.size-liveish <= j.size/2 {
 		return
 	}
@@ -728,35 +920,45 @@ func (j *Journal) compactLocked() error {
 			return fail(err)
 		}
 	}
-	// Checkpoints in a deterministic order, blobs copied through memory.
-	ids := make([]string, 0, len(j.ckpts))
-	for id := range j.ckpts {
+	// Checkpoints in a deterministic order, blobs copied through memory,
+	// each region once: the first key naming it writes the blob, every
+	// later one a reference to where it landed.
+	ids := make([]string, 0, len(j.idx.keys))
+	for id := range j.idx.keys {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	newRegions := make(map[string]map[int]blobRegion, len(ids))
-	var newLive int64
+	next := newCkptIndex()
+	moved := make(map[int64]blobRegion, len(j.idx.regions)) // old blob offset → new region
 	for _, id := range ids {
-		steps := make([]int, 0, len(j.ckpts[id]))
-		for step := range j.ckpts[id] {
+		steps := make([]int, 0, len(j.idx.keys[id]))
+		for step := range j.idx.keys[id] {
 			steps = append(steps, step)
 		}
 		sort.Ints(steps)
-		m := make(map[int]blobRegion, len(steps))
 		for _, step := range steps {
-			reg := j.ckpts[id][step]
-			blob := make([]byte, reg.size)
-			if _, err := j.f.ReadAt(blob, reg.off); err != nil {
-				return fail(err)
+			old := j.idx.keys[id][step]
+			crc := j.idx.regions[old.off].crc
+			reg, ok := moved[old.off]
+			if ok {
+				head := appendRefTrailer(checkpointHead(recCheckpointRef, id, step), reg)
+				if err := writeRec(head, nil); err != nil {
+					return fail(err)
+				}
+			} else {
+				blob := make([]byte, old.size)
+				if _, err := j.f.ReadAt(blob, old.off); err != nil {
+					return fail(err)
+				}
+				head := checkpointHead(recCheckpoint, id, step)
+				reg = blobRegion{off: off + int64(len(head)), size: len(blob)}
+				if err := writeRec(head, blob); err != nil {
+					return fail(err)
+				}
+				moved[old.off] = reg
 			}
-			head := checkpointHead(recCheckpoint, id, step)
-			m[step] = blobRegion{off: off + int64(len(head)), size: len(blob)}
-			if err := writeRec(head, blob); err != nil {
-				return fail(err)
-			}
-			newLive += frameLen(id, len(blob))
+			next.put(id, step, reg, crc)
 		}
-		newRegions[id] = m
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
@@ -787,8 +989,7 @@ func (j *Journal) compactLocked() error {
 	j.f.Close()
 	j.f = nf
 	j.size = off
-	j.ckpts = newRegions
-	j.ckptLive = newLive
+	j.idx = next
 	j.st.JournalBytes = off
 	j.st.Records += records
 	j.st.Compactions++

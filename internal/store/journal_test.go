@@ -51,7 +51,7 @@ func buildJournal(t *testing.T, dir string) (path string, ends []int64) {
 // journalFrames walks a journal image by its length prefixes — without
 // the journal's own replay code — and returns every frame's end offset
 // and body.
-func journalFrames(t *testing.T, whole []byte) (ends []int64, bodies [][]byte) {
+func journalFrames(t testing.TB, whole []byte) (ends []int64, bodies [][]byte) {
 	t.Helper()
 	off := journalHdrLen
 	for off < len(whole) {
@@ -104,14 +104,75 @@ func buildConcurrentJournal(t *testing.T, dir string) (path string) {
 	return path
 }
 
+// buildSharedJournal writes a journal whose checkpoints share blobs:
+// three ids put one blob in one held batch, a fourth puts it in a later
+// batch, the owning record is pruned while references to it are live and
+// a key is re-put with its own bytes; then the file is compacted and
+// written on — a reference into the compacted part, another shared batch
+// whose owner is pruned. It returns the file's image just before the
+// compaction and at the end, and the blob each id was put with.
+func buildSharedJournal(t *testing.T, dir string) (pre, final []byte, blobs map[string][]byte) {
+	t.Helper()
+	path := filepath.Join(dir, "shared.journal")
+	fsys := &hookFS{FS: OS}
+	j, err := OpenJournal(path, JournalOptions{Retain: 8, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, other := gcBlob("shared", 1), gcBlob("other", 1)
+	blobs = map[string][]byte{"lead": gcBlob("lead", 1)}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func(blob []byte, ids ...string) {
+		gate, leader := holdFlush(j, fsys)
+		results := []chan error{leader}
+		for _, id := range ids {
+			blobs[id] = blob
+			results = append(results, queuePut(t, j, id, 1, blob))
+		}
+		close(gate.release)
+		for _, ch := range results {
+			must(recv(t, ch, "put"))
+		}
+	}
+	put := func(id string, blob []byte) {
+		blobs[id] = blob
+		must(j.PutCheckpoint(id, 1, blob))
+	}
+	batch(shared, "a", "b", "c")
+	put("d", shared)
+	must(j.DeleteCheckpoint("a", 1))
+	put("b", shared)
+	must(j.RetireSession(testRecord(1)))
+	pre, err = os.ReadFile(path)
+	must(err)
+	must(j.Compact())
+	put("e", shared)
+	batch(other, "f", "g")
+	must(j.DeleteCheckpoint("f", 1))
+	must(j.DeleteCheckpoint("b", 1))
+	must(j.Close())
+	final, err = os.ReadFile(path)
+	must(err)
+	if blobCopies(t, pre, shared) != 1 || blobCopies(t, final, shared) != 1 || blobCopies(t, final, other) != 1 {
+		t.Fatal("a shared blob is not on file exactly once")
+	}
+	return pre, final, blobs
+}
+
 // TestCrashJournalTruncationSweep is the SIGKILL-equivalent sweep: the
 // journal is truncated at EVERY byte offset — every record boundary and
 // every mid-record position — and each truncation must recover to
 // exactly the records that were fully durable before the cut, then stay
 // writable. It runs over a journal written one acknowledged record at a
-// time and over one written by concurrent writers in group-commit
-// batches; the expected state at each cut is rebuilt from the file's own
-// frames, in file order.
+// time, over one written by concurrent writers in group-commit batches,
+// and over journals whose checkpoints share blobs through references;
+// the expected state at each cut is rebuilt from the file's own frames,
+// in file order.
 func TestCrashJournalTruncationSweep(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		dir := t.TempDir()
@@ -134,6 +195,33 @@ func TestCrashJournalTruncationSweep(t *testing.T) {
 		}
 		sweepTruncations(t, dir, whole)
 	})
+	t.Run("shared", func(t *testing.T) {
+		dir := t.TempDir()
+		pre, final, blobs := buildSharedJournal(t, dir)
+		for _, whole := range [][]byte{pre, final} {
+			// The sweep reads references at face value; here every one
+			// is held to the blob its key was put with.
+			_, bodies := journalFrames(t, whole)
+			refs := 0
+			for _, body := range bodies {
+				if body[0] != recCheckpointRef {
+					continue
+				}
+				refs++
+				r := recReader{b: body[1:]}
+				id := r.string16()
+				r.u32()
+				off, n := int(r.u64()), int(r.u32())
+				if off+n > len(whole) || !bytes.Equal(whole[off:off+n], blobs[id]) {
+					t.Fatalf("reference of %s names other bytes than its blob", id)
+				}
+			}
+			if refs < 3 {
+				t.Fatalf("image holds %d references, want several", refs)
+			}
+			sweepTruncations(t, dir, whole)
+		}
+	})
 }
 
 func sweepTruncations(t *testing.T, dir string, whole []byte) {
@@ -142,22 +230,39 @@ func sweepTruncations(t *testing.T, dir string, whole []byte) {
 		id   string
 		step int
 	}
-	// live(n) = the checkpoints retrievable after the first n frames.
-	live := func(n int) map[key][]byte {
-		m := make(map[key][]byte)
-		for _, body := range bodies[:n] {
-			if body[0] != recCheckpoint && body[0] != recPrune {
+	// live(n) = the checkpoints retrievable after the first n frames,
+	// each with the bytes its record (or the blob its reference names)
+	// holds; a reference must name a blob before its own frame.
+	live := func(n int) (m map[key][]byte, blobs int) {
+		m = make(map[key][]byte)
+		regions := make(map[key]int)
+		for i, body := range bodies[:n] {
+			if body[0] != recCheckpoint && body[0] != recPrune && body[0] != recCheckpointRef {
 				continue
 			}
 			r := recReader{b: body[1:]}
 			k := key{id: r.string16(), step: int(r.u32())}
-			if body[0] == recCheckpoint {
+			switch body[0] {
+			case recCheckpoint:
 				m[k] = r.b[r.off:]
-			} else {
+				regions[k] = int(ends[i]) - len(m[k])
+			case recCheckpointRef:
+				off, size := int(r.u64()), int(r.u32())
+				if off+size > int(ends[i])-len(body)-recHdrLen {
+					t.Fatalf("reference of %s@%d names bytes at or after its own frame", k.id, k.step)
+				}
+				m[k] = whole[off : off+size]
+				regions[k] = off
+			default:
 				delete(m, k)
+				delete(regions, k)
 			}
 		}
-		return m
+		distinct := make(map[int]bool)
+		for _, off := range regions {
+			distinct[off] = true
+		}
+		return m, len(distinct)
 	}
 
 	for cut := 0; cut <= len(whole); cut++ {
@@ -193,9 +298,9 @@ func sweepTruncations(t *testing.T, dir string, whole []byte) {
 		}
 		// Survivor state matches the durable prefix: every checkpoint it
 		// put and did not prune, byte for byte, and nothing else.
-		want := live(recovered)
-		if st.LiveCheckpoints != int64(len(want)) {
-			t.Fatalf("cut=%d: %d live checkpoints, want %d", cut, st.LiveCheckpoints, len(want))
+		want, blobs := live(recovered)
+		if st.LiveCheckpoints != int64(len(want)) || st.LiveBlobs != int64(blobs) {
+			t.Fatalf("cut=%d: %d live checkpoints on %d blobs, want %d on %d", cut, st.LiveCheckpoints, st.LiveBlobs, len(want), blobs)
 		}
 		for k, blob := range want {
 			if got, err := j.GetCheckpoint(k.id, k.step); err != nil || !bytes.Equal(got, blob) {

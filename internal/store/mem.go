@@ -127,6 +127,7 @@ func (m *Mem) Stats() Stats {
 		live += int64(len(c))
 	}
 	st.LiveCheckpoints = live
+	st.LiveBlobs = live // Mem keeps a copy per key
 	return st
 }
 

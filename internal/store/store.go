@@ -227,6 +227,7 @@ type Stats struct {
 	JournalBytes     int64 // current journal (or retire-log) file size
 	Records          int64 // records appended, including those recovered at open
 	LiveCheckpoints  int64 // checkpoint blobs currently retrievable
+	LiveBlobs        int64 // distinct blobs behind LiveCheckpoints (journal: stored once each)
 	Compactions      int64 // journal compactions performed
 	Recoveries       int64 // opens that found and truncated a torn tail
 	RecoveredRecords int64 // records successfully replayed at open

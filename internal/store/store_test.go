@@ -145,6 +145,41 @@ func TestStoreContract(t *testing.T) {
 			if err := s.Close(); err != nil { // idempotent
 				t.Fatal(err)
 			}
+
+			// One blob under two ids: deleting the id that wrote it first
+			// leaves the other's whole, across a reopen and a compaction.
+			dir := t.TempDir()
+			s = b.open(t, dir)
+			shared := bytes.Repeat([]byte("shared state|"), 40)
+			for _, id := range []string{"owner", "sharer"} {
+				if err := s.PutCheckpoint(id, 1, shared); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.DeleteCheckpoint("owner", 1); err != nil {
+				t.Fatal(err)
+			}
+			if b.reopen != nil {
+				s.Close()
+				s = b.reopen(t, dir)
+			}
+			if c, ok := s.(interface{ Compact() error }); ok {
+				if err := c.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := s.GetCheckpoint("sharer", 1); err != nil || !bytes.Equal(got, shared) {
+				t.Fatalf("shared blob after its owner's delete: %v", err)
+			}
+			if _, err := s.GetCheckpoint("owner", 1); !IsNotFound(err) {
+				t.Fatalf("deleted owner: %v, want ErrNotFound", err)
+			}
+			if st := s.Stats(); st.LiveCheckpoints != 1 || st.LiveBlobs != 1 {
+				t.Fatalf("stats after the owner's delete = %+v", st)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

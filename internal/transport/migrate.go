@@ -193,7 +193,7 @@ func (s *BSServer) AdoptSessionState(st *MigrationState) error {
 	if len(st.Blob) == 0 {
 		return fmt.Errorf("transport: migration state for %q names step %d but carries no blob", st.ID, st.Step)
 	}
-	if err := s.storeWrite(fmt.Sprintf("adopt session %q@%d", st.ID, st.Step), func() error {
+	if err := s.storeWrite(func() string { return fmt.Sprintf("adopt session %q@%d", st.ID, st.Step) }, func() error {
 		return s.bstore.PutCheckpoint(st.ID, int(st.Step), st.Blob)
 	}); err != nil {
 		return fmt.Errorf("transport: adopt session %q: %w", st.ID, err)

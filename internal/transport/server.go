@@ -245,7 +245,7 @@ func NewBSServer(cfg ServerConfig) (*BSServer, error) {
 		cfg.Logf("bs-server: adopted %d retired sessions from %s store", len(recs), s.bstore.Kind())
 	}
 	s.store.persist = func(snap SessionSnapshot) {
-		s.storeWrite(fmt.Sprintf("retire session %q", snap.ID), func() error {
+		s.storeWrite(func() string { return fmt.Sprintf("retire session %q", snap.ID) }, func() error {
 			return s.bstore.RetireSession(recordFromSnapshot(snap))
 		})
 	}
@@ -269,7 +269,9 @@ func (s *BSServer) StoreDegraded() bool { return s.storeDegraded.Load() }
 // retry/backoff. Exhausting the retries degrades the server — serving
 // continues, checkpointing stops, the condition is surfaced in Stats —
 // rather than failing sessions: a BS with a sick disk still trains.
-func (s *BSServer) storeWrite(what string, op func() error) error {
+// what describes the write for that log line; it is called only then,
+// so a successful write formats nothing.
+func (s *BSServer) storeWrite(what func() string, op func() error) error {
 	if s.crashed.Load() {
 		// A killed process writes nothing more: checkpoints and retire
 		// records in flight at crash time are simply lost.
@@ -293,7 +295,7 @@ func (s *BSServer) storeWrite(what string, op func() error) error {
 	s.storeWriteErrs.Add(1)
 	if s.storeDegraded.CompareAndSwap(false, true) {
 		s.cfg.Logf("bs-server: %s store degraded (%s failed after %d attempts: %v) — serving continues, checkpointing disabled",
-			s.bstore.Kind(), what, s.cfg.StoreRetries+1, err)
+			s.bstore.Kind(), what(), s.cfg.StoreRetries+1, err)
 	}
 	return err
 }
@@ -472,6 +474,7 @@ type ServerStats struct {
 	StoreJournalBytes     int64 // journal (or retire-log) file size
 	StoreRecords          int64 // records appended, including replayed at open
 	StoreLiveCheckpoints  int64 // checkpoint blobs currently retrievable
+	StoreLiveBlobs        int64 // distinct blobs behind them (the journal stores each once)
 	StoreCompactions      int64 // journal compactions performed
 	StoreRecoveries       int64 // opens that truncated a torn tail
 	StoreRecoveredRecords int64 // records successfully replayed at open
@@ -510,6 +513,7 @@ func (s *BSServer) Stats() ServerStats {
 	out.StoreJournalBytes = st.JournalBytes
 	out.StoreRecords = st.Records
 	out.StoreLiveCheckpoints = st.LiveCheckpoints
+	out.StoreLiveBlobs = st.LiveBlobs
 	out.StoreCompactions = st.Compactions
 	out.StoreRecoveries = st.Recoveries
 	out.StoreRecoveredRecords = st.RecoveredRecords
@@ -818,7 +822,7 @@ func (s *BSServer) checkpoint(sess *session, peer *BSPeer, step int) error {
 		return err
 	}
 	*bp = blob
-	if err := s.storeWrite(fmt.Sprintf("checkpoint %q@%d", sess.id, step), func() error {
+	if err := s.storeWrite(func() string { return fmt.Sprintf("checkpoint %q@%d", sess.id, step) }, func() error {
 		return s.bstore.PutCheckpoint(sess.id, step, blob)
 	}); err != nil {
 		return nil // degraded, not session-fatal
