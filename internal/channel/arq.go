@@ -13,10 +13,6 @@ import (
 // retransmissions and reports outage, and the analytic helpers quantify
 // the resulting reliability/latency trade-off.
 
-// ErrDeadlineExceeded is reported (via Outcome, not as an error) when a
-// payload fails to decode within its slot budget.
-var ErrDeadlineExceeded = fmt.Errorf("channel: deadline exceeded")
-
 // Outcome describes one deadline-bounded delivery attempt.
 type Outcome struct {
 	Delivered bool

@@ -158,9 +158,6 @@ func (c *Channel) Stats() Stats {
 	return Stats{SlotsUsed: c.slotsUsed, PayloadsSent: c.payloadsSent, BitsSent: c.totalBitsSent}
 }
 
-// MeanSNR returns the channel's mean SNR (linear).
-func (c *Channel) MeanSNR() float64 { return c.meanSNR }
-
 // PaperUplinkPayloadBits evaluates the paper's uplink payload formula
 // B^UL = N_H·N_W·B·R·L/(w_H·w_W) for image size (nh, nw), mini-batch size
 // batch, bit depth r, sequence length l and pooling window (wh, ww).

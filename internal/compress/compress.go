@@ -206,20 +206,9 @@ func appendShape(buf []byte, t *tensor.Tensor) ([]byte, error) {
 	return buf, nil
 }
 
-// readShape parses a shape header, returning the shape, its volume and
-// the remaining bytes. Dimensions and volume are bounded before any
-// allocation.
-func readShape(data []byte) (shape []int, vol int, rest []byte, err error) {
-	var buf [maxRank]int
-	rank, vol, rest, err := readShapeBuf(data, &buf)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return append([]int(nil), buf[:rank]...), vol, rest, nil
-}
-
-// readShapeBuf is readShape into a caller-owned array — the
-// allocation-free form the DecodeInto paths use.
+// readShapeBuf parses a shape header into a caller-owned array,
+// returning the rank, the volume and the remaining bytes. Dimensions and
+// volume are bounded before a caller sizes anything by them.
 func readShapeBuf(data []byte, shape *[maxRank]int) (rank, vol int, rest []byte, err error) {
 	if len(data) < 1 {
 		return 0, 0, nil, fmt.Errorf("%w: missing shape header", ErrCorrupt)

@@ -297,7 +297,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // decoded tensor is capped, so allocation stays proportional to the
 // payload.
 func TestTopKRejectsDecompressionBomb(t *testing.T) {
-	// rank 2, shape 16384×16384 (2^28 elements, within readShape's
+	// rank 2, shape 16384×16384 (2^28 elements, within readShapeBuf's
 	// absolute bound), k = 1, one pair: a ~45-byte bomb.
 	bomb := []byte{2}
 	bomb = binary.BigEndian.AppendUint32(bomb, 16384)

@@ -314,17 +314,6 @@ func (c *Coordinator) IsFenced(id string) bool {
 	return c.fenced[id]
 }
 
-// FencedReplicas lists the currently fenced replica ids.
-func (c *Coordinator) FencedReplicas() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.fenced))
-	for id := range c.fenced {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Unfence readmits a fenced replica to placement — the rejoin path,
 // called by the detector after the replica passes its healthy-probe
 // quota (or by an operator who knows better). Sticky routes stay where

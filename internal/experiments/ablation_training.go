@@ -116,19 +116,3 @@ func RunAblationWirePrecision(env *Env) (*TrainAblationResult, error) {
 	}
 	return res, nil
 }
-
-// RunAblationPoolKind trains the 1-pixel Img+RF scheme with average
-// (paper) and max pooling as the compression stage.
-func RunAblationPoolKind(env *Env) (*TrainAblationResult, error) {
-	res := &TrainAblationResult{Name: "pooling-operator ablation (Img+RF, 1-pixel)"}
-	for _, kind := range []split.PoolKind{split.PoolAvg, split.PoolMax} {
-		cfg := env.schemeConfig(split.ImageRF, 40)
-		cfg.Pooling = kind
-		row, err := env.runVariant(kind.String(), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("pool ablation %v: %w", kind, err)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}

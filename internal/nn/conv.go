@@ -82,9 +82,9 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.K, c.B} }
 
 // ConvReLUAvgPool is a stride-1 Conv2D, a ReLU and an AvgPool2D as one
 // input layer over the fused tensor kernels: the whole UE half of the
-// paper. It computes the three layers' bits (they stay, as its oracle and
-// for max pooling) but keeps no full-resolution activation between
-// Forward and Backward, only the sign mask. Its input is data, so
+// paper. It computes the three layers' bits (they stay, as its oracle)
+// but keeps no full-resolution activation between Forward and Backward,
+// only the sign mask. Its input is data, so
 // Backward returns nil, like a Conv2D with InputLayer set.
 type ConvReLUAvgPool struct {
 	K, B   *Param // the convolution's kernel and bias

@@ -1,8 +1,8 @@
 // Package nn is a small neural-network library with hand-written
 // reverse-mode gradients, sufficient to express the paper's split model:
 // convolutional layers with average pooling on the UE side and an LSTM
-// regression head on the BS side, trained with mini-batch SGD variants
-// from internal/opt.
+// regression head on the BS side, trained with mini-batch Adam from
+// internal/opt.
 //
 // Layers follow a stateful Forward/Backward protocol: Forward caches
 // whatever intermediate values the gradient needs, and Backward must be

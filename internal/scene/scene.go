@@ -196,9 +196,6 @@ func New(cfg Config, rng *rand.Rand) (*Scene, error) {
 	return s, nil
 }
 
-// Config returns the scene's configuration.
-func (s *Scene) Config() Config { return s.cfg }
-
 // Advance moves simulation time forward to t: spawns newly arrived
 // pedestrians and retires those that left the corridor.
 func (s *Scene) Advance(t float64) {

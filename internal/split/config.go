@@ -72,32 +72,10 @@ func (k RNNKind) String() string {
 	return fmt.Sprintf("RNNKind(%d)", int(k))
 }
 
-// PoolKind selects the payload-compression pooling operator. The paper
-// uses average pooling; max pooling is provided as an ablation.
-type PoolKind int
-
-// Compression-stage choices.
-const (
-	PoolAvg PoolKind = iota
-	PoolMax
-)
-
-// String names the pooling operator.
-func (k PoolKind) String() string {
-	switch k {
-	case PoolAvg:
-		return "avg"
-	case PoolMax:
-		return "max"
-	}
-	return fmt.Sprintf("PoolKind(%d)", int(k))
-}
-
 // Config fully describes one training run.
 type Config struct {
 	Modality     Modality
-	PoolH, PoolW int      // w_H × w_W; 40×40 over 40×40 images is the "1-pixel" scheme
-	Pooling      PoolKind // compression operator (paper: average)
+	PoolH, PoolW int // w_H × w_W; 40×40 over 40×40 images is the "1-pixel" scheme
 
 	SeqLen        int     // L
 	HorizonFrames int     // T/γ
@@ -169,7 +147,10 @@ func (c Config) Fingerprint() uint64 {
 			h.Write(b[:])
 		}
 	}
-	put(int64(c.Modality), int64(c.PoolH), int64(c.PoolW), int64(c.Pooling),
+	// The 0 sits where a pooling-operator field used to be hashed (average
+	// pooling was 0): hello fingerprints, journaled train states and saved
+	// models from before its removal must still match.
+	put(int64(c.Modality), int64(c.PoolH), int64(c.PoolW), 0,
 		int64(c.SeqLen), int64(c.HorizonFrames), int64(c.BatchSize),
 		int64(c.HiddenSize), int64(c.KernelSize), int64(c.RNN),
 		int64(c.BitDepth), int64(c.Codec), c.Seed)

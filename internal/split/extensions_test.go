@@ -3,6 +3,7 @@ package split
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -281,52 +282,38 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestMaxPoolCompressionTrains(t *testing.T) {
-	d := tinyDataset(t, 200)
-	cfg := tinyConfig(ImageRF, 4)
-	cfg.Pooling = PoolMax
-	cfg.BatchSize = 16
-	sp := makeSplit(t, d, cfg)
-	model := buildModel(t, cfg, d, sp)
-	tr := NewTrainer(model, d, sp, IdealLink{})
-	before, err := tr.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 120; i++ {
-		if _, err := tr.Step(); err != nil {
-			t.Fatal(err)
+// TestConfigFingerprintGolden pins the handshake fingerprint and the
+// checkpoint header words of every paper configuration. Hellos, journaled
+// train states and saved models carry these values, so a change here
+// strands every peer and file written before it. The values are the same
+// on 32- and 64-bit builds: a 386 UE must agree with an amd64 BS.
+func TestConfigFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		m     Modality
+		pool  int
+		fp    uint64
+		words []uint32
+	}{
+		{RFOnly, 1, 0xefdf21ef7190a128, []uint32{0, 1, 1, 4, 32, 3, 0, 0, 0}},
+		{RFOnly, 4, 0xefaaf220d2888888, []uint32{0, 4, 4, 4, 32, 3, 0, 0, 0}},
+		{RFOnly, 10, 0x0ce04008c57ed6c8, []uint32{0, 10, 10, 4, 32, 3, 0, 0, 0}},
+		{RFOnly, 40, 0xaeb899c99a49c448, []uint32{0, 40, 40, 4, 32, 3, 0, 0, 0}},
+		{ImageOnly, 1, 0x8826ef03e0247c87, []uint32{1, 1, 1, 4, 32, 3, 0, 0, 0}},
+		{ImageOnly, 4, 0xcacf684766e865a7, []uint32{1, 4, 4, 4, 32, 3, 0, 0, 0}},
+		{ImageOnly, 10, 0x1d0ba84e7b8f04e7, []uint32{1, 10, 10, 4, 32, 3, 0, 0, 0}},
+		{ImageOnly, 40, 0x20481258e1948a27, []uint32{1, 40, 40, 4, 32, 3, 0, 0, 0}},
+		{ImageRF, 1, 0x17f0bf95dc43631e, []uint32{2, 1, 1, 4, 32, 3, 0, 0, 0}},
+		{ImageRF, 4, 0x558a4c79a70882fe, []uint32{2, 4, 4, 4, 32, 3, 0, 0, 0}},
+		{ImageRF, 10, 0x7c72f140569cc6be, []uint32{2, 10, 10, 4, 32, 3, 0, 0, 0}},
+		{ImageRF, 40, 0xc87597fb1021d6be, []uint32{2, 40, 40, 4, 32, 3, 0, 0, 0}},
+	} {
+		c := DefaultConfig(tc.m, tc.pool)
+		if got := c.Fingerprint(); got != tc.fp {
+			t.Errorf("%s/%d: Fingerprint() = %#016x, want %#016x", tc.m, tc.pool, got, tc.fp)
 		}
-	}
-	after, err := tr.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Fatalf("max-pool scheme did not improve: %.3f -> %.3f dB", before, after)
-	}
-}
-
-func TestPoolKindString(t *testing.T) {
-	if PoolAvg.String() != "avg" || PoolMax.String() != "max" {
-		t.Fatalf("names: %s / %s", PoolAvg, PoolMax)
-	}
-}
-
-func TestCheckpointDistinguishesPoolKind(t *testing.T) {
-	d := tinyDataset(t, 100)
-	avg := tinyConfig(ImageRF, 4)
-	mx := avg
-	mx.Pooling = PoolMax
-	sp := makeSplit(t, d, avg)
-	a := buildModel(t, avg, d, sp)
-	b := buildModel(t, mx, d, sp)
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadCheckpoint(&buf, b); !errors.Is(err, ErrCheckpoint) {
-		t.Fatalf("pool-kind mismatch accepted: %v", err)
+		if got := c.fingerprint(); !slices.Equal(got, tc.words) {
+			t.Errorf("%s/%d: checkpoint header words %v, want %v", tc.m, tc.pool, got, tc.words)
+		}
 	}
 }
 
@@ -342,7 +329,6 @@ func TestConfigFingerprint(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"modality": func(c *Config) { c.Modality = ImageOnly },
 		"pool":     func(c *Config) { c.PoolH, c.PoolW = 10, 10 },
-		"pooling":  func(c *Config) { c.Pooling = PoolMax },
 		"seqlen":   func(c *Config) { c.SeqLen++ },
 		"horizon":  func(c *Config) { c.HorizonFrames++ },
 		"batch":    func(c *Config) { c.BatchSize++ },

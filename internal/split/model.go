@@ -14,13 +14,11 @@ import (
 // UEModel is the user-equipment half of the split network: a stride-1
 // same-padded convolution producing a single-channel "CNN output image"
 // (so Fig. 2's visualisation applies), a ReLU, and the paper's
-// payload-compressing average pooling.
+// payload-compressing average pooling, fused into one layer that makes
+// one pass per frame.
 type UEModel struct {
-	Net    *nn.Sequential
-	poolH  int
-	poolW  int
-	imageH int
-	imageW int
+	Net            *nn.ConvReLUAvgPool
+	imageH, imageW int
 }
 
 // NewUEModel builds the UE CNN for the given dataset geometry.
@@ -35,25 +33,13 @@ type UEModel struct {
 // outputs visibly resemble the raw frames, and remains fully trainable.
 func NewUEModel(rng *rand.Rand, cfg Config, d *dataset.Dataset) *UEModel {
 	conv := nn.NewConv2DSame(rng, 1, 1, cfg.KernelSize)
-	conv.InputLayer = true // its input is the camera frames: no dL/d(pixels)
 	k := conv.K.Value.Data()
 	base := 1.0 / float64(len(k))
 	for i := range k {
 		k[i] = base * (1 + 0.1*rng.NormFloat64())
 	}
-	// The paper's average pool runs fused with the convolution and the
-	// ReLU, one pass per frame; the max-pool ablation keeps the layer chain
-	// (it needs the argmax of the full-resolution ReLU output anyway).
-	var net *nn.Sequential
-	switch cfg.Pooling {
-	case PoolMax:
-		net = nn.NewSequential(conv, nn.NewReLU(), nn.NewMaxPool2D(cfg.PoolH, cfg.PoolW))
-	default:
-		net = nn.NewSequential(nn.NewConvReLUAvgPool(conv, cfg.PoolH, cfg.PoolW))
-	}
 	return &UEModel{
-		Net:   net,
-		poolH: cfg.PoolH, poolW: cfg.PoolW,
+		Net:    nn.NewConvReLUAvgPool(conv, cfg.PoolH, cfg.PoolW),
 		imageH: d.H, imageW: d.W,
 	}
 }
@@ -65,13 +51,13 @@ func (u *UEModel) Forward(images *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward consumes the cut-layer gradient received from the BS,
-// accumulating the UE-side parameter gradients. The chain ends at the
-// convolution: it is the network's input layer.
+// accumulating the UE-side parameter gradients. The layer is the
+// network's input layer: no gradient is formed for the pixels.
 func (u *UEModel) Backward(grad *tensor.Tensor) {
 	u.Net.Backward(grad)
 }
 
-// Release returns the layers' scratch buffers to the shared tensor pool,
+// Release returns the layer's scratch buffers to the shared tensor pool,
 // for the next session's model to take up; a later Forward re-acquires.
 func (u *UEModel) Release() { u.Net.Release() }
 

@@ -31,6 +31,9 @@ const ckptVersion = 1
 var ErrCheckpoint = errors.New("split: bad checkpoint")
 
 // fingerprint captures the architecture-determining fields of a Config.
+// The last word is a literal 0 where the pooling operator used to be
+// recorded (average pooling was 0), so checkpoints written before its
+// removal keep loading.
 func (c Config) fingerprint() []uint32 {
 	quant := uint32(0)
 	if c.QuantizeWire {
@@ -39,7 +42,7 @@ func (c Config) fingerprint() []uint32 {
 	return []uint32{
 		uint32(c.Modality), uint32(c.PoolH), uint32(c.PoolW),
 		uint32(c.SeqLen), uint32(c.HiddenSize), uint32(c.KernelSize),
-		uint32(c.RNN), quant, uint32(c.Pooling),
+		uint32(c.RNN), quant, 0,
 	}
 }
 

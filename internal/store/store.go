@@ -203,22 +203,6 @@ func (a *Aggregates) add(rec SessionRecord) {
 	a.BytesOut += rec.BytesOut
 }
 
-// plus returns a + b.
-func (a Aggregates) plus(b Aggregates) Aggregates {
-	return Aggregates{
-		Detached:    a.Detached + b.Detached,
-		Superseded:  a.Superseded + b.Superseded,
-		Idle:        a.Idle + b.Idle,
-		Admin:       a.Admin + b.Admin,
-		Failed:      a.Failed + b.Failed,
-		Migrated:    a.Migrated + b.Migrated,
-		Checkpoints: a.Checkpoints + b.Checkpoints,
-		Resumes:     a.Resumes + b.Resumes,
-		BytesIn:     a.BytesIn + b.BytesIn,
-		BytesOut:    a.BytesOut + b.BytesOut,
-	}
-}
-
 // Stats is a backend's contribution to a metrics scrape. Counters are
 // monotonic over the store's open lifetime; recovery fields describe the
 // replay performed at open.

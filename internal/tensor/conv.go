@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Conv2DSpec describes a 2-D convolution in NCHW layout.
 // Input:  (N, Cin, H, W). Kernel: (Cout, Cin, KH, KW). Output:
@@ -700,78 +697,4 @@ func UpsampleNearest2D(x *Tensor, fh, fw int) *Tensor {
 		}
 	}
 	return out
-}
-
-// MaxPool2D applies non-overlapping max pooling with window (ph, pw) to
-// x (N,C,H,W), returning the pooled tensor and the flat argmax index of
-// each window (needed by the backward pass). Geometry constraints match
-// AvgPool2D.
-func MaxPool2D(x *Tensor, ph, pw int) (*Tensor, []int) {
-	mustRank(x, 4, "MaxPool2D")
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if ph <= 0 || pw <= 0 || h%ph != 0 || w%pw != 0 {
-		panic(fmt.Sprintf("tensor: MaxPool2D window %dx%d incompatible with input %dx%d", ph, pw, h, w))
-	}
-	oh, ow := h/ph, w/pw
-	out := New(n, c, oh, ow)
-	argmax := make([]int, out.Size())
-	MaxPool2DInto(out, argmax, x, ph, pw)
-	return out, argmax
-}
-
-// MaxPool2DInto computes MaxPool2D into out and argmax, overwriting both.
-func MaxPool2DInto(out *Tensor, argmax []int, x *Tensor, ph, pw int) {
-	mustRank(x, 4, "MaxPool2DInto")
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if ph <= 0 || pw <= 0 || h%ph != 0 || w%pw != 0 {
-		panic(fmt.Sprintf("tensor: MaxPool2D window %dx%d incompatible with input %dx%d", ph, pw, h, w))
-	}
-	oh, ow := h/ph, w/pw
-	if out.Size() != n*c*oh*ow || len(argmax) != out.Size() {
-		panic(fmt.Sprintf("tensor: MaxPool2DInto out size %d / argmax %d, want %d",
-			out.Size(), len(argmax), n*c*oh*ow))
-	}
-	xd, od := x.data, out.data
-	for nc := 0; nc < n*c; nc++ {
-		xbase := nc * h * w
-		obase := nc * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				bestIdx := -1
-				for dy := 0; dy < ph; dy++ {
-					rowBase := xbase + (oy*ph+dy)*w
-					for dx := 0; dx < pw; dx++ {
-						idx := rowBase + ox*pw + dx
-						if xd[idx] > best {
-							best = xd[idx]
-							bestIdx = idx
-						}
-					}
-				}
-				od[obase+oy*ow+ox] = best
-				argmax[obase+oy*ow+ox] = bestIdx
-			}
-		}
-	}
-}
-
-// MaxPool2DBackward routes each upstream gradient element to the input
-// position that achieved the window maximum.
-func MaxPool2DBackward(gradOut *Tensor, argmax []int, inShape []int) *Tensor {
-	out := New(inShape...)
-	MaxPool2DBackwardInto(out, gradOut, argmax)
-	return out
-}
-
-// MaxPool2DBackwardInto computes MaxPool2DBackward into out, overwriting it.
-func MaxPool2DBackwardInto(out, gradOut *Tensor, argmax []int) {
-	if gradOut.Size() != len(argmax) {
-		panic(fmt.Sprintf("tensor: MaxPool2DBackward argmax length %d != grad size %d",
-			len(argmax), gradOut.Size()))
-	}
-	out.Zero()
-	for i, g := range gradOut.data {
-		out.data[argmax[i]] += g
-	}
 }

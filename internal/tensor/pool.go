@@ -12,9 +12,8 @@ import (
 // few buffers instead of churning the GC with multi-megabyte allocations
 // every step. A large request gets a buffer of exactly its size: the
 // model-sized buffers that sessions hand back and take up again (a UE
-// half's 3.3 MB image stack, the four layer buffers of that size under
-// max pooling) repeat their sizes exactly, and rounding those up to a
-// power of two costs a quarter of their footprint.
+// half's 3.3 MB image stack) repeat their sizes exactly, and rounding
+// those up to a power of two costs a quarter of their footprint.
 
 const (
 	minPoolClass = 6       // smallest pooled capacity: 1<<6 = 64 floats

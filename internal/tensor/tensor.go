@@ -36,10 +36,6 @@ func New(shape ...int) *Tensor {
 	}
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// contrast zero and non-zero initialisation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor of the given shape with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -274,14 +270,6 @@ func Apply(t *Tensor, f func(float64) float64) *Tensor {
 		c.data[i] = f(v)
 	}
 	return c
-}
-
-// ApplyInPlace applies f to every element of t and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
 }
 
 // ---- reductions --------------------------------------------------------------

@@ -206,7 +206,6 @@ type UESession struct {
 	ckptStep uint32
 	epoch    uint32
 	resumes  int
-	peer     *UEPeer
 }
 
 // Resumes reports how many times the session resumed from a checkpoint.
@@ -230,14 +229,6 @@ func (s *UESession) CheckpointBytes() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]byte(nil), s.ckpt...)
-}
-
-// Peer returns the most recent UE peer (nil before the first join) —
-// the handle tests use to inspect final model state.
-func (s *UESession) Peer() *UEPeer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peer
 }
 
 // ckptFile names the on-disk UE-half checkpoint.
@@ -369,7 +360,6 @@ func (s *UESession) serveOnce(conn io.ReadWriteCloser, logf func(string, ...any)
 	ue.OnRequest = s.OnRequest
 	s.mu.Lock()
 	s.epoch = ack.Epoch
-	s.peer = ue
 	if resumeFrom > 0 {
 		s.resumes++
 	}

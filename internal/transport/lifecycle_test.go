@@ -721,7 +721,8 @@ func TestBSServerResumeStaleFingerprintRejected(t *testing.T) {
 
 // TestBSServerResumeMissingCheckpointRejected: a resume token naming a
 // step with no retained checkpoint is refused, as is any resume against
-// a server without checkpointing.
+// a server without checkpointing, and a token is bound to the session id
+// it was issued to: another session presenting its step is refused.
 func TestBSServerResumeMissingCheckpointRejected(t *testing.T) {
 	prov := cachedProvision()
 	h := tinyHello(0)
@@ -758,6 +759,45 @@ func TestBSServerResumeMissingCheckpointRejected(t *testing.T) {
 	}
 	if err := join(without); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("resume without a store: err = %v", err)
+	}
+
+	// Replay across session ids: B's config, and so its fingerprint, is
+	// A's, and B presents the step of A's retained checkpoint.
+	a, srvA, _ := resumeHarnessRun(t, prov, 0)
+	step := a.LastCheckpointStep()
+	if step == 0 {
+		t.Fatal("no checkpoint to resume from")
+	}
+	joinAs := func(id string) (*Hello, error) {
+		hh := tinyHello(0)
+		hh.SessionID = id
+		hh.ConfigFP = cfg.Fingerprint()
+		hh.ResumeStep = step
+		ueConn, bsConn := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- srvA.Handle(bsConn) }()
+		ack, err := JoinSession(ueConn, hh)
+		ueConn.Close() // an admitted session trains until its UE goes away
+		<-done
+		return ack, err
+	}
+	before := srvA.Stats().RestoreErrors
+	if _, err := joinAs("ue-replay"); !errors.Is(err, ErrResumeRejected) ||
+		!strings.Contains(err.Error(), "no checkpoint") {
+		t.Fatalf("replayed token from another session: err = %v", err)
+	}
+	if got := srvA.Stats().RestoreErrors; got != before+1 {
+		t.Fatalf("RestoreErrors = %d after the replay, want %d", got, before+1)
+	}
+	ack, err := joinAs(a.Hello.SessionID)
+	if err != nil {
+		t.Fatalf("own token after the replay: %v", err)
+	}
+	if ack.ResumeStep != step {
+		t.Fatalf("own token resumed from step %d, want %d", ack.ResumeStep, step)
+	}
+	if got := srvA.Stats().RestoreErrors; got != before+1 {
+		t.Fatalf("RestoreErrors = %d after the own-token resume, want %d", got, before+1)
 	}
 }
 
