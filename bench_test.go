@@ -459,54 +459,6 @@ func BenchmarkCurveCSV(b *testing.B) {
 	}
 }
 
-// BenchmarkGRUForward measures the GRU ablation core on the same batch
-// as BenchmarkLSTMForward.
-func BenchmarkGRUForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	g := nn.NewGRU(rng, 101, 32)
-	x := tensor.Randn(rng, 1, 64, 4, 101)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Forward(x)
-	}
-}
-
-// BenchmarkGRUBackward measures GRU BPTT.
-func BenchmarkGRUBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	g := nn.NewGRU(rng, 101, 32)
-	x := tensor.Randn(rng, 1, 64, 4, 101)
-	h := g.Forward(x)
-	grad := tensor.Ones(h.Shape()...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Forward(x)
-		_ = g.Backward(grad)
-	}
-}
-
-// BenchmarkTrainStepQuantized measures the 1-pixel scheme with 8-bit
-// wire quantisation of the cut-layer tensors.
-func BenchmarkTrainStepQuantized(b *testing.B) {
-	env := benchEnv(b)
-	cfg := env.SchemeConfig(split.ImageRF, 40)
-	cfg.QuantizeWire = true
-	cfg.BitDepth = tensor.Depth8
-	tr, err := env.NewTrainerFromConfig(cfg, split.IdealLink{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEventConditioned measures the Fig. 3b event-split metric over
 // a 10k-sample trace.
 func BenchmarkEventConditioned(b *testing.B) {

@@ -335,7 +335,6 @@ func cmdTable1(args []string) error {
 func cmdAblate(args []string) error {
 	fs := flag.NewFlagSet("ablate", flag.ExitOnError)
 	scaleName, seed, dsPath := scaleFlags(fs)
-	train := fs.Bool("train", false, "also run the training ablations (RNN core, wire precision)")
 	fs.Parse(args)
 
 	env, err := buildEnv(*scaleName, *seed, *dsPath)
@@ -348,23 +347,6 @@ func cmdAblate(args []string) error {
 		experiments.RunAblationSeqLen(env),
 		experiments.RunAblationPoolingSweep(env),
 	} {
-		fmt.Printf("\n== %s ==\n", res.Name)
-		if err := res.Table().WritePretty(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if !*train {
-		return nil
-	}
-	rnn, err := experiments.RunAblationRNNKind(env)
-	if err != nil {
-		return err
-	}
-	wire, err := experiments.RunAblationWirePrecision(env)
-	if err != nil {
-		return err
-	}
-	for _, res := range []*experiments.TrainAblationResult{rnn, wire} {
 		fmt.Printf("\n== %s ==\n", res.Name)
 		if err := res.Table().WritePretty(os.Stdout); err != nil {
 			return err
@@ -440,8 +422,6 @@ func cmdTrain(args []string) error {
 	schemeName := fs.String("scheme", "imgrf", "scheme: rf, img, or imgrf")
 	pool := fs.Int("pool", 40, "square pooling size")
 	ideal := fs.Bool("ideal-link", false, "skip the simulated channel (accuracy-only)")
-	rnnName := fs.String("rnn", "lstm", "recurrent core: lstm or gru")
-	quantize := fs.Bool("quantize-wire", false, "round-trip cut-layer tensors through the codec at the configured bit depth")
 	codecName := fs.String("codec", "raw", "cut-layer payload codec: raw, float16, int8 or topk")
 	saveCkpt := fs.String("save", "", "write a model checkpoint after training")
 	loadCkpt := fs.String("load", "", "restore a model checkpoint before training")
@@ -473,15 +453,6 @@ func cmdTrain(args []string) error {
 		link = split.IdealLink{}
 	}
 	cfg := env.SchemeConfig(m, *pool)
-	switch *rnnName {
-	case "lstm":
-		cfg.RNN = split.RNNLSTM
-	case "gru":
-		cfg.RNN = split.RNNGRU
-	default:
-		return fmt.Errorf("unknown rnn %q (want lstm or gru)", *rnnName)
-	}
-	cfg.QuantizeWire = *quantize
 	codecID, err := compress.Parse(*codecName)
 	if err != nil {
 		return err
@@ -501,7 +472,7 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scheme: %s (%s core)\n", curve.Scheme, cfg.RNN)
+	fmt.Printf("scheme: %s\n", curve.Scheme)
 	fmt.Printf("%6s %10s %10s\n", "epoch", "time(s)", "rmse(dB)")
 	for _, p := range curve.Points {
 		fmt.Printf("%6d %10.2f %10.3f\n", p.Epoch, p.TimeS, p.RMSEdB)

@@ -9,7 +9,10 @@ import (
 
 // Raw and QuantInt8 delegate to the tensor package's wire format
 // (Depth64 lossless / Depth8 affine min-max), which already carries the
-// shape and, for Depth8, the per-tensor quantisation range.
+// shape and, for Depth8, the per-tensor quantisation range. That format
+// describes its own depth, so each decoder insists on its codec's depth:
+// otherwise Raw would accept a lossy payload (and QuantInt8 a lossless
+// one) under the wrong codec tag.
 
 // Raw is the identity codec: lossless float64 elements, bit-identical
 // through Encode∘Decode — the protocol's original behaviour.
@@ -35,11 +38,13 @@ func (Raw) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 }
 
 // Decode implements Codec.
-func (Raw) Decode(data []byte) (*tensor.Tensor, error) { return tensorDecode(data) }
+func (Raw) Decode(data []byte) (*tensor.Tensor, error) {
+	return tensorDecodeInto(nil, data, tensor.Depth64)
+}
 
 // DecodeInto implements Codec.
 func (Raw) DecodeInto(dst *tensor.Tensor, data []byte) (*tensor.Tensor, error) {
-	return tensorDecodeInto(dst, data)
+	return tensorDecodeInto(dst, data, tensor.Depth64)
 }
 
 // Bits implements Codec: the paper's R-bit-per-element payload model.
@@ -69,11 +74,13 @@ func (QuantInt8) EncodeInto(dst []byte, t *tensor.Tensor) ([]byte, error) {
 }
 
 // Decode implements Codec.
-func (QuantInt8) Decode(data []byte) (*tensor.Tensor, error) { return tensorDecode(data) }
+func (QuantInt8) Decode(data []byte) (*tensor.Tensor, error) {
+	return tensorDecodeInto(nil, data, tensor.Depth8)
+}
 
 // DecodeInto implements Codec.
 func (QuantInt8) DecodeInto(dst *tensor.Tensor, data []byte) (*tensor.Tensor, error) {
-	return tensorDecodeInto(dst, data)
+	return tensorDecodeInto(dst, data, tensor.Depth8)
 }
 
 // Bits implements Codec: one byte per element plus the two float64s of
@@ -89,11 +96,12 @@ func tensorEncode(t *tensor.Tensor, d tensor.BitDepth) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func tensorDecode(data []byte) (*tensor.Tensor, error) {
-	return tensorDecodeInto(nil, data)
-}
-
-func tensorDecodeInto(dst *tensor.Tensor, data []byte) (*tensor.Tensor, error) {
+// tensorDecodeInto decodes one tensor-format payload that must be
+// written at depth d and fill data exactly.
+func tensorDecodeInto(dst *tensor.Tensor, data []byte, d tensor.BitDepth) (*tensor.Tensor, error) {
+	if len(data) > 0 && tensor.BitDepth(data[0]) != d {
+		return nil, fmt.Errorf("%w: bit depth %d, codec writes %d", ErrCorrupt, data[0], d)
+	}
 	t, rest, err := tensor.DecodeBytes(dst, data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

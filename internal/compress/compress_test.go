@@ -290,6 +290,42 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			}()
 		}
 	}
+	// A codec must refuse every other codec's encoding of the same
+	// tensor: the BS checks a frame's codec tag, so a payload that
+	// decodes under the wrong codec would smuggle lossy values past it.
+	// One pair is ambiguous in the formats themselves: a float16 body is
+	// any 2·size bytes, so float16 accepts a top-k payload of exactly
+	// that length (4 + 8k = 2·size, sizes 6 and 10 at the default
+	// fraction). Shape {2, 1, 5} pins that exception; every other pair
+	// must refuse.
+	for _, shape := range [][]int{{1}, {3, 4}, {2, 1, 5}, {16, 1, 1, 1}} {
+		x := tensor.Randn(rng, 1, shape...)
+		for _, from := range IDs() {
+			enc, err := MustNew(from).Encode(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range IDs() {
+				if to == from {
+					continue
+				}
+				c := MustNew(to)
+				if from == CodecTopK && to == CodecFloat16 && len(enc) == 1+4*len(shape)+2*x.Size() {
+					if _, err := c.Decode(enc); err != nil {
+						t.Errorf("same-length top-k payload of shape %v: err = %v, want the known float16 ambiguity", shape, err)
+					}
+					continue
+				}
+				if _, err := c.Decode(enc); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%v.Decode accepted a %v payload of shape %v: err = %v", to, from, shape, err)
+				}
+				dst := tensor.New(shape...)
+				if _, err := c.DecodeInto(dst, enc); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%v.DecodeInto accepted a %v payload of shape %v: err = %v", to, from, shape, err)
+				}
+			}
+		}
+	}
 }
 
 // TestTopKRejectsDecompressionBomb: a tiny payload must not be able to

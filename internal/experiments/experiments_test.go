@@ -138,6 +138,27 @@ func TestRunFig3b(t *testing.T) {
 	}
 }
 
+func TestFig3bEventSplit(t *testing.T) {
+	env := testEnv(t)
+	res, err := RunFig3b(env, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The transition window was chosen for its swing, so the event split
+	// should be computable for at least one scheme.
+	if len(res.Events) == 0 {
+		t.Skip("window produced a degenerate event split at this scale")
+	}
+	for scheme, rep := range res.Events {
+		if rep.TransitionRMSE <= 0 {
+			t.Fatalf("%s transition RMSE = %g", scheme, rep.TransitionRMSE)
+		}
+		if rep.TransitionFrac <= 0 || rep.TransitionFrac >= 1 {
+			t.Fatalf("%s transition fraction = %g", scheme, rep.TransitionFrac)
+		}
+	}
+}
+
 func TestFindTransitionWindowErrors(t *testing.T) {
 	env := testEnv(t)
 	if _, _, err := env.FindTransitionWindow(len(env.Split.Val) + 1); err == nil {

@@ -51,38 +51,16 @@ func (m Modality) UsesImages() bool { return m != RFOnly }
 // UsesRF reports whether the RF power is part of the RNN input.
 func (m Modality) UsesRF() bool { return m != ImageOnly }
 
-// RNNKind selects the BS-side recurrent core. The paper uses an LSTM;
-// the GRU is provided as an architecture ablation.
-type RNNKind int
-
-// Recurrent-core choices.
-const (
-	RNNLSTM RNNKind = iota
-	RNNGRU
-)
-
-// String names the recurrent core.
-func (k RNNKind) String() string {
-	switch k {
-	case RNNLSTM:
-		return "LSTM"
-	case RNNGRU:
-		return "GRU"
-	}
-	return fmt.Sprintf("RNNKind(%d)", int(k))
-}
-
 // Config fully describes one training run.
 type Config struct {
 	Modality     Modality
 	PoolH, PoolW int // w_H × w_W; 40×40 over 40×40 images is the "1-pixel" scheme
 
-	SeqLen        int     // L
-	HorizonFrames int     // T/γ
-	BatchSize     int     // |B|
-	HiddenSize    int     // recurrent-core width
-	KernelSize    int     // UE conv kernel (square, stride 1, same padding)
-	RNN           RNNKind // BS recurrent core (paper: LSTM)
+	SeqLen        int // L
+	HorizonFrames int // T/γ
+	BatchSize     int // |B|
+	HiddenSize    int // LSTM width
+	KernelSize    int // UE conv kernel (square, stride 1, same padding)
 
 	BitDepth tensor.BitDepth // R in the payload formula
 
@@ -93,14 +71,6 @@ type Config struct {
 	// round-trip the cut tensors during training, so their quantisation
 	// error genuinely flows through the optimisation.
 	Codec compress.ID
-
-	// QuantizeWire, when set, round-trips the cut-layer activations and
-	// gradients through the tensor wire codec at BitDepth during
-	// training, modelling the lossy encoding the payload formula's R
-	// implies instead of assuming infinite-precision transfer. An
-	// extension beyond the paper (which models R in the payload size but
-	// trains at full precision).
-	QuantizeWire bool
 
 	// Adam hyper-parameters (paper: 0.001, 0.9, 0.999).
 	LR, Beta1, Beta2 float64
@@ -147,18 +117,15 @@ func (c Config) Fingerprint() uint64 {
 			h.Write(b[:])
 		}
 	}
-	// The 0 sits where a pooling-operator field used to be hashed (average
-	// pooling was 0): hello fingerprints, journaled train states and saved
-	// models from before its removal must still match.
+	// The literal 0s sit where removed fields used to be hashed: the
+	// pooling operator (average pooling was 0), the recurrent core (the
+	// LSTM was 0) and wire quantisation (off was 0). Hello fingerprints,
+	// journaled train states and saved models from before their removal
+	// must still match.
 	put(int64(c.Modality), int64(c.PoolH), int64(c.PoolW), 0,
 		int64(c.SeqLen), int64(c.HorizonFrames), int64(c.BatchSize),
-		int64(c.HiddenSize), int64(c.KernelSize), int64(c.RNN),
-		int64(c.BitDepth), int64(c.Codec), c.Seed)
-	if c.QuantizeWire {
-		put(1)
-	} else {
-		put(0)
-	}
+		int64(c.HiddenSize), int64(c.KernelSize), 0,
+		int64(c.BitDepth), int64(c.Codec), c.Seed, 0)
 	put(int64(c.LR*1e12), int64(c.Beta1*1e12), int64(c.Beta2*1e12))
 	return h.Sum64()
 }

@@ -2,184 +2,13 @@ package split
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
-
-// ---- GRU core ---------------------------------------------------------------
-
-func TestGRUCoreTrains(t *testing.T) {
-	d := tinyDataset(t, 200)
-	cfg := tinyConfig(ImageRF, 4)
-	cfg.RNN = RNNGRU
-	cfg.BatchSize = 16
-	sp := makeSplit(t, d, cfg)
-	model := buildModel(t, cfg, d, sp)
-	if _, ok := model.BS.Core.(*nn.GRU); !ok {
-		t.Fatalf("core is %T, want *nn.GRU", model.BS.Core)
-	}
-	tr := NewTrainer(model, d, sp, IdealLink{})
-	before, err := tr.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 120; i++ {
-		if _, err := tr.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := tr.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Fatalf("GRU scheme did not improve: %.3f -> %.3f dB", before, after)
-	}
-}
-
-func TestGRUFullModelGradients(t *testing.T) {
-	d := tinyDataset(t, 40)
-	cfg := tinyConfig(ImageRF, 4)
-	cfg.RNN = RNNGRU
-	cfg.BatchSize = 2
-	sp := makeSplit(t, d, cfg)
-	model := buildModel(t, cfg, d, sp)
-	anchors := sp.Train[:2]
-
-	lossOf := func() float64 {
-		pred, _ := model.ForwardBatch(anchors)
-		loss, _ := nn.MSE(pred, model.targets(anchors))
-		return loss
-	}
-	nn.ZeroGrads(model.Params())
-	pred, _ := model.ForwardBatch(anchors)
-	_, lossGrad := nn.MSE(pred, model.targets(anchors))
-	model.BackwardBatch(lossGrad)
-
-	const eps = 1e-6
-	for pi, p := range model.Params() {
-		for i := 0; i < p.Value.Size(); i++ {
-			orig := p.Value.Data()[i]
-			p.Value.Data()[i] = orig + eps
-			plus := lossOf()
-			p.Value.Data()[i] = orig - eps
-			minus := lossOf()
-			p.Value.Data()[i] = orig
-			num := (plus - minus) / (2 * eps)
-			got := p.Grad.Data()[i]
-			if diff := got - num; diff > 1e-5 || diff < -1e-5 {
-				t.Fatalf("param %d (%s) grad[%d] = %g, numeric %g", pi, p.Name, i, got, num)
-			}
-		}
-	}
-}
-
-func TestGRUFLOPsBelowLSTM(t *testing.T) {
-	d := tinyDataset(t, 60)
-	lstm := tinyConfig(ImageRF, 4)
-	gru := tinyConfig(ImageRF, 4)
-	gru.RNN = RNNGRU
-	sp := makeSplit(t, d, lstm)
-	ml := buildModel(t, lstm, d, sp)
-	mg := buildModel(t, gru, d, sp)
-	if mg.StepFLOPs() >= ml.StepFLOPs() {
-		t.Fatalf("GRU step (%g) should be cheaper than LSTM (%g)", mg.StepFLOPs(), ml.StepFLOPs())
-	}
-}
-
-func TestRNNKindString(t *testing.T) {
-	if RNNLSTM.String() != "LSTM" || RNNGRU.String() != "GRU" {
-		t.Fatalf("names: %s / %s", RNNLSTM, RNNGRU)
-	}
-}
-
-// ---- wire quantisation --------------------------------------------------------
-
-func TestQuantizeWireDepth64IsTransparent(t *testing.T) {
-	// Depth64 round-trips are lossless, so quantised and unquantised
-	// training must produce identical parameters.
-	d := tinyDataset(t, 150)
-	base := tinyConfig(ImageRF, 4)
-	quant := base
-	quant.QuantizeWire = true
-	quant.BitDepth = tensor.Depth64
-	sp := makeSplit(t, d, base)
-
-	run := func(cfg Config) *Model {
-		model := buildModel(t, cfg, d, sp)
-		tr := NewTrainer(model, d, sp, IdealLink{})
-		for i := 0; i < 15; i++ {
-			if _, err := tr.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return model
-	}
-	a, b := run(base), run(quant)
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		if tensor.MaxAbsDiff(pa[i].Value, pb[i].Value) != 0 {
-			t.Fatalf("Depth64 quantisation changed parameter %d", i)
-		}
-	}
-}
-
-func TestQuantizeWireDepth8StillLearns(t *testing.T) {
-	d := tinyDataset(t, 200)
-	cfg := tinyConfig(ImageRF, 4)
-	cfg.QuantizeWire = true
-	cfg.BitDepth = tensor.Depth8
-	cfg.BatchSize = 16
-	sp := makeSplit(t, d, cfg)
-	model := buildModel(t, cfg, d, sp)
-	tr := NewTrainer(model, d, sp, IdealLink{})
-	before, err := tr.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 120; i++ {
-		if _, err := tr.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := tr.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Fatalf("8-bit wire training did not improve: %.3f -> %.3f dB", before, after)
-	}
-}
-
-func TestQuantizeWireChangesActivations(t *testing.T) {
-	d := tinyDataset(t, 60)
-	cfg := tinyConfig(ImageRF, 4)
-	cfg.QuantizeWire = true
-	cfg.BitDepth = tensor.Depth8
-	sp := makeSplit(t, d, cfg)
-	model := buildModel(t, cfg, d, sp)
-	anchors := sp.Train[:4]
-
-	// The returned pooled tensor is the post-quantisation payload;
-	// compare against an unquantised clone of the same model.
-	ref := cfg
-	ref.QuantizeWire = false
-	refModel := buildModel(t, ref, d, sp)
-	_, quantPooled := model.ForwardBatch(anchors)
-	_, rawPooled := refModel.ForwardBatch(anchors)
-	if tensor.MaxAbsDiff(quantPooled, rawPooled) == 0 {
-		t.Fatal("8-bit quantisation left activations bit-identical (suspicious)")
-	}
-	// But close: quantisation error bounded by one step of the range.
-	span := rawPooled.Max() - rawPooled.Min()
-	if tensor.MaxAbsDiff(quantPooled, rawPooled) > span/250+1e-9 {
-		t.Fatal("quantisation error exceeds one 8-bit step")
-	}
-}
 
 // ---- checkpointing -------------------------------------------------------------
 
@@ -256,9 +85,20 @@ func TestCheckpointRejectsIncompatible(t *testing.T) {
 	if err := SaveCheckpoint(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	err := LoadCheckpoint(&buf, b)
-	if !errors.Is(err, ErrCheckpoint) {
+	saved := buf.Bytes()
+	if err := LoadCheckpoint(bytes.NewReader(saved), b); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("incompatible load: err = %v, want ErrCheckpoint", err)
+	}
+	// Header words 6 and 7 held the recurrent core and wire quantisation,
+	// both now removed: a file written with a GRU core or a quantised wire
+	// (a 1 there) must be refused, never misloaded. The words start after
+	// the magic, version and word count.
+	for _, word := range []int{6, 7} {
+		patched := slices.Clone(saved)
+		binary.BigEndian.PutUint32(patched[16+4*word:], 1)
+		if err := LoadCheckpoint(bytes.NewReader(patched), a); !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("header word %d = 1: err = %v, want ErrCheckpoint", word, err)
+		}
 	}
 }
 
@@ -334,9 +174,7 @@ func TestConfigFingerprint(t *testing.T) {
 		"batch":    func(c *Config) { c.BatchSize++ },
 		"hidden":   func(c *Config) { c.HiddenSize++ },
 		"kernel":   func(c *Config) { c.KernelSize += 2 },
-		"rnn":      func(c *Config) { c.RNN = RNNGRU },
 		"bitdepth": func(c *Config) { c.BitDepth = tensor.Depth8 },
-		"quantize": func(c *Config) { c.QuantizeWire = true },
 		"lr":       func(c *Config) { c.LR *= 2 },
 		"seed":     func(c *Config) { c.Seed++ },
 	} {

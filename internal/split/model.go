@@ -1,7 +1,6 @@
 package split
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -73,25 +72,18 @@ func (u *UEModel) FLOPsPerImage(kernel int) float64 {
 	return conv + relu + pool
 }
 
-// BSModel is the base-station half: a recurrent core (LSTM by default,
-// GRU as an ablation) over the L-step fused sequence followed by a
-// linear regression head producing the predicted normalised power.
+// BSModel is the base-station half: an LSTM over the L-step fused
+// sequence followed by a linear regression head producing the predicted
+// normalised power.
 type BSModel struct {
-	Core nn.Recurrent
+	Core *nn.LSTM
 	Head *nn.Dense
 }
 
 // NewBSModel builds the BS model for the given per-step input width.
 func NewBSModel(rng *rand.Rand, cfg Config, inputDim int) *BSModel {
-	var core nn.Recurrent
-	switch cfg.RNN {
-	case RNNGRU:
-		core = nn.NewGRU(rng, inputDim, cfg.HiddenSize)
-	default:
-		core = nn.NewLSTM(rng, inputDim, cfg.HiddenSize)
-	}
 	return &BSModel{
-		Core: core,
+		Core: nn.NewLSTM(rng, inputDim, cfg.HiddenSize),
 		Head: nn.NewDense(rng, cfg.HiddenSize, 1),
 	}
 }
@@ -107,13 +99,10 @@ func (b *BSModel) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return b.Core.Backward(b.Head.Backward(grad))
 }
 
-// Release returns the scratch of the core (the GRU ablation keeps its
-// own) and of the head to the shared tensor pool; a later Forward
-// re-acquires.
+// Release returns the scratch of the core and of the head to the shared
+// tensor pool; a later Forward re-acquires.
 func (b *BSModel) Release() {
-	if r, ok := b.Core.(interface{ Release() }); ok {
-		r.Release()
-	}
+	b.Core.Release()
 	b.Head.Release()
 }
 
@@ -123,15 +112,11 @@ func (b *BSModel) Params() []*nn.Param {
 }
 
 // FLOPsPerSequence estimates one sequence's recurrent + head forward
-// cost. The gate count (4 for LSTM, 3 for GRU) only changes a small
-// constant; the dominant term is the packed matrix products.
+// cost: per step, the packed products over the LSTM's four gates plus
+// the element-wise gate arithmetic.
 func (b *BSModel) FLOPsPerSequence(seqLen int) float64 {
-	in, hid := b.Core.InputDim(), b.Core.HiddenDim()
-	gates := 4
-	if _, ok := b.Core.(*nn.GRU); ok {
-		gates = 3
-	}
-	perStep := float64(2*(in+hid)*gates*hid) + float64(10*hid)
+	in, hid := b.Core.InDim, b.Core.Hidden
+	perStep := float64(2*(in+hid)*4*hid) + float64(10*hid)
 	head := float64(2 * hid)
 	return float64(seqLen)*perStep + head
 }
@@ -252,26 +237,22 @@ func (m *Model) targets(anchors []int) *tensor.Tensor {
 
 // ForwardBatch runs the full forward pass for the anchors, returning the
 // (B, 1) normalised predictions and, for image schemes, the pooled
-// activations that crossed the cut layer. With Cfg.QuantizeWire the
+// activations that crossed the cut layer. Under a lossy codec the
 // activations the BS consumes are the codec round-trip of what the UE
-// produced, exactly as a BitDepth-bit uplink would deliver them.
+// produced, exactly as the uplink would deliver them.
 func (m *Model) ForwardBatch(anchors []int) (pred, pooled *tensor.Tensor) {
 	// Recycle the previous step's batch-assembly buffers: nothing handed
 	// out by the arena may outlive the next ForwardBatch (see arena doc).
 	m.arena.Reset()
 	if m.UE != nil {
-		pooled = m.UE.Forward(m.imageBatch(anchors))
-		if m.Cfg.QuantizeWire {
-			pooled = quantizeRoundTrip(pooled, m.Cfg.BitDepth)
-		}
-		pooled = m.wireRoundTrip(pooled)
+		pooled = m.wireRoundTrip(m.UE.Forward(m.imageBatch(anchors)))
 	}
 	return m.BS.Forward(m.fuse(anchors, pooled)), pooled
 }
 
 // BackwardBatch propagates the (B, 1) loss gradient through both halves,
 // returning the cut-layer gradient (nil for RF-only) for payload
-// accounting. With Cfg.QuantizeWire the gradient the UE consumes is the
+// accounting. Under a lossy codec the gradient the UE consumes is the
 // codec round-trip of what the BS produced (the downlink is equally
 // band-limited).
 func (m *Model) BackwardBatch(lossGrad *tensor.Tensor) (cutGrad *tensor.Tensor) {
@@ -280,11 +261,7 @@ func (m *Model) BackwardBatch(lossGrad *tensor.Tensor) (cutGrad *tensor.Tensor) 
 		return nil
 	}
 	cutGrad = m.splitFusedGrad(fusedGrad)
-	ueGrad := cutGrad
-	if m.Cfg.QuantizeWire {
-		ueGrad = quantizeRoundTrip(cutGrad, m.Cfg.BitDepth)
-	}
-	m.UE.Backward(m.wireRoundTrip(ueGrad))
+	m.UE.Backward(m.wireRoundTrip(cutGrad))
 	return cutGrad
 }
 
@@ -319,20 +296,6 @@ func (m *Model) WireBits() int {
 	// the per-step cut shape.
 	shape := tensor.New(cfg.BatchSize*cfg.SeqLen, 1, m.data.H/cfg.PoolH, m.data.W/cfg.PoolW)
 	return m.wire.Bits(shape)
-}
-
-// quantizeRoundTrip encodes and decodes t at the given bit depth,
-// returning exactly the values the far end of the link would see.
-func quantizeRoundTrip(t *tensor.Tensor, d tensor.BitDepth) *tensor.Tensor {
-	var buf bytes.Buffer
-	if err := tensor.Encode(&buf, t, d); err != nil {
-		panic(fmt.Sprintf("split: wire quantisation encode: %v", err))
-	}
-	out, err := tensor.Decode(&buf)
-	if err != nil {
-		panic(fmt.Sprintf("split: wire quantisation decode: %v", err))
-	}
-	return out
 }
 
 // StepFLOPs estimates the floating-point work of one full training step

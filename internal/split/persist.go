@@ -31,18 +31,15 @@ const ckptVersion = 1
 var ErrCheckpoint = errors.New("split: bad checkpoint")
 
 // fingerprint captures the architecture-determining fields of a Config.
-// The last word is a literal 0 where the pooling operator used to be
-// recorded (average pooling was 0), so checkpoints written before its
+// Words 6, 7 and 8 are literal 0s where the recurrent core (the LSTM was
+// 0), wire quantisation (off was 0) and the pooling operator (average
+// pooling was 0) used to be recorded, so checkpoints written before their
 // removal keep loading.
 func (c Config) fingerprint() []uint32 {
-	quant := uint32(0)
-	if c.QuantizeWire {
-		quant = 1
-	}
 	return []uint32{
 		uint32(c.Modality), uint32(c.PoolH), uint32(c.PoolW),
 		uint32(c.SeqLen), uint32(c.HiddenSize), uint32(c.KernelSize),
-		uint32(c.RNN), quant, 0,
+		0, 0, 0,
 	}
 }
 
