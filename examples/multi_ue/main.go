@@ -14,12 +14,14 @@
 // train state every -checkpoint-every steps, and -drop-bytes injects a
 // mid-training connection cut into UE 0's link — it reconnects with
 // capped exponential backoff and resumes from the last checkpoint, so
-// the final table shows a resumed session converging like the rest.
+// the final table shows a resumed session converging like the rest. UE 0
+// sends ≈ 20 kB uplink in all with the int8 codec, so the cut must come
+// sooner than that; the example exits 1 if it never fires.
 //
 //	go run ./examples/multi_ue
 //	go run ./examples/multi_ue -ues 2 -steps 120
 //	go run ./examples/multi_ue -codecs raw,raw,raw,raw
-//	go run ./examples/multi_ue -drop-bytes 200000     # kill+resume UE 0
+//	go run ./examples/multi_ue -drop-bytes 10000      # kill+resume UE 0
 package main
 
 import (
@@ -182,6 +184,10 @@ func main() {
 	}
 	if !ok {
 		fmt.Println("\nnot every session reached its target — try more -steps")
+		os.Exit(1)
+	}
+	if *dropBytes > 0 && sessions[0].Resumes() == 0 {
+		fmt.Printf("\nthe injected fault never fired: ue-0 sent fewer than %d uplink bytes on its first connection — try a smaller -drop-bytes\n", *dropBytes)
 		os.Exit(1)
 	}
 	fmt.Printf("\nall %d UEs trained to their targets against one BS; no raw image ever left a UE\n", *ues)

@@ -47,21 +47,6 @@ func TestDeadlineValidation(t *testing.T) {
 	}
 }
 
-func TestOutageProbabilityAnalytic(t *testing.T) {
-	ch := paperUL(34)
-	bits := paperPayload(4) // p ≈ 0.0276
-	p := ch.SuccessProbability(bits)
-	for _, n := range []int{1, 10, 100} {
-		want := math.Pow(1-p, float64(n))
-		if got := ch.OutageProbability(bits, n); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("outage(%d) = %g, want %g", n, got, want)
-		}
-	}
-	if ch.OutageProbability(bits, 0) != 1 {
-		t.Fatal("zero budget should always be an outage")
-	}
-}
-
 func TestOutageMatchesMonteCarlo(t *testing.T) {
 	ch := paperUL(35)
 	bits := paperPayload(4)
@@ -77,44 +62,8 @@ func TestOutageMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 	emp := float64(fails) / trials
-	want := ch.OutageProbability(bits, budget)
+	want := math.Pow(1-ch.SuccessProbability(bits), budget)
 	if math.Abs(emp-want) > 4*math.Sqrt(want*(1-want)/trials)+0.01 {
 		t.Fatalf("empirical outage %g vs analytic %g", emp, want)
-	}
-}
-
-func TestSlotsForReliability(t *testing.T) {
-	ch := paperUL(36)
-	bits := paperPayload(4)
-	n, ok := ch.SlotsForReliability(bits, 1e-3)
-	if !ok {
-		t.Fatal("reliability unreachable for feasible payload")
-	}
-	// Verify minimality: n slots suffice, n−1 do not.
-	if ch.OutageProbability(bits, n) > 1e-3 {
-		t.Fatalf("%d slots give outage %g > 1e-3", n, ch.OutageProbability(bits, n))
-	}
-	if n > 1 && ch.OutageProbability(bits, n-1) <= 1e-3 {
-		t.Fatalf("%d slots not minimal", n)
-	}
-	// p ≈ 0.0276 → n ≈ ln(1e-3)/ln(0.9724) ≈ 247.
-	if n < 200 || n > 300 {
-		t.Fatalf("n = %d outside plausible range", n)
-	}
-}
-
-func TestSlotsForReliabilityEdgeCases(t *testing.T) {
-	ch := paperUL(37)
-	if _, ok := ch.SlotsForReliability(paperPayload(1), 1e-3); ok {
-		t.Fatal("undeliverable payload reported reachable")
-	}
-	if n, ok := ch.SlotsForReliability(0, 1e-3); !ok || n != 1 {
-		t.Fatalf("empty payload: n=%d ok=%v", n, ok)
-	}
-	if _, ok := ch.SlotsForReliability(100, 0); ok {
-		t.Fatal("target 0 accepted")
-	}
-	if _, ok := ch.SlotsForReliability(100, 1); ok {
-		t.Fatal("target 1 accepted")
 	}
 }

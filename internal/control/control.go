@@ -9,10 +9,7 @@
 //   - JSON admin: GET /healthz, GET /sessions, GET /sessions/{id},
 //     POST /sessions/{id}/evict, POST /drain. Drain is byte-for-byte
 //     the SIGTERM path: it calls BSServer.Drain plus the same listener
-//     hook main wires to the signal handler. POST /sessions/{id}/migrate
-//     and POST /sessions/adopt expose the two halves of live session
-//     handover (migrate.go) — the wire a coordinator uses to move a
-//     session between replicas it cannot reach in-process.
+//     hook main wires to the signal handler.
 //   - Live reconfiguration: GET /config and PUT /config over
 //     transport.Policy — the runtime-mutable subset of ServerConfig,
 //     swapped atomically and resolved at session join or round
@@ -71,8 +68,6 @@ func New(bs *transport.BSServer, opts Options) *Server {
 	s.mux.HandleFunc("GET /sessions", s.withBS(s.handleSessions))
 	s.mux.HandleFunc("GET /sessions/{id}", s.withBS(s.handleSession))
 	s.mux.HandleFunc("POST /sessions/{id}/evict", s.withBS(s.handleEvict))
-	s.mux.HandleFunc("POST /sessions/{id}/migrate", s.withBS(s.handleMigrateOut))
-	s.mux.HandleFunc("POST /sessions/adopt", s.withBS(s.handleAdopt))
 	s.mux.HandleFunc("POST /drain", s.withBS(s.handleDrain))
 	s.mux.HandleFunc("GET /config", s.withBS(s.handleGetConfig))
 	s.mux.HandleFunc("PUT /config", s.withBS(s.handlePutConfig))

@@ -236,108 +236,3 @@ func TestCoordConfigRoundTrip(t *testing.T) {
 		t.Fatalf("policy mutated by rejected PUT: %+v", p)
 	}
 }
-
-// TestBSMigrateAdoptEndpoints exercises the replica-side handover wire:
-// migrate-out returns the portable state as JSON, adopt installs it on
-// another server, and the migrated-out cause lands in the source's
-// exposition.
-func TestBSMigrateAdoptEndpoints(t *testing.T) {
-	src := testServer(t, transport.ServerConfig{
-		ReplicaID: "bs-src", MaxUE: 1, Steps: 4000, EvalEvery: 1 << 30,
-		ValAnchors: 8, CheckpointEvery: 5, Store: store.NewMem(16),
-	})
-	dst := testServer(t, transport.ServerConfig{
-		ReplicaID: "bs-dst", MaxUE: 1, Steps: 4000, EvalEvery: 1 << 30,
-		ValAnchors: 8, CheckpointEvery: 5, Store: store.NewMem(16),
-	})
-	cSrc, cDst := New(src, Options{}), New(dst, Options{})
-
-	h := tinyHello(0)
-	cfg, d, _, err := tinyEnv(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ConfigFP = cfg.Fingerprint()
-	us := &transport.UESession{
-		Hello: h, Cfg: cfg, Data: d,
-		Backoff: transport.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-	}
-	var wg sync.WaitGroup
-	dial := func() (io.ReadWriteCloser, error) {
-		ueEnd, bsEnd := net.Pipe()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = src.Handle(bsEnd)
-		}()
-		return ueEnd, nil
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := us.Run(dial); err != nil {
-			panic(fmt.Sprintf("UESession: %v", err))
-		}
-	}()
-	waitUntil(t, "session live past a step", func() bool {
-		sn, ok := src.SessionByID("ue-0")
-		return ok && sn.Steps >= 6
-	})
-
-	rec := do(t, cSrc, "POST", "/sessions/ue-0/migrate", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("POST migrate: %d %s", rec.Code, rec.Body.String())
-	}
-	var st migrationJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != "ue-0" || st.Step == 0 || len(st.Blob) == 0 {
-		t.Fatalf("migration state: %+v", st)
-	}
-
-	// Adopt on the destination: the exact JSON the source returned.
-	rec = do(t, cDst, "POST", "/sessions/adopt", rec.Body.String())
-	if rec.Code != http.StatusOK {
-		t.Fatalf("POST adopt: %d %s", rec.Code, rec.Body.String())
-	}
-	if got := dst.Stats().MigratedIn; got != 1 {
-		t.Fatalf("destination migrated-in: %d", got)
-	}
-
-	// Error surfaces: unknown session, empty state, malformed body.
-	if rec := do(t, cSrc, "POST", "/sessions/nobody/migrate", ""); rec.Code != http.StatusConflict {
-		t.Fatalf("migrate unknown session: %d", rec.Code)
-	}
-	if rec := do(t, cDst, "POST", "/sessions/adopt", `{"id":""}`); rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("adopt empty state: %d", rec.Code)
-	}
-	if rec := do(t, cDst, "POST", "/sessions/adopt", `{nope`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("adopt malformed body: %d", rec.Code)
-	}
-
-	// The UE's dial always lands on the source, which still holds the
-	// checkpoint, so the session resumes and completes there — migration
-	// state transfer never invalidates the source's copy.
-	wg.Wait()
-	if us.Resumes() == 0 {
-		t.Fatal("session never resumed after migrate-out")
-	}
-
-	// The source's own (standalone) exposition carries the replica
-	// identity and the migrated-out disposition.
-	var buf strings.Builder
-	recM := do(t, cSrc, "GET", "/metrics", "")
-	buf.Write(recM.Body.Bytes())
-	if err := ValidateExposition(recM.Body.Bytes()); err != nil {
-		t.Fatalf("exposition invalid: %v", err)
-	}
-	for _, want := range []string{
-		`mmsl_replica_info{id="bs-src"} 1`,
-		`mmsl_sessions_ended_total{cause="migrated"} 1`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}

@@ -1,6 +1,6 @@
-// Package metrics provides the scalar error measures and running
-// statistics used by the experiment harness when comparing predicted and
-// ground-truth received powers.
+// Package metrics provides the error measures used by the experiment
+// harness when comparing predicted and ground-truth received powers, and
+// the per-session telemetry and gauges of the multi-UE base station.
 package metrics
 
 import (
@@ -21,38 +21,6 @@ func RMSE(pred, truth []float64) float64 {
 	return math.Sqrt(s / float64(len(pred)))
 }
 
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(pred, truth []float64) float64 {
-	mustPair(pred, truth, "MAE")
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
-}
-
-// Bias returns the mean signed error (pred − truth).
-func Bias(pred, truth []float64) float64 {
-	mustPair(pred, truth, "Bias")
-	var s float64
-	for i := range pred {
-		s += pred[i] - truth[i]
-	}
-	return s / float64(len(pred))
-}
-
-// MaxAbsError returns the largest absolute error.
-func MaxAbsError(pred, truth []float64) float64 {
-	mustPair(pred, truth, "MaxAbsError")
-	var m float64
-	for i := range pred {
-		if d := math.Abs(pred[i] - truth[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 func mustPair(a, b []float64, op string) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("metrics: %s length mismatch %d != %d", op, len(a), len(b)))
@@ -61,54 +29,3 @@ func mustPair(a, b []float64, op string) {
 		panic(fmt.Sprintf("metrics: %s of empty series", op))
 	}
 }
-
-// Running accumulates streaming mean and variance using Welford's
-// algorithm; numerically stable for long traces.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the observation count.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean (0 before any observation).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the population variance.
-func (r *Running) Var() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std returns the population standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observation (0 before any).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 before any).
-func (r *Running) Max() float64 { return r.max }

@@ -22,30 +22,10 @@ func TestRMSEKnown(t *testing.T) {
 	}
 }
 
-func TestMAEAndBias(t *testing.T) {
-	pred := []float64{2, -2}
-	truth := []float64{0, 0}
-	if got := MAE(pred, truth); got != 2 {
-		t.Fatalf("MAE = %g", got)
-	}
-	if got := Bias(pred, truth); got != 0 {
-		t.Fatalf("Bias = %g, want 0 (errors cancel)", got)
-	}
-	if got := Bias([]float64{1, 3}, []float64{0, 0}); got != 2 {
-		t.Fatalf("Bias = %g, want 2", got)
-	}
-}
-
-func TestMaxAbsError(t *testing.T) {
-	if got := MaxAbsError([]float64{1, -7, 2}, []float64{0, 0, 0}); got != 7 {
-		t.Fatalf("MaxAbsError = %g", got)
-	}
-}
-
 func TestPanicsOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"len":   func() { RMSE([]float64{1}, []float64{1, 2}) },
-		"empty": func() { MAE(nil, nil) },
+		"empty": func() { RMSE(nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -58,71 +38,24 @@ func TestPanicsOnMismatch(t *testing.T) {
 	}
 }
 
-// Property: RMSE ≥ MAE ≥ |Bias| for any series pair.
+// Property: RMSE ≥ mean |error| ≥ |mean error| for any series pair.
 func TestErrorMeasureOrdering(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(20)
 		pred := make([]float64, n)
 		truth := make([]float64, n)
+		var abs, signed float64
 		for i := range pred {
 			pred[i] = rng.NormFloat64() * 5
 			truth[i] = rng.NormFloat64() * 5
+			abs += math.Abs(pred[i] - truth[i])
+			signed += pred[i] - truth[i]
 		}
-		rmse, mae, bias := RMSE(pred, truth), MAE(pred, truth), Bias(pred, truth)
-		return rmse >= mae-1e-12 && mae >= math.Abs(bias)-1e-12
+		mae, bias := abs/float64(n), signed/float64(n)
+		return RMSE(pred, truth) >= mae-1e-12 && mae >= math.Abs(bias)-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var r Running
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		r.Add(xs[i])
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var varSum float64
-	for _, x := range xs {
-		varSum += (x - mean) * (x - mean)
-	}
-	variance := varSum / float64(len(xs))
-
-	if r.N() != 1000 {
-		t.Fatalf("N = %d", r.N())
-	}
-	if math.Abs(r.Mean()-mean) > 1e-9 {
-		t.Fatalf("mean %g vs %g", r.Mean(), mean)
-	}
-	if math.Abs(r.Var()-variance) > 1e-9 {
-		t.Fatalf("var %g vs %g", r.Var(), variance)
-	}
-	if math.Abs(r.Std()-math.Sqrt(variance)) > 1e-9 {
-		t.Fatalf("std %g", r.Std())
-	}
-}
-
-func TestRunningMinMax(t *testing.T) {
-	var r Running
-	for _, x := range []float64{3, -1, 7, 0} {
-		r.Add(x)
-	}
-	if r.Min() != -1 || r.Max() != 7 {
-		t.Fatalf("min/max = %g/%g", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.N() != 0 || r.Mean() != 0 || r.Var() != 0 {
-		t.Fatal("empty Running not zero-valued")
 	}
 }

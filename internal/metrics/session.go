@@ -11,20 +11,17 @@ import (
 // UE. The types are plain values — callers that share them across
 // goroutines (the session manager does) guard them with their own lock.
 
-// Series is a named, append-only scalar series indexed by training step,
-// with running summary statistics.
+// Series is a named, append-only scalar series indexed by training step.
 type Series struct {
-	Name    string
-	Steps   []int
-	Values  []float64
-	Summary Running
+	Name   string
+	Steps  []int
+	Values []float64
 }
 
 // Add appends one observation at the given step.
 func (s *Series) Add(step int, v float64) {
 	s.Steps = append(s.Steps, step)
 	s.Values = append(s.Values, v)
-	s.Summary.Add(v)
 }
 
 // Len returns the number of observations.
@@ -42,10 +39,9 @@ func (s *Series) Last() (step int, v float64, ok bool) {
 // concurrent reporting.
 func (s *Series) Clone() Series {
 	return Series{
-		Name:    s.Name,
-		Steps:   append([]int(nil), s.Steps...),
-		Values:  append([]float64(nil), s.Values...),
-		Summary: s.Summary,
+		Name:   s.Name,
+		Steps:  append([]int(nil), s.Steps...),
+		Values: append([]float64(nil), s.Values...),
 	}
 }
 
@@ -79,13 +75,6 @@ func NewSessionMetrics(id string) *SessionMetrics {
 		Loss:      Series{Name: fmt.Sprintf("%s/loss", id)},
 		ValRMSE:   Series{Name: fmt.Sprintf("%s/val_rmse_db", id)},
 	}
-}
-
-// Converged reports whether the latest validation RMSE has reached the
-// target (false while no evaluation has run).
-func (m *SessionMetrics) Converged(targetRMSEdB float64) bool {
-	_, rmse, ok := m.ValRMSE.Last()
-	return ok && rmse <= targetRMSEdB
 }
 
 // RecordStep notes one completed training round at the given step.

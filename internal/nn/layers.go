@@ -87,150 +87,43 @@ func (d *Dense) Release() {
 // Params returns the weight and bias parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Flatten reshapes (N, ...) to (N, prod(...)). Backward restores the shape.
-type Flatten struct {
-	inShape []int
-}
-
-// NewFlatten returns a Flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Forward flattens all but the leading (batch) dimension.
-func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
-	f.inShape = x.Shape()
-	n := x.Dim(0)
-	return x.Reshape(n, x.Size()/n)
-}
-
-// Backward restores the cached input shape.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if f.inShape == nil {
-		panic("nn: Flatten.Backward before Forward")
-	}
-	return grad.Reshape(f.inShape...)
-}
-
-// Params returns nil; Flatten has no parameters.
-func (f *Flatten) Params() []*Param { return nil }
-
-// actKind selects a specialised element-wise kernel; the generic closure
-// path remains for custom activations.
-type actKind uint8
-
-const (
-	actGeneric actKind = iota
-	actReLU
-	actTanh
-	actSigmoid
-)
-
-// Activation is a parameter-free element-wise layer defined by a function
-// and the derivative expressed in terms of the cached output.
+// Activation is the parameter-free element-wise ReLU, max(0, x). The
+// UE's fused conv → ReLU → pool layer does not use it; it is the middle
+// link of the unfused chain that layer is checked against.
 type Activation struct {
-	name  string
-	kind  actKind
-	fn    func(float64) float64
-	deriv func(out float64) float64 // derivative as a function of the output
-	out   *tensor.Tensor
-	gout  *tensor.Tensor
+	out  *tensor.Tensor
+	gout *tensor.Tensor
 }
 
 // NewReLU returns max(0, x).
-func NewReLU() *Activation {
-	return &Activation{
-		name: "relu",
-		kind: actReLU,
-		fn:   func(v float64) float64 { return math.Max(0, v) },
-		deriv: func(out float64) float64 {
-			if out > 0 {
-				return 1
-			}
-			return 0
-		},
-	}
-}
-
-// NewTanh returns tanh(x); d/dx = 1 - out².
-func NewTanh() *Activation {
-	return &Activation{
-		name:  "tanh",
-		kind:  actTanh,
-		fn:    math.Tanh,
-		deriv: func(out float64) float64 { return 1 - out*out },
-	}
-}
-
-// NewSigmoid returns σ(x) = 1/(1+e^{-x}); d/dx = out·(1-out).
-func NewSigmoid() *Activation {
-	return &Activation{
-		name:  "sigmoid",
-		kind:  actSigmoid,
-		fn:    sigmoid,
-		deriv: func(out float64) float64 { return out * (1 - out) },
-	}
-}
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+func NewReLU() *Activation { return &Activation{} }
 
 // Forward applies the activation element-wise.
 func (a *Activation) Forward(x *tensor.Tensor) *tensor.Tensor {
 	a.out = tensor.EnsureShape(a.out, x.Shape()...)
-	xd, od := x.Data(), a.out.Data()
-	switch a.kind {
-	case actReLU:
-		// Specialised: the UE CNN applies ReLU to every pixel of every
-		// frame in the batch (hundreds of thousands of elements per
-		// step); a branch beats a closure call by a wide margin.
-		for i, v := range xd {
-			if v > 0 {
-				od[i] = v
-			} else {
-				od[i] = 0
-			}
-		}
-	case actTanh:
-		for i, v := range xd {
-			od[i] = math.Tanh(v)
-		}
-	case actSigmoid:
-		for i, v := range xd {
-			od[i] = sigmoid(v)
-		}
-	default:
-		for i, v := range xd {
-			od[i] = a.fn(v)
+	od := a.out.Data()
+	for i, v := range x.Data() {
+		if v > 0 {
+			od[i] = v
+		} else {
+			od[i] = 0
 		}
 	}
 	return a.out
 }
 
-// Backward multiplies the upstream gradient by the local derivative.
+// Backward passes the upstream gradient where the output is positive.
 func (a *Activation) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if a.out == nil {
-		panic(fmt.Sprintf("nn: %s.Backward before Forward", a.name))
+		panic("nn: relu.Backward before Forward")
 	}
 	a.gout = tensor.EnsureShape(a.gout, grad.Shape()...)
 	gd, od, rd := grad.Data(), a.out.Data(), a.gout.Data()
-	switch a.kind {
-	case actReLU:
-		for i := range rd {
-			if od[i] > 0 {
-				rd[i] = gd[i]
-			} else {
-				rd[i] = 0
-			}
-		}
-	case actTanh:
-		for i := range rd {
-			rd[i] = gd[i] * (1 - od[i]*od[i])
-		}
-	case actSigmoid:
-		for i := range rd {
-			rd[i] = gd[i] * od[i] * (1 - od[i])
-		}
-	default:
-		for i := range rd {
-			rd[i] = gd[i] * a.deriv(od[i])
+	for i := range rd {
+		if od[i] > 0 {
+			rd[i] = gd[i]
+		} else {
+			rd[i] = 0
 		}
 	}
 	return a.gout

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -32,10 +31,4 @@ func MSEInto(grad, pred, target *tensor.Tensor) (loss float64) {
 		gd[i] = 2 * diff / n
 	}
 	return loss / n
-}
-
-// RMSE returns √MSE — the paper reports validation loss in RMSE (dB).
-func RMSE(pred, target *tensor.Tensor) float64 {
-	loss, _ := MSE(pred, target)
-	return math.Sqrt(loss)
 }

@@ -241,3 +241,5 @@ func (l *LSTM) Release() { tensor.Release(&l.buf, &l.out, &l.dx) }
 
 // Params returns the packed input, recurrent and bias parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
+
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

@@ -84,53 +84,19 @@ func TestDenseBackwardBeforeForwardPanics(t *testing.T) {
 func TestActivationsForward(t *testing.T) {
 	x := tensor.FromSlice([]float64{-2, 0, 2}, 1, 3)
 	relu := NewReLU().Forward(x)
-	if relu.At(0, 0) != 0 || relu.At(0, 2) != 2 {
+	if relu.At(0, 0) != 0 || relu.At(0, 1) != 0 || relu.At(0, 2) != 2 {
 		t.Fatalf("ReLU = %v", relu.Data())
-	}
-	sig := NewSigmoid().Forward(x)
-	if math.Abs(sig.At(0, 1)-0.5) > 1e-12 {
-		t.Fatalf("σ(0) = %g", sig.At(0, 1))
-	}
-	th := NewTanh().Forward(x)
-	if math.Abs(th.At(0, 2)-math.Tanh(2)) > 1e-12 {
-		t.Fatalf("tanh(2) = %g", th.At(0, 2))
 	}
 }
 
 func TestActivationGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, tc := range []struct {
-		name  string
-		layer Layer
-	}{
-		{"tanh", NewTanh()},
-		{"sigmoid", NewSigmoid()},
-	} {
-		x := tensor.Randn(rng, 1, 3, 4)
-		t.Run(tc.name, func(t *testing.T) {
-			checkLayerGradients(t, tc.layer, x, 1e-6)
-		})
-	}
 	// ReLU: keep inputs away from the kink at 0.
 	x := tensor.RandUniform(rng, 0.5, 2.0, 3, 4)
 	for i := 0; i < x.Size(); i += 2 {
 		x.Data()[i] = -x.Data()[i]
 	}
 	checkLayerGradients(t, NewReLU(), x, 1e-6)
-}
-
-func TestFlattenRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := NewFlatten()
-	x := tensor.Randn(rng, 1, 2, 3, 4, 5)
-	y := f.Forward(x)
-	if y.Rank() != 2 || y.Dim(0) != 2 || y.Dim(1) != 60 {
-		t.Fatalf("flatten shape = %v", y.Shape())
-	}
-	back := f.Backward(tensor.Ones(2, 60))
-	if back.Rank() != 4 {
-		t.Fatalf("unflatten shape = %v", back.Shape())
-	}
 }
 
 func TestConv2DLayerGradients(t *testing.T) {
@@ -235,7 +201,7 @@ func TestSequentialComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	model := NewSequential(
 		NewDense(rng, 4, 8),
-		NewTanh(),
+		NewReLU(),
 		NewDense(rng, 8, 1),
 	)
 	x := tensor.Randn(rng, 1, 6, 4)
@@ -278,14 +244,6 @@ func TestMSEGradientNumeric(t *testing.T) {
 		if math.Abs(grad.Data()[i]-num) > 1e-6 {
 			t.Fatalf("MSE grad[%d] = %g, numeric %g", i, grad.Data()[i], num)
 		}
-	}
-}
-
-func TestRMSEIsSqrtOfMSE(t *testing.T) {
-	pred := tensor.FromSlice([]float64{3}, 1, 1)
-	target := tensor.FromSlice([]float64{0}, 1, 1)
-	if got := RMSE(pred, target); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("RMSE = %g, want 3", got)
 	}
 }
 

@@ -195,12 +195,6 @@ func (c Config) UplinkPayloadBits(d *dataset.Dataset) int {
 	return d.H * d.W * c.BatchSize * int(c.BitDepth) * c.SeqLen / (c.PoolH * c.PoolW)
 }
 
-// DownlinkPayloadBits returns B^DL for one mini-batch backward pass; the
-// cut-layer gradient has exactly the activations' dimensionality.
-func (c Config) DownlinkPayloadBits(d *dataset.Dataset) int {
-	return c.UplinkPayloadBits(d)
-}
-
 // WireCodec instantiates the configured cut-layer codec. The Raw codec
 // prices payloads at the paper's R = BitDepth bits per element, so the
 // default configuration charges the channel exactly UplinkPayloadBits —

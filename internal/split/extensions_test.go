@@ -111,7 +111,7 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 	if err := SaveCheckpoint(&buf, model); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	data := slices.Clone(buf.Bytes())
 	data[3] = 'X' // corrupt magic
 	if err := LoadCheckpoint(bytes.NewReader(data), model); err == nil {
 		t.Fatal("corrupt magic accepted")

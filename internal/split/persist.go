@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -82,29 +83,24 @@ func SaveCheckpoint(w io.Writer, m *Model) error {
 // LoadCheckpoint restores parameters saved by SaveCheckpoint into m.
 // The model must have been built with an architecture-compatible Config.
 func LoadCheckpoint(r io.Reader, m *Model) error {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	params := m.Params()
+	c := newCkptReader(r, params)
+	defer c.release()
+	magic, err := c.next(len(ckptMagic))
+	if err != nil {
 		return err
 	}
-	if magic != ckptMagic {
+	if [8]byte(magic) != ckptMagic {
 		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
 	}
-	var u32 [4]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return 0, err
-		}
-		return binary.BigEndian.Uint32(u32[:]), nil
-	}
-	version, err := readU32()
+	version, err := c.u32()
 	if err != nil {
 		return err
 	}
 	if version != ckptVersion {
 		return fmt.Errorf("%w: unsupported version %d", ErrCheckpoint, version)
 	}
-	fpLen, err := readU32()
+	fpLen, err := c.u32()
 	if err != nil {
 		return err
 	}
@@ -113,7 +109,7 @@ func LoadCheckpoint(r io.Reader, m *Model) error {
 		return fmt.Errorf("%w: fingerprint length %d != %d", ErrCheckpoint, fpLen, len(want))
 	}
 	for i, w := range want {
-		got, err := readU32()
+		got, err := c.u32()
 		if err != nil {
 			return err
 		}
@@ -122,35 +118,17 @@ func LoadCheckpoint(r io.Reader, m *Model) error {
 				ErrCheckpoint, i, got, w)
 		}
 	}
-	count, err := readU32()
+	count, err := c.u32()
 	if err != nil {
 		return err
 	}
-	params := m.Params()
 	if int(count) != len(params) {
 		return fmt.Errorf("%w: %d parameters in file, model has %d", ErrCheckpoint, count, len(params))
 	}
 	for i, p := range params {
-		var l16 [2]byte
-		if _, err := io.ReadFull(br, l16[:]); err != nil {
-			return err
-		}
-		nameLen := int(binary.BigEndian.Uint16(l16[:]))
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return err
-		}
-		if string(name) != p.Name {
-			return fmt.Errorf("%w: parameter %d is %q in file, %q in model",
-				ErrCheckpoint, i, name, p.Name)
-		}
-		t, err := tensor.Decode(br)
+		t, err := c.param(i, p)
 		if err != nil {
 			return err
-		}
-		if !t.SameShape(p.Value) {
-			return fmt.Errorf("%w: parameter %q shape %v != %v",
-				ErrCheckpoint, p.Name, t.Shape(), p.Value.Shape())
 		}
 		p.Value.CopyFrom(t)
 	}
@@ -177,7 +155,7 @@ func LoadCheckpointFile(path string, m *Model) error {
 		return err
 	}
 	defer f.Close()
-	return LoadCheckpoint(f, m)
+	return LoadCheckpoint(bufio.NewReader(f), m)
 }
 
 // ---- session train state -------------------------------------------------
@@ -255,19 +233,17 @@ func SaveTrainState(w io.Writer, fp uint64, half byte, step int, params []*nn.Pa
 // The caller's fingerprint must match the one stored — a mismatch means
 // the session configuration drifted since the checkpoint (stale config).
 func LoadTrainState(r io.Reader, fp uint64, half byte, params []*nn.Param, adam *opt.Adam) (int, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	c := newCkptReader(r, params)
+	defer c.release()
+	hdr, err := c.next(len(sessMagic) + 8 + 1 + 4 + 4 + 4)
+	if err != nil {
 		return 0, err
 	}
-	if magic != sessMagic {
+	if [8]byte(hdr) != sessMagic {
 		return 0, fmt.Errorf("%w: bad train-state magic", ErrCheckpoint)
 	}
-	var hdr [8 + 1 + 4 + 4 + 4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, err
-	}
-	gotFP := binary.BigEndian.Uint64(hdr[:])
+	hdr = hdr[len(sessMagic):]
+	gotFP := binary.BigEndian.Uint64(hdr)
 	if gotFP != fp {
 		return 0, fmt.Errorf("%w: stale config fingerprint %x, session is %x",
 			ErrCheckpoint, gotFP, fp)
@@ -284,43 +260,111 @@ func LoadTrainState(r io.Reader, fp uint64, half byte, params []*nn.Param, adam 
 			ErrCheckpoint, count, len(params))
 	}
 	for i, p := range params {
-		var l16 [2]byte
-		if _, err := io.ReadFull(br, l16[:]); err != nil {
-			return 0, err
-		}
-		nameLen := int(binary.BigEndian.Uint16(l16[:]))
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return 0, err
-		}
-		if string(name) != p.Name {
-			return 0, fmt.Errorf("%w: parameter %d is %q in checkpoint, %q in model",
-				ErrCheckpoint, i, name, p.Name)
-		}
-		t, err := tensor.Decode(br)
+		t, err := c.param(i, p)
 		if err != nil {
 			return 0, err
-		}
-		if !t.SameShape(p.Value) {
-			return 0, fmt.Errorf("%w: parameter %q shape %v != %v",
-				ErrCheckpoint, p.Name, t.Shape(), p.Value.Shape())
 		}
 		p.Value.CopyFrom(t)
 		m, v := adam.Moments(i)
 		for _, mom := range [][]float64{m, v} {
-			mt, err := tensor.Decode(br)
+			mt, err := c.tensor(p.Name, 1, len(mom))
 			if err != nil {
 				return 0, err
-			}
-			if mt.Size() != len(mom) {
-				return 0, fmt.Errorf("%w: moment size %d != %d for %q",
-					ErrCheckpoint, mt.Size(), len(mom), p.Name)
 			}
 			copy(mom, mt.Data())
 		}
 	}
 	adam.SetStepCount(adamT)
 	return step, nil
+}
+
+// ckptReader reads the fields of a checkpoint stream through one reused
+// byte buffer. Every tensor is decoded by tensor.DecodeBytes into one
+// reused scratch tensor, so a tensor whose shape does not match the
+// model's is refused before anything is copied into a live parameter.
+type ckptReader struct {
+	r       io.Reader
+	buf     []byte
+	scratch *tensor.Tensor
+}
+
+// newCkptReader sizes the buffer and the scratch tensor for the largest
+// of params, so that neither grows while the stream is read.
+func newCkptReader(r io.Reader, params []*nn.Param) *ckptReader {
+	size, enc := 0, 0
+	for _, p := range params {
+		size = max(size, p.Value.Size())
+		enc = max(enc, tensor.EncodedSize(p.Value, tensor.Depth64))
+	}
+	c := &ckptReader{r: r, buf: make([]byte, 0, enc)}
+	if size > 0 {
+		c.scratch = tensor.EnsureShape(nil, size)
+	}
+	return c
+}
+
+// release hands the scratch tensor back to the shared pool.
+func (c *ckptReader) release() { tensor.Release(&c.scratch) }
+
+// next returns the stream's next n bytes, valid until the following call.
+func (c *ckptReader) next(n int) ([]byte, error) {
+	c.buf = slices.Grow(c.buf[:0], n)[:n]
+	if _, err := io.ReadFull(c.r, c.buf); err != nil {
+		return nil, err
+	}
+	return c.buf, nil
+}
+
+func (c *ckptReader) u32() (uint32, error) {
+	b, err := c.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b), nil
+}
+
+// param reads parameter i's name and value, which must be p's name and
+// shape.
+func (c *ckptReader) param(i int, p *nn.Param) (*tensor.Tensor, error) {
+	b, err := c.next(2)
+	if err != nil {
+		return nil, err
+	}
+	if b, err = c.next(int(binary.BigEndian.Uint16(b))); err != nil {
+		return nil, err
+	}
+	if string(b) != p.Name {
+		return nil, fmt.Errorf("%w: parameter %d is %q in file, %q in model",
+			ErrCheckpoint, i, b, p.Name)
+	}
+	t, err := c.tensor(p.Name, p.Value.Rank(), p.Value.Size())
+	if err != nil {
+		return nil, err
+	}
+	if !t.SameShape(p.Value) {
+		return nil, fmt.Errorf("%w: parameter %q shape %v != %v",
+			ErrCheckpoint, p.Name, t.Shape(), p.Value.Shape())
+	}
+	return t, nil
+}
+
+// tensor reads the next tensor, which must be a Depth64 encoding of the
+// given rank and size, into the scratch tensor.
+func (c *ckptReader) tensor(name string, rank, size int) (*tensor.Tensor, error) {
+	b, err := c.next(2 + 4*rank + 8*size)
+	if err != nil {
+		return nil, err
+	}
+	t, rest, err := tensor.DecodeBytes(c.scratch, b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q: %w", ErrCheckpoint, name, err)
+	}
+	c.scratch = t
+	if len(rest) != 0 || t.Rank() != rank || t.Size() != size {
+		return nil, fmt.Errorf("%w: %q is not a float64 tensor of rank %d and %d elements",
+			ErrCheckpoint, name, rank, size)
+	}
+	return t, nil
 }
 
 // ParamsEqual reports whether two models' parameters are bit-identical;

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,5 +198,138 @@ func TestAppendTrainStateGolden(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("AppendTrainState into a warm buffer allocates %.0f times per call, want 0", n)
+	}
+}
+
+// TestLoadTrainStateAllocs pins the resume path's allocations on the
+// paper's one-pixel BS half: one byte buffer and one scratch tensor,
+// both sized for the largest parameter up front, and a new header on the
+// scratch at each change of shape (three small allocations, twice per
+// parameter).
+//
+// Under the race detector sync.Pool drops a quarter of its Puts, which
+// costs this loader at most its one scratch allocation per call: the
+// average of 50 calls stays below 37.
+func TestLoadTrainStateAllocs(t *testing.T) {
+	cfg := DefaultConfig(ImageRF, 40)
+	bs := NewBSModel(rand.New(rand.NewSource(cfg.Seed)), cfg, 2)
+	params := bs.Params()
+	adam := opt.NewAdam(params, cfg.LR, cfg.Beta1, cfg.Beta2)
+	const fp = 0xC0FFEE1234
+	blob, err := AppendTrainState(nil, fp, HalfBS, 17, params, adam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(blob)
+	if n := testing.AllocsPerRun(50, func() {
+		r.Reset(blob)
+		if _, err := LoadTrainState(r, fp, HalfBS, params, adam); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 36 {
+		t.Fatalf("LoadTrainState allocates %.0f times per call, want ≤ 36", n)
+	}
+}
+
+// tensorOffsets walks a checkpoint whose first record starts at off and
+// returns the offset of every tensor's depth byte: each parameter's value
+// and, in a train state, its two Adam moments.
+func tensorOffsets(off int, params []*nn.Param, moments bool) []int {
+	var offs []int
+	for _, p := range params {
+		off += 2 + len(p.Name)
+		offs = append(offs, off)
+		off += tensor.EncodedSize(p.Value, tensor.Depth64)
+		if moments {
+			for range 2 {
+				offs = append(offs, off)
+				off += 2 + 4 + 8*p.Value.Size()
+			}
+		}
+	}
+	return offs
+}
+
+// TestCheckpointLoadersRefuseDamage cuts a model file and a train state
+// at every byte offset, and sets every tensor's depth byte to 8 or to a
+// depth the format never writes: each load must fail, and none may panic.
+func TestCheckpointLoadersRefuseDamage(t *testing.T) {
+	d := tinyDataset(t, 100)
+	cfg := tinyConfig(ImageRF, 4)
+	model := buildModel(t, cfg, d, makeSplit(t, d, cfg))
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, model); err != nil {
+		t.Fatal(err)
+	}
+	params, adam := trainStateFixture(1, 3)
+	state, err := AppendTrainState(nil, 0xAAAA, HalfUE, 7, params, adam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ckptHeader = 8 + 4 + 4 + 4*9 + 4 // magic, version, fingerprint, count
+	const stateHeader = 8 + 8 + 1 + 4 + 4 + 4
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		load   func([]byte) error
+		depths []int
+	}{
+		{"model", buf.Bytes(), func(b []byte) error {
+			return LoadCheckpoint(bytes.NewReader(b), model)
+		}, tensorOffsets(ckptHeader, model.Params(), false)},
+		{"train_state", state, func(b []byte) error {
+			_, err := LoadTrainState(bytes.NewReader(b), 0xAAAA, HalfUE, params, adam)
+			return err
+		}, tensorOffsets(stateHeader, params, true)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.load(tc.data); err != nil {
+				t.Fatalf("intact file refused: %v", err)
+			}
+			for n := range len(tc.data) {
+				if err := tc.load(tc.data[:n]); err == nil {
+					t.Fatalf("cut at %d of %d bytes: accepted", n, len(tc.data))
+				}
+			}
+			for _, off := range tc.depths {
+				if tc.data[off] != byte(tensor.Depth64) {
+					t.Fatalf("byte %d is %d, not a tensor's depth", off, tc.data[off])
+				}
+				for _, depth := range []byte{0, 8, 16, 32} {
+					bad := slices.Clone(tc.data)
+					bad[off] = depth
+					if err := tc.load(bad); err == nil {
+						t.Fatalf("depth %d at byte %d: accepted", depth, off)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A file whose tensor has the right size but the wrong shape is refused
+// before any of it reaches a live parameter.
+func TestTrainStateShapeCheckedBeforeCopy(t *testing.T) {
+	params, adam := trainStateFixture(1, 3)
+	saved, err := AppendTrainState(nil, 0xAAAA, HalfUE, 7, params, adam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := params[0].Value
+	if w.Rank() != 2 || w.Dim(0) == w.Dim(1) {
+		t.Fatalf("fixture's first parameter is %v, want a non-square matrix", w.Shape())
+	}
+	dims := 8 + 8 + 1 + 4 + 4 + 4 + 2 + len(params[0].Name) + 2 // the first tensor's dims
+	binary.BigEndian.PutUint32(saved[dims:], uint32(w.Dim(1)))
+	binary.BigEndian.PutUint32(saved[dims+4:], uint32(w.Dim(0)))
+
+	fresh, freshAdam := trainStateFixture(2, 0)
+	before := fresh[0].Value.Clone()
+	_, err = LoadTrainState(bytes.NewReader(saved), 0xAAAA, HalfUE, fresh, freshAdam)
+	if !errors.Is(err, ErrCheckpoint) || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("transposed parameter: err = %v", err)
+	}
+	if tensor.MaxAbsDiff(before, fresh[0].Value) != 0 {
+		t.Fatal("a refused tensor was copied into the live parameter")
 	}
 }

@@ -118,9 +118,6 @@ func TestPayloadFormulas(t *testing.T) {
 	if got := cfg.UplinkPayloadBits(d); got != 819200 {
 		t.Fatalf("B^UL = %d, want 819200", got)
 	}
-	if cfg.DownlinkPayloadBits(d) != cfg.UplinkPayloadBits(d) {
-		t.Fatal("cut-layer gradient payload must equal activation payload")
-	}
 	rf := DefaultConfig(RFOnly, 1)
 	if rf.UplinkPayloadBits(d) != 0 {
 		t.Fatal("RF-only must not use the uplink")

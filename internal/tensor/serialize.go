@@ -9,17 +9,17 @@ import (
 	"slices"
 )
 
-// Wire format: uint8 rank, rank × uint32 dims, then the elements.
-// Elements are encoded at a caller-chosen bit depth; the paper's payload
-// model B^UL = N_H·N_W·B·R·L/(w_H·w_W) parameterises the bit depth R, so the
-// codec supports R ∈ {8, 16, 32, 64}. 8/16-bit encodings quantise linearly
-// over a [lo, hi] range carried in the header; 32-bit uses float32; 64-bit is
-// lossless float64.
+// Wire format: uint8 depth, uint8 rank, rank × uint32 dims, then the
+// elements. The paper's payload model B^UL = N_H·N_W·B·R·L/(w_H·w_W)
+// parameterises the bit depth R, and EncodedSize prices a tensor at any
+// R ∈ {8, 16, 32, 64}. Two of those depths are written: Depth64 is
+// lossless float64 (checkpoints and the raw codec), and Depth8 quantises
+// linearly over a [lo, hi] range carried in the header (the int8 codec).
 
-// BitDepth selects the per-element wire encoding.
+// BitDepth is the paper's per-element bit depth R.
 type BitDepth uint8
 
-// Supported bit depths. Depth32 matches the paper's calibrated R = 32.
+// The priced bit depths. Depth32 matches the paper's calibrated R = 32.
 const (
 	Depth8  BitDepth = 8
 	Depth16 BitDepth = 16
@@ -27,7 +27,7 @@ const (
 	Depth64 BitDepth = 64
 )
 
-// Valid reports whether b is a supported encoding depth.
+// Valid reports whether b is a depth the payload model prices.
 func (b BitDepth) Valid() bool {
 	switch b {
 	case Depth8, Depth16, Depth32, Depth64:
@@ -42,7 +42,9 @@ var ErrCorruptTensor = errors.New("tensor: corrupt serialized tensor")
 
 const maxWireRank = 8
 
-// EncodedSize returns the number of bytes Encode will write for t at depth d.
+// EncodedSize returns the size in bytes of t's encoding at depth d: what
+// Append writes at Depth8 and Depth64, and the price of the paper's R at
+// the depths that are only priced (a Depth16 range header included).
 func EncodedSize(t *Tensor, d BitDepth) int {
 	header := 1 + 1 + 4*t.Rank()
 	if d == Depth8 || d == Depth16 {
@@ -65,14 +67,14 @@ func Encode(w io.Writer, t *Tensor, d BitDepth) error {
 	return err
 }
 
-// Append appends t's wire encoding at the given bit depth to buf and
-// returns the extended slice — the allocation-free building block of the
-// transport layer's zero-copy frame path (a caller that reuses buf
+// Append appends t's wire encoding at depth d, Depth8 or Depth64, to buf
+// and returns the extended slice — the allocation-free building block of
+// the transport layer's zero-copy frame path (a caller that reuses buf
 // across messages reaches a steady state with no per-message
 // allocation).
 func Append(buf []byte, t *Tensor, d BitDepth) ([]byte, error) {
-	if !d.Valid() {
-		return nil, fmt.Errorf("tensor: unsupported bit depth %d", d)
+	if d != Depth8 && d != Depth64 {
+		return nil, fmt.Errorf("tensor: bit depth %d is priced, never written", d)
 	}
 	if t.Rank() > maxWireRank {
 		return nil, fmt.Errorf("tensor: rank %d exceeds wire maximum %d", t.Rank(), maxWireRank)
@@ -81,31 +83,18 @@ func Append(buf []byte, t *Tensor, d BitDepth) ([]byte, error) {
 	for _, dim := range t.shape {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(dim))
 	}
-	switch d {
-	case Depth64:
-		buf = appendFloat64s(buf, t.data)
-	case Depth32:
-		for _, v := range t.data {
-			buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(v)))
-		}
-	case Depth16, Depth8:
-		lo, hi := t.Min(), t.Max()
-		if hi <= lo {
-			hi = lo + 1 // degenerate constant tensor: any range decodes back to lo
-		}
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(lo))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(hi))
-		scale := 1.0 / (hi - lo)
-		if d == Depth16 {
-			for _, v := range t.data {
-				q := uint16(math.Round(clamp01((v-lo)*scale) * 65535))
-				buf = binary.BigEndian.AppendUint16(buf, q)
-			}
-		} else {
-			for _, v := range t.data {
-				buf = append(buf, byte(math.Round(clamp01((v-lo)*scale)*255)))
-			}
-		}
+	if d == Depth64 {
+		return appendFloat64s(buf, t.data), nil
+	}
+	lo, hi := t.Min(), t.Max()
+	if hi <= lo {
+		hi = lo + 1 // degenerate constant tensor: any range decodes back to lo
+	}
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(lo))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(hi))
+	scale := 1.0 / (hi - lo)
+	for _, v := range t.data {
+		buf = append(buf, byte(math.Round(clamp01((v-lo)*scale)*255)))
 	}
 	return buf, nil
 }
@@ -152,7 +141,7 @@ func DecodeBytes(dst *Tensor, data []byte) (*Tensor, []byte, error) {
 	}
 	d := BitDepth(data[0])
 	rank := int(data[1])
-	if !d.Valid() {
+	if d != Depth8 && d != Depth64 {
 		return nil, nil, fmt.Errorf("%w: bad bit depth %d", ErrCorruptTensor, data[0])
 	}
 	if rank == 0 || rank > maxWireRank {
@@ -179,7 +168,7 @@ func DecodeBytes(dst *Tensor, data []byte) (*Tensor, []byte, error) {
 	// Validate the body length before touching dst so corrupt input never
 	// clobbers a caller's reusable buffer.
 	var lo, hi float64
-	if d == Depth8 || d == Depth16 {
+	if d == Depth8 {
 		if len(data) < 16 {
 			return nil, nil, fmt.Errorf("%w: truncated quantisation range", ErrCorruptTensor)
 		}
@@ -195,107 +184,15 @@ func DecodeBytes(dst *Tensor, data []byte) (*Tensor, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: body %d bytes, want %d", ErrCorruptTensor, len(data), body)
 	}
 	t := EnsureShape(dst, shape[:rank]...)
-	switch d {
-	case Depth64:
+	if d == Depth64 {
 		for i := range t.data {
 			t.data[i] = math.Float64frombits(binary.BigEndian.Uint64(data[8*i:]))
 		}
-	case Depth32:
-		for i := range t.data {
-			t.data[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(data[4*i:])))
-		}
-	case Depth16:
-		span := hi - lo
-		for i := range t.data {
-			t.data[i] = lo + span*float64(binary.BigEndian.Uint16(data[2*i:]))/65535
-		}
-	case Depth8:
+	} else {
 		span := hi - lo
 		for i := range t.data {
 			t.data[i] = lo + span*float64(data[i])/255
 		}
 	}
 	return t, data[body:], nil
-}
-
-// Decode reads a tensor previously written by Encode.
-func Decode(r io.Reader) (*Tensor, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	d := BitDepth(hdr[0])
-	rank := int(hdr[1])
-	if !d.Valid() {
-		return nil, fmt.Errorf("%w: bad bit depth %d", ErrCorruptTensor, hdr[0])
-	}
-	if rank == 0 || rank > maxWireRank {
-		return nil, fmt.Errorf("%w: bad rank %d", ErrCorruptTensor, rank)
-	}
-	dimBuf := make([]byte, 4*rank)
-	if _, err := io.ReadFull(r, dimBuf); err != nil {
-		return nil, err
-	}
-	shape := make([]int, rank)
-	vol := 1
-	for i := range shape {
-		dim := int(binary.BigEndian.Uint32(dimBuf[4*i:]))
-		if dim <= 0 || dim > 1<<20 {
-			return nil, fmt.Errorf("%w: bad dimension %d", ErrCorruptTensor, dim)
-		}
-		shape[i] = dim
-		vol *= dim
-		if vol > 1<<28 {
-			return nil, fmt.Errorf("%w: volume too large", ErrCorruptTensor)
-		}
-	}
-	t := New(shape...)
-	switch d {
-	case Depth64:
-		body := make([]byte, 8*vol)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, err
-		}
-		for i := range t.data {
-			t.data[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
-		}
-	case Depth32:
-		body := make([]byte, 4*vol)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, err
-		}
-		for i := range t.data {
-			t.data[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(body[4*i:])))
-		}
-	case Depth16, Depth8:
-		var rng [16]byte
-		if _, err := io.ReadFull(r, rng[:]); err != nil {
-			return nil, err
-		}
-		lo := math.Float64frombits(binary.BigEndian.Uint64(rng[0:]))
-		hi := math.Float64frombits(binary.BigEndian.Uint64(rng[8:]))
-		if math.IsNaN(lo) || math.IsNaN(hi) || hi <= lo {
-			return nil, fmt.Errorf("%w: bad quantisation range [%g,%g]", ErrCorruptTensor, lo, hi)
-		}
-		span := hi - lo
-		if d == Depth16 {
-			body := make([]byte, 2*vol)
-			if _, err := io.ReadFull(r, body); err != nil {
-				return nil, err
-			}
-			for i := range t.data {
-				q := binary.BigEndian.Uint16(body[2*i:])
-				t.data[i] = lo + span*float64(q)/65535
-			}
-		} else {
-			body := make([]byte, vol)
-			if _, err := io.ReadFull(r, body); err != nil {
-				return nil, err
-			}
-			for i := range t.data {
-				t.data[i] = lo + span*float64(body[i])/255
-			}
-		}
-	}
-	return t, nil
 }

@@ -3,11 +3,21 @@ package tensor
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// decodeAll decodes the one tensor that must fill data exactly.
+func decodeAll(data []byte) (*Tensor, error) {
+	t, rest, err := DecodeBytes(nil, data)
+	if err == nil && len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	return t, err
+}
 
 func TestEncodeDecodeDepth64Lossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -19,7 +29,7 @@ func TestEncodeDecodeDepth64Lossless(t *testing.T) {
 	if buf.Len() != EncodedSize(x, Depth64) {
 		t.Fatalf("encoded size = %d, want %d", buf.Len(), EncodedSize(x, Depth64))
 	}
-	y, err := Decode(&buf)
+	y, err := decodeAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,53 +41,47 @@ func TestEncodeDecodeDepth64Lossless(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeDepth32(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	x := Randn(rng, 1, 10, 10)
-	var buf bytes.Buffer
-	if err := Encode(&buf, x, Depth32); err != nil {
-		t.Fatal(err)
+func TestPricedDepthsAreNeverWritten(t *testing.T) {
+	x := Ones(2, 3)
+	for _, d := range []BitDepth{Depth16, Depth32, 0, 7} {
+		if _, err := Append(nil, x, d); err == nil {
+			t.Errorf("Append wrote depth %d", d)
+		}
 	}
-	y, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
+	// Depth16 and Depth32 still price the paper's R.
+	if got, want := EncodedSize(x, Depth32), 2+4*2+4*6; got != want {
+		t.Fatalf("EncodedSize(Depth32) = %d, want %d", got, want)
 	}
-	if d := MaxAbsDiff(x, y); d > 1e-6 {
-		t.Fatalf("Depth32 error %g too large", d)
+	if got, want := EncodedSize(x, Depth16), 2+4*2+16+2*6; got != want {
+		t.Fatalf("EncodedSize(Depth16) = %d, want %d", got, want)
 	}
 }
 
 func TestEncodeDecodeQuantised(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, d := range []BitDepth{Depth8, Depth16} {
-		x := RandUniform(rng, -30, -10, 5, 5) // dBm-like range
-		var buf bytes.Buffer
-		if err := Encode(&buf, x, d); err != nil {
-			t.Fatal(err)
-		}
-		y, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		span := x.Max() - x.Min()
-		tol := span / 250 // one quantisation step for Depth8
-		if d == Depth16 {
-			tol = span / 65000
-		}
-		if diff := MaxAbsDiff(x, y); diff > tol {
-			t.Fatalf("depth %d quantisation error %g > %g", d, diff, tol)
-		}
+	x := RandUniform(rng, -30, -10, 5, 5) // dBm-like range
+	var buf bytes.Buffer
+	if err := Encode(&buf, x, Depth8); err != nil {
+		t.Fatal(err)
+	}
+	y, err := decodeAll(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol := (x.Max() - x.Min()) / 250 // one quantisation step
+	if diff := MaxAbsDiff(x, y); diff > tol {
+		t.Fatalf("Depth8 quantisation error %g > %g", diff, tol)
 	}
 }
 
 func TestEncodeConstantTensor(t *testing.T) {
 	x := Full(-25.5, 4, 4)
-	for _, d := range []BitDepth{Depth8, Depth16, Depth32, Depth64} {
+	for _, d := range []BitDepth{Depth8, Depth64} {
 		var buf bytes.Buffer
 		if err := Encode(&buf, x, d); err != nil {
 			t.Fatal(err)
 		}
-		y, err := Decode(&buf)
+		y, err := decodeAll(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,36 +93,50 @@ func TestEncodeConstantTensor(t *testing.T) {
 
 func TestDecodeRejectsCorruptHeader(t *testing.T) {
 	cases := [][]byte{
-		{99, 2, 0, 0, 0, 1, 0, 0, 0, 1},        // bad depth
-		{byte(Depth64), 0},                     // zero rank
-		{byte(Depth64), 9},                     // rank too big
-		{byte(Depth64), 1, 0, 0, 0, 0},         // zero dim
-		{byte(Depth64), 1, 0xFF, 0xFF, 0, 0},   // absurd dim
-		{byte(Depth8), 1, 0, 0, 0, 2, 0, 0, 0}, // bad quant range (truncated)
+		{},                                   // empty
+		{byte(Depth64)},                      // truncated header
+		{99, 2, 0, 0, 0, 1, 0, 0, 0, 1},      // bad depth
+		{byte(Depth16), 1, 0, 0, 0, 1, 0, 0}, // priced-only depth
+		{byte(Depth32), 1, 0, 0, 0, 1, 0, 0, 0, 0}, // priced-only depth
+		{byte(Depth64), 0},                         // zero rank
+		{byte(Depth64), 9},                         // rank too big
+		{byte(Depth64), 1, 0, 0},                   // truncated shape
+		{byte(Depth64), 1, 0, 0, 0, 0},             // zero dim
+		{byte(Depth64), 1, 0xFF, 0xFF, 0, 0},       // absurd dim
+		{byte(Depth8), 1, 0, 0, 0, 2, 0, 0, 0},     // bad quant range (truncated)
 	}
 	for i, c := range cases {
-		if _, err := Decode(bytes.NewReader(c)); err == nil {
-			t.Errorf("case %d: corrupt payload accepted", i)
+		if _, _, err := DecodeBytes(nil, c); !errors.Is(err, ErrCorruptTensor) {
+			t.Errorf("case %d: want ErrCorruptTensor, got %v", i, err)
 		}
 	}
 }
 
 func TestDecodeCorruptIsTyped(t *testing.T) {
-	_, err := Decode(bytes.NewReader([]byte{99, 1, 0, 0, 0, 1}))
+	_, _, err := DecodeBytes(nil, []byte{99, 1, 0, 0, 0, 1})
 	if !errors.Is(err, ErrCorruptTensor) {
 		t.Fatalf("want ErrCorruptTensor, got %v", err)
 	}
 }
 
+// A truncated body is refused at every length, and a refused decode
+// leaves the caller's reusable tensor as it was.
 func TestDecodeTruncatedBody(t *testing.T) {
-	x := Ones(4, 4)
-	var buf bytes.Buffer
-	if err := Encode(&buf, x, Depth64); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated payload accepted")
+	for _, d := range []BitDepth{Depth8, Depth64} {
+		x := RandUniform(rand.New(rand.NewSource(24)), -1, 1, 4, 4)
+		enc, err := Append(nil, x, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := Full(7, 4, 4)
+		for n := 0; n < len(enc); n++ {
+			if _, _, err := DecodeBytes(dst, enc[:n]); !errors.Is(err, ErrCorruptTensor) {
+				t.Fatalf("depth %d, %d of %d bytes: want ErrCorruptTensor, got %v", d, n, len(enc), err)
+			}
+		}
+		if dst.Min() != 7 || dst.Max() != 7 {
+			t.Fatalf("depth %d: refused decode wrote into dst", d)
+		}
 	}
 }
 
@@ -154,7 +172,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 		if err := Encode(&buf, x, Depth64); err != nil {
 			return false
 		}
-		y, err := Decode(&buf)
+		y, err := decodeAll(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // CurvePoint is one validation measurement on a learning curve.
@@ -203,9 +202,4 @@ func (t *Table) WritePretty(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortCurvesByName orders curves deterministically for output.
-func SortCurvesByName(curves []*LearningCurve) {
-	sort.Slice(curves, func(i, j int) bool { return curves[i].Scheme < curves[j].Scheme })
 }

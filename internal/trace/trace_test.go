@@ -121,11 +121,3 @@ func TestTableRejectsRaggedRow(t *testing.T) {
 		t.Fatal("ragged row accepted")
 	}
 }
-
-func TestSortCurvesByName(t *testing.T) {
-	curves := []*LearningCurve{{Scheme: "z"}, {Scheme: "a"}, {Scheme: "m"}}
-	SortCurvesByName(curves)
-	if curves[0].Scheme != "a" || curves[2].Scheme != "z" {
-		t.Fatalf("order = %v %v %v", curves[0].Scheme, curves[1].Scheme, curves[2].Scheme)
-	}
-}
