@@ -13,7 +13,9 @@
 // internal/mds), and the experiment drivers (internal/experiments).
 //
 // Run the paper's artefacts with cmd/mmsl, the distributed daemons with
-// cmd/mmsl-ue and cmd/mmsl-bs; see README.md, DESIGN.md and
-// EXPERIMENTS.md. Benchmarks regenerating every table and figure are in
+// cmd/mmsl-ue and cmd/mmsl-bs (one coordinator in front of -replicas
+// in-process BS servers, one by default: the paper's 1:1 topology, with
+// internal/coord routing and internal/control as its admin plane); see
+// README.md, DESIGN.md and EXPERIMENTS.md. Benchmarks regenerating every table and figure are in
 // bench_test.go next to this file.
 package repro

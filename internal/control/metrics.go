@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/coord"
 	"repro/internal/transport"
 )
 
@@ -14,10 +15,9 @@ import (
 // buffer it renders into. ValidateExposition (validate.go) pins the
 // format; the smoke test scrapes a live server through it.
 //
-// Collection goes through the family collector (families.go) so the
-// same code serves a standalone server's /metrics and a coordinator's
-// federated scrape, where every replica's samples carry a replica
-// label under one shared family header.
+// Collection goes through the family collector (families.go): the
+// scrape is federated, every replica's samples carry a replica label
+// under one shared family header.
 
 // expositionContentType is the content type Prometheus scrapers expect.
 const expositionContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -29,18 +29,103 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// writeMetrics renders one scrape. Split from the handler so tests can
-// validate the bytes without HTTP plumbing.
+// writeMetrics renders the federated scrape: every in-process replica's
+// exposition under a replica label, then the coordinator's own series.
 func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	c := newCollector()
-	collectBS(c, s.bs, "")
+	for _, m := range s.members() {
+		collectBS(c, m.bs, lbl("replica", m.id))
+	}
+	collectCoord(c, s.co)
 	c.render(buf)
+}
+
+// collectCoord collects the coordinator's own families.
+func collectCoord(c *collector, co *coord.Coordinator) {
+	st := co.Stats()
+	c.family("mmsl_coord_replicas", "gauge",
+		"Replicas registered with the coordinator.").addInt(int64(st.Replicas))
+	c.family("mmsl_coord_routes", "gauge",
+		"Session ids with a sticky route to a replica.").addInt(int64(st.Routes))
+	c.family("mmsl_coord_connections_routed_total", "counter",
+		"UE connections spliced onto a replica.").addInt(st.Routed)
+	refused := c.family("mmsl_coord_connections_refused_total", "counter",
+		"UE connections rejected before reaching a replica, by reason (replica_down: severed because the target replica was dead or fenced).")
+	refused.addInt(st.RefusedDown, lbl("reason", "replica_down"))
+	refused.addInt(st.Refused-st.RefusedDown, lbl("reason", "other"))
+	c.family("mmsl_coord_handovers_total", "counter",
+		"Live session handovers completed between replicas.").addInt(st.Migrations)
+	c.family("mmsl_coord_handover_failures_total", "counter",
+		"Handover attempts that failed (route kept on the source).").addInt(st.MigrationFails)
+	relayed := c.family("mmsl_coord_relayed_bytes_total", "counter",
+		"Bytes relayed through the coordinator, by direction (in: from UEs).")
+	relayed.addInt(st.RelayedBytesUp, lbl("direction", "in"))
+	relayed.addInt(st.RelayedBytesDown, lbl("direction", "out"))
+
+	p50, p99, n := co.HandoverLatency()
+	c.family("mmsl_coord_handover_latency_p50_seconds", "gauge",
+		"Median handover latency over the recent handover window.").add(p50.Seconds())
+	c.family("mmsl_coord_handover_latency_p99_seconds", "gauge",
+		"99th-percentile handover latency over the recent handover window.").add(p99.Seconds())
+	c.family("mmsl_coord_handover_samples", "gauge",
+		"Handover latency samples in the window.").addInt(int64(n))
+
+	// Failure detection and crash failover.
+	c.family("mmsl_coord_replicas_fenced", "gauge",
+		"Replicas currently fenced out of placement.").addInt(int64(st.Fenced))
+	c.family("mmsl_coord_failovers_total", "counter",
+		"Crash failovers run after a replica death verdict.").addInt(st.Failovers)
+	c.family("mmsl_coord_failover_sessions_recovered_total", "counter",
+		"Sessions adopted onto survivors from a dead replica's durable checkpoints.").addInt(st.SessionsRecovered)
+	c.family("mmsl_coord_failover_sessions_lost_total", "counter",
+		"Checkpointed sessions crash failover could not move to a survivor.").addInt(st.SessionsLost)
+	c.family("mmsl_coord_replica_rejoins_total", "counter",
+		"Fenced replicas readmitted to placement after passing healthy probes.").addInt(st.Rejoins)
+
+	dp50, dp99, dn := co.DetectionLatency()
+	c.family("mmsl_coord_detection_latency_p50_seconds", "gauge",
+		"Median first-failed-probe-to-death-verdict latency over the recent window.").add(dp50.Seconds())
+	c.family("mmsl_coord_detection_latency_p99_seconds", "gauge",
+		"99th-percentile detection latency over the recent window.").add(dp99.Seconds())
+	c.family("mmsl_coord_detection_samples", "gauge",
+		"Detection latency samples in the window.").addInt(int64(dn))
+	rp50, rp99, rn := co.RecoveryLatency()
+	c.family("mmsl_coord_recovery_latency_p50_seconds", "gauge",
+		"Median fence-to-session-settled recovery latency over the recent window.").add(rp50.Seconds())
+	c.family("mmsl_coord_recovery_latency_p99_seconds", "gauge",
+		"99th-percentile recovery latency over the recent window.").add(rp99.Seconds())
+	c.family("mmsl_coord_recovery_samples", "gauge",
+		"Recovery latency samples in the window.").addInt(int64(rn))
+
+	// Per-replica liveness as the probe loop sees it. Without a running
+	// detector the only signal is the fence.
+	var health map[string]coord.ReplicaHealth
+	if det := co.Detector(); det != nil {
+		health = det.Health()
+	}
+	up := c.family("mmsl_coord_replica_up", "gauge",
+		"1 while the replica is in placement (not fenced, not declared dead).")
+	suspect := c.family("mmsl_coord_replica_suspect", "gauge",
+		"1 while the failure detector holds the replica suspect, gray or rejoining.")
+	for _, rep := range co.Replicas() {
+		id := rep.ID()
+		h, probed := health[id]
+		upV := int64(1)
+		if co.IsFenced(id) || h == coord.HealthDead {
+			upV = 0
+		}
+		var suspectV int64
+		if probed && (h == coord.HealthSuspect || h == coord.HealthGray || h == coord.HealthRejoin) {
+			suspectV = 1
+		}
+		up.addInt(upV, lbl("replica", id))
+		suspect.addInt(suspectV, lbl("replica", id))
+	}
 }
 
 // collectBS collects one BS server's full exposition into c. Every
 // sample carries extra as an additional label fragment when non-empty —
-// the coordinator's federated scrape passes lbl("replica", id), a
-// standalone server passes "".
+// the federated scrape passes lbl("replica", id).
 func collectBS(c *collector, bs *transport.BSServer, extra string) {
 	st := bs.Stats()
 	pol := bs.CurrentPolicy()

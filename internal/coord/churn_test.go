@@ -171,7 +171,7 @@ func TestHandoverDuringFlapping(t *testing.T) {
 func TestHandoverDuringPolicySwap(t *testing.T) {
 	prov := tinyProvision()
 	co, servers := testFleet(t, 2, 40, prov)
-	ctl := control.NewCoord(co, control.Options{})
+	ctl := control.New(co, control.Options{})
 
 	stop := make(chan struct{})
 	var swap sync.WaitGroup

@@ -136,11 +136,28 @@ func New(replicas []Replica, opts Options) (*Coordinator, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	// A replica restarted on its durable store adopts the sessions that
+	// store holds, and their checkpoints live nowhere else. Seed a sticky
+	// route for each, so that a resuming hello reaches the replica with
+	// its checkpoint rather than wherever placement would put it. A
+	// migrated-out record is skipped: its destination holds the state.
+	routes := make(map[string]*route)
+	for _, r := range replicas {
+		lr, ok := r.(interface{ BS() *transport.BSServer })
+		if !ok {
+			continue
+		}
+		for _, sn := range lr.BS().Sessions() {
+			if !errors.Is(sn.Cause(), transport.ErrMigrated) {
+				routes[sn.ID] = &route{replica: r, configFP: sn.Hello.ConfigFP}
+			}
+		}
+	}
 	return &Coordinator{
 		replicas: replicas,
 		logf:     logf,
 		policy:   pol,
-		routes:   make(map[string]*route),
+		routes:   routes,
 		fenced:   make(map[string]bool),
 		failover: opts.Failover.withDefaults(),
 	}, nil
@@ -424,15 +441,17 @@ func (c *Coordinator) Migrate(id, dstID string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("coord: no route for session %q", id)
 	}
-	if c.fenced[rt.replica.ID()] {
+	// Route fields are read only under c.mu: crash recovery's settle
+	// rewrites rt.replica as soon as the lock is released.
+	src := rt.replica
+	if c.fenced[src.ID()] {
 		c.mu.Unlock()
-		return fmt.Errorf("coord: session %q is on fenced replica %q (crash failover owns it): %w", id, rt.replica.ID(), ErrReplicaDown)
+		return fmt.Errorf("coord: session %q is on fenced replica %q (crash failover owns it): %w", id, src.ID(), ErrReplicaDown)
 	}
 	if rt.migrating != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("coord: session %q handover already in flight", id)
 	}
-	src := rt.replica
 	if src.ID() == dst.ID() {
 		c.mu.Unlock()
 		return fmt.Errorf("coord: session %q already on replica %q", id, dstID)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/store"
@@ -72,23 +73,33 @@ type RecoverySource interface {
 // behind a coordinator runs byte-identical protocol code to one serving
 // a listener directly.
 type LocalReplica struct {
-	bs *transport.BSServer
+	bs       *transport.BSServer
+	handlers sync.WaitGroup // Dial's connection handlers
 }
 
 // NewLocalReplica wraps an in-process BS server.
 func NewLocalReplica(bs *transport.BSServer) *LocalReplica { return &LocalReplica{bs: bs} }
 
-// BS exposes the wrapped server (the control plane mounts per-replica
-// admin endpoints on it).
+// BS exposes the wrapped server: the control plane reads and
+// administers it, and New seeds routes from the sessions it holds.
 func (r *LocalReplica) BS() *transport.BSServer { return r.bs }
 
 func (r *LocalReplica) ID() string { return r.bs.ReplicaID() }
 
 func (r *LocalReplica) Dial() (io.ReadWriteCloser, error) {
 	ueEnd, bsEnd := net.Pipe()
-	go func() { _ = r.bs.Handle(bsEnd) }()
+	r.handlers.Add(1)
+	go func() {
+		defer r.handlers.Done()
+		_ = r.bs.Handle(bsEnd)
+	}()
 	return ueEnd, nil
 }
+
+// Wait blocks until the server has finished every connection Dial
+// handed it — the in-process twin of BSServer.Wait, which tracks only
+// the connections its own accept loop took.
+func (r *LocalReplica) Wait() { r.handlers.Wait() }
 
 func (r *LocalReplica) Live() int      { return r.bs.ActiveSessions() }
 func (r *LocalReplica) Draining() bool { return r.bs.Draining() }

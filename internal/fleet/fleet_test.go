@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/control"
+	"repro/internal/coord"
 	"repro/internal/split"
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -181,7 +182,14 @@ func TestChurnSoak64(t *testing.T) {
 		ChurnFraction: 0.6,
 		Checkpoint:    true,
 		OnServer: func(srv *transport.BSServer) {
-			ctl := control.New(srv, control.Options{})
+			// The scraper reaches the replica through a coordinator of its
+			// own, as the daemon's admin plane does; this one routes no
+			// traffic, the soak's UEs dial the replica directly.
+			co, err := coord.New([]coord.Replica{coord.NewLocalReplica(srv)}, coord.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl := control.New(co, control.Options{})
 			go func() {
 				defer close(scrapeDone)
 				for {
