@@ -40,11 +40,24 @@ func testOptions(t *testing.T, replicas int, dir string) options {
 // resume back to the replica whose journal holds its checkpoint.
 func TestRestartResumesFromJournal(t *testing.T) {
 	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) { testRestartResumes(t, n) })
+		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) { testRestartResumes(t, n, false) })
 	}
 }
 
-func testRestartResumes(t *testing.T, replicas int) {
+// TestRestartAfterCrashResumesFromJournal is the same drill with the
+// daemon killed instead of the links cut: every replica crashes with
+// both sessions mid-train, as under a kill -9, so no session writes a
+// retire record and the journals hold only checkpoints. The rebuilt
+// coordinator must route each resume by those checkpoints alone.
+func TestRestartAfterCrashResumesFromJournal(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) { testRestartResumes(t, n, true) })
+	}
+}
+
+// testRestartResumes runs the restart drill; crash kills every replica
+// where the links would be cut.
+func testRestartResumes(t *testing.T, replicas int, crash bool) {
 	dir := t.TempDir()
 	d, err := newDaemon(testOptions(t, replicas, dir))
 	if err != nil {
@@ -54,6 +67,7 @@ func testRestartResumes(t *testing.T, replicas int) {
 	current.Store(d.co)
 	restarted := make(chan struct{})
 	cuts := make(chan struct{}, 2)
+	crashed := make(chan struct{})
 
 	const cutAt = 25 // after the step-20 checkpoint
 	var wg sync.WaitGroup
@@ -75,6 +89,10 @@ func testRestartResumes(t *testing.T, replicas int) {
 			OnRequest: func(mt transport.MsgType, step uint32) error {
 				if mt == transport.MsgBatchRequest && step == cutAt && cut.CompareAndSwap(false, true) {
 					cuts <- struct{}{}
+					if crash {
+						<-crashed // the request dies with its replica
+						return nil
+					}
 					return errors.New("link cut")
 				}
 				return nil
@@ -122,6 +140,12 @@ func testRestartResumes(t *testing.T, replicas int) {
 	}
 	for range ues {
 		<-cuts
+	}
+	if crash {
+		for _, rep := range d.replicas {
+			rep.BS().Crash()
+		}
+		close(crashed)
 	}
 	d.close()
 	tokens := []uint32{ues[0].LastCheckpointStep(), ues[1].LastCheckpointStep()}

@@ -136,22 +136,9 @@ func New(replicas []Replica, opts Options) (*Coordinator, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// A replica restarted on its durable store adopts the sessions that
-	// store holds, and their checkpoints live nowhere else. Seed a sticky
-	// route for each, so that a resuming hello reaches the replica with
-	// its checkpoint rather than wherever placement would put it. A
-	// migrated-out record is skipped: its destination holds the state.
-	routes := make(map[string]*route)
-	for _, r := range replicas {
-		lr, ok := r.(interface{ BS() *transport.BSServer })
-		if !ok {
-			continue
-		}
-		for _, sn := range lr.BS().Sessions() {
-			if !errors.Is(sn.Cause(), transport.ErrMigrated) {
-				routes[sn.ID] = &route{replica: r, configFP: sn.Hello.ConfigFP}
-			}
-		}
+	routes, err := seedRoutes(replicas)
+	if err != nil {
+		return nil, err
 	}
 	return &Coordinator{
 		replicas: replicas,
@@ -161,6 +148,64 @@ func New(replicas []Replica, opts Options) (*Coordinator, error) {
 		fenced:   make(map[string]bool),
 		failover: opts.Failover.withDefaults(),
 	}, nil
+}
+
+// seedRoutes gives a restarted fleet its sticky routes. A replica
+// restarted on its durable store adopts the sessions that store holds,
+// and their checkpoints live nowhere else, so a resuming hello must reach
+// that replica rather than wherever placement would put it. A session
+// that ended has a retire record; one whose replica was killed mid-train
+// has only its checkpoints, and is routed to the replica holding its
+// newest one. A migrated-out record is skipped, and so are that
+// replica's leftover checkpoints of the session: the destination holds
+// the state.
+func seedRoutes(replicas []Replica) (map[string]*route, error) {
+	routes := make(map[string]*route)
+	type held struct {
+		replica Replica
+		step    int
+	}
+	newest := make(map[string]held)
+	for _, r := range replicas {
+		lr, ok := r.(interface{ BS() *transport.BSServer })
+		if !ok {
+			continue
+		}
+		migrated := make(map[string]bool)
+		for _, sn := range lr.BS().Sessions() {
+			if errors.Is(sn.Cause(), transport.ErrMigrated) {
+				migrated[sn.ID] = true
+			} else {
+				routes[sn.ID] = &route{replica: r, configFP: sn.Hello.ConfigFP}
+			}
+		}
+		st := lr.BS().Store()
+		ids, err := st.CheckpointIDs()
+		if err != nil {
+			return nil, fmt.Errorf("coord: list checkpoints on %s: %w", r.ID(), err)
+		}
+		for _, id := range ids {
+			if migrated[id] {
+				continue
+			}
+			steps, err := st.CheckpointSteps(id)
+			if err != nil {
+				return nil, fmt.Errorf("coord: list checkpoints of %s on %s: %w", id, r.ID(), err)
+			}
+			if len(steps) > 0 {
+				if h, ok := newest[id]; !ok || steps[len(steps)-1] > h.step {
+					newest[id] = held{r, steps[len(steps)-1]}
+				}
+			}
+		}
+	}
+	for id, h := range newest {
+		if routes[id] == nil {
+			// The hello's fingerprint is learnt when the session resumes.
+			routes[id] = &route{replica: h.replica}
+		}
+	}
+	return routes, nil
 }
 
 // Replicas returns the fleet in registration order.
@@ -382,6 +427,9 @@ func (c *Coordinator) route(h transport.Hello) (Replica, error) {
 		}
 		if rt != nil {
 			rep := rt.replica
+			if rt.configFP == 0 {
+				rt.configFP = h.ConfigFP // a route seeded from checkpoints alone
+			}
 			if c.fenced[rep.ID()] {
 				// Death verdict landed but failover has not barriered
 				// this route yet (or recovery abandoned it): sever so

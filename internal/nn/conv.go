@@ -84,16 +84,18 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.K, c.B} }
 // input layer over the fused tensor kernels: the whole UE half of the
 // paper. It computes the three layers' bits (they stay, as its oracle)
 // but keeps no full-resolution activation between Forward and Backward,
-// only the sign mask. Its input is data, so
-// Backward returns nil, like a Conv2D with InputLayer set.
+// only the sign mask. Its input is data, read where it lies: a frame
+// store and an index from sample to frame. Backward returns nil, like a
+// Conv2D with InputLayer set.
 type ConvReLUAvgPool struct {
 	K, B   *Param // the convolution's kernel and bias
 	Spec   tensor.Conv2DSpec
 	PH, PW int
 
-	in   *tensor.Tensor // the latest Forward's input, until Backward consumes it
-	out  *tensor.Tensor // instance-owned scratch
-	mask []bool         // sign of every convolution output of the latest Forward; grow-only, pooled
+	frames *tensor.Tensor // the latest Forward's frame store and index,
+	idx    []int32        // until Backward consumes them
+	out    *tensor.Tensor // instance-owned scratch
+	mask   []bool         // sign of every convolution output of the latest Forward; grow-only, pooled
 }
 
 // NewConvReLUAvgPool fuses conv with a ReLU and a (ph, pw) average pool.
@@ -103,19 +105,22 @@ func NewConvReLUAvgPool(conv *Conv2D, ph, pw int) *ConvReLUAvgPool {
 	return &ConvReLUAvgPool{K: conv.K, B: conv.B, Spec: conv.Spec, PH: ph, PW: pw}
 }
 
-// Forward computes the pooled feature maps into the layer's cached output.
-func (c *ConvReLUAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.in = x
+// Forward computes the pooled feature maps of the samples frames[idx[i]]
+// into the layer's cached output, (len(idx), Cout, OH/PH, OW/PW). The
+// layer keeps both arguments until Backward: the caller must not change
+// them in between.
+func (c *ConvReLUAvgPool) Forward(frames *tensor.Tensor, idx []int32) *tensor.Tensor {
+	c.frames, c.idx = frames, idx
 	k := c.K.Value
-	oh, ow := c.Spec.OutSize(x.Dim(2), x.Dim(3), k.Dim(2), k.Dim(3))
-	n := x.Dim(0) * k.Dim(0) * oh * ow
+	oh, ow := c.Spec.OutSize(frames.Dim(2), frames.Dim(3), k.Dim(2), k.Dim(3))
+	n := len(idx) * k.Dim(0) * oh * ow
 	if cap(c.mask) < n {
 		tensor.PutMask(c.mask)
 		c.mask = tensor.GetMask(n)
 	}
 	c.mask = c.mask[:n] // a ragged evaluation batch uses a prefix
-	c.out = tensor.EnsureShape(c.out, x.Dim(0), k.Dim(0), oh/c.PH, ow/c.PW)
-	tensor.ConvReLUAvgPoolInto(c.out, c.mask, x, k, c.B.Value.Data(), c.Spec, c.PH, c.PW)
+	c.out = tensor.EnsureShape(c.out, len(idx), k.Dim(0), oh/c.PH, ow/c.PW)
+	tensor.ConvReLUAvgPoolInto(c.out, c.mask, frames, idx, k, c.B.Value.Data(), c.Spec, c.PH, c.PW)
 	return c.out
 }
 
@@ -123,18 +128,18 @@ func (c *ConvReLUAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Conv2D.Backward it consumes the cached input, so a second Backward
 // without a new Forward panics like a first one.
 func (c *ConvReLUAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.in == nil {
+	if c.frames == nil {
 		panic("nn: ConvReLUAvgPool.Backward before Forward")
 	}
-	in := c.in
-	c.in = nil
-	tensor.ConvReLUAvgPoolBackwardInto(c.K.Grad, c.B.Grad.Data(), in, c.mask, grad, c.Spec, c.PH, c.PW)
+	frames, idx := c.frames, c.idx
+	c.frames, c.idx = nil, nil
+	tensor.ConvReLUAvgPoolBackwardInto(c.K.Grad, c.B.Grad.Data(), frames, idx, c.mask, grad, c.Spec, c.PH, c.PW)
 	return nil
 }
 
 // Release returns the layer's scratch, mask included, to the shared pools.
 func (c *ConvReLUAvgPool) Release() {
-	c.in = nil
+	c.frames, c.idx = nil, nil
 	tensor.Release(&c.out)
 	tensor.PutMask(c.mask)
 	c.mask = nil

@@ -18,6 +18,7 @@ import (
 type UEModel struct {
 	Net            *nn.ConvReLUAvgPool
 	imageH, imageW int
+	identity       []int32 // grow-only 0, 1, 2, …: Forward's index into an image stack
 }
 
 // NewUEModel builds the UE CNN for the given dataset geometry.
@@ -43,10 +44,29 @@ func NewUEModel(rng *rand.Rand, cfg Config, d *dataset.Dataset) *UEModel {
 	}
 }
 
-// Forward maps a (B·L, 1, H, W) image stack to pooled feature maps
-// (B·L, 1, H/wH, W/wW) — the payload that crosses the uplink.
+// Forward maps an (N, 1, H, W) image stack to pooled feature maps
+// (N, 1, H/wH, W/wW): ForwardFrames over the stack with the identity
+// index.
 func (u *UEModel) Forward(images *tensor.Tensor) *tensor.Tensor {
-	return u.Net.Forward(images)
+	n := images.Dim(0)
+	for len(u.identity) < n {
+		u.identity = append(u.identity, int32(len(u.identity)))
+	}
+	return u.Net.Forward(images, u.identity[:n])
+}
+
+// ForwardFrames maps the frames idx[i] of a (K, 1, H, W) frame store
+// (FrameStore) to pooled feature maps (len(idx), 1, H/wH, W/wW) — the
+// payload that crosses the uplink — reading each frame where it lies.
+// Store and index must stay unchanged until Backward.
+func (u *UEModel) ForwardFrames(frames *tensor.Tensor, idx []int32) *tensor.Tensor {
+	return u.Net.Forward(frames, idx)
+}
+
+// FrameStore views a dataset's images as the (K, 1, H, W) frame store
+// ForwardFrames reads; nothing is copied.
+func FrameStore(d *dataset.Dataset) *tensor.Tensor {
+	return tensor.FromSlice(d.Images, d.Len(), 1, d.H, d.W)
 }
 
 // Backward consumes the cut-layer gradient received from the BS,
@@ -130,11 +150,13 @@ type Model struct {
 	BS   *BSModel
 	Norm dataset.Normalizer
 
-	data *dataset.Dataset
-	wire compress.Codec // cut-layer payload codec (Cfg.Codec)
+	data   *dataset.Dataset
+	frames *tensor.Tensor // data's images as a frame store (image schemes)
+	idx    []int32        // the latest ForwardBatch's sample-to-frame index, grow-only
+	wire   compress.Codec // cut-layer payload codec (Cfg.Codec)
 
-	// arena holds the model's batch-assembly scratch (image stack, fused
-	// sequence, targets, cut gradient). It is reset at the top of every
+	// arena holds the model's batch-assembly scratch (fused sequence,
+	// targets, cut gradient). It is reset at the top of every
 	// ForwardBatch, so in steady state each training step reuses the
 	// previous step's buffers verbatim; tensors handed out from it are
 	// only valid until the next ForwardBatch. The model inherits the
@@ -156,6 +178,7 @@ func NewModel(cfg Config, d *dataset.Dataset, norm dataset.Normalizer) (*Model, 
 	m := &Model{Cfg: cfg, Norm: norm, data: d, wire: codec}
 	if cfg.Modality.UsesImages() {
 		m.UE = NewUEModel(rng, cfg, d)
+		m.frames = FrameStore(d)
 	}
 	m.BS = NewBSModel(rng, cfg, cfg.RNNInputDim(d))
 	return m, nil
@@ -170,19 +193,18 @@ func (m *Model) Params() []*nn.Param {
 	return append(ps, m.BS.Params()...)
 }
 
-// imageBatch assembles the (B·L, 1, H, W) stack of input frames for the
-// anchors: row b·L+t holds frame anchors[b]−L+1+t.
-func (m *Model) imageBatch(anchors []int) *tensor.Tensor {
-	d, L := m.data, m.Cfg.SeqLen
-	px := d.H * d.W
-	out := m.arena.GetUninit(len(anchors)*L, 1, d.H, d.W)
-	for b, k := range anchors {
+// frameIndex sets the model's sample-to-frame index for the anchors'
+// sequences, (B·L) samples of which b·L+t reads frame anchors[b]−L+1+t.
+// It stays valid until the next ForwardBatch.
+func (m *Model) frameIndex(anchors []int) []int32 {
+	L := m.Cfg.SeqLen
+	m.idx = m.idx[:0]
+	for _, k := range anchors {
 		for t := 0; t < L; t++ {
-			frame := k - L + 1 + t
-			copy(out.Data()[(b*L+t)*px:(b*L+t+1)*px], d.Image(frame))
+			m.idx = append(m.idx, int32(k-L+1+t))
 		}
 	}
-	return out
+	return m.idx
 }
 
 // fuse builds the (B, L, D) LSTM input from pooled features (may be nil
@@ -245,7 +267,7 @@ func (m *Model) ForwardBatch(anchors []int) (pred, pooled *tensor.Tensor) {
 	// out by the arena may outlive the next ForwardBatch (see arena doc).
 	m.arena.Reset()
 	if m.UE != nil {
-		pooled = m.wireRoundTrip(m.UE.Forward(m.imageBatch(anchors)))
+		pooled = m.wireRoundTrip(m.UE.ForwardFrames(m.frames, m.frameIndex(anchors)))
 	}
 	return m.BS.Forward(m.fuse(anchors, pooled)), pooled
 }

@@ -167,7 +167,7 @@ func TestForwardBatchShapes(t *testing.T) {
 }
 
 // TestFullModelGradients numerically verifies the entire split pipeline —
-// imageBatch → UE CNN → fuse → LSTM → head → MSE — for every modality.
+// frame index → UE CNN → fuse → LSTM → head → MSE — for every modality.
 // This is the strongest correctness check in the package: any indexing
 // slip in batch assembly or gradient routing breaks it.
 func TestFullModelGradients(t *testing.T) {

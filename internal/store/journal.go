@@ -769,6 +769,20 @@ func (j *Journal) CheckpointSteps(id string) ([]int, error) {
 	return steps, nil
 }
 
+// CheckpointIDs implements Store.
+func (j *Journal) CheckpointIDs() ([]string, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ids := make([]string, 0, len(j.idx.keys))
+	for id, steps := range j.idx.keys {
+		if len(steps) > 0 {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids, nil
+}
+
 // RetireSession implements Store.
 func (j *Journal) RetireSession(rec SessionRecord) error {
 	frame := newFrame(recRetire, encodeSession(rec), 0)

@@ -84,6 +84,18 @@ func (m *Mem) CheckpointSteps(id string) ([]int, error) {
 	return steps, nil
 }
 
+// CheckpointIDs implements Store.
+func (m *Mem) CheckpointIDs() ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ids := make([]string, 0, len(m.ckpts))
+	for id := range m.ckpts {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids, nil
+}
+
 // RetireSession implements Store. A completed session's terminal
 // checkpoint lives as long as its record: nothing resumes a session that
 // ran to its end, so when the ring drops the record the blob goes with

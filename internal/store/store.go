@@ -72,6 +72,11 @@ type Store interface {
 	// ascending (empty when none).
 	CheckpointSteps(id string) ([]int, error)
 
+	// CheckpointIDs lists the session ids with at least one stored
+	// checkpoint, sorted. It is answered from the backend's in-memory
+	// index: no file is read.
+	CheckpointIDs() ([]string, error)
+
 	// RetireSession appends one terminal session record. The store keeps
 	// a bounded ring of the most recent records; older records fold into
 	// the aggregates and are no longer listed.

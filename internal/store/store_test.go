@@ -227,6 +227,62 @@ func TestStoreReopenPersistence(t *testing.T) {
 	}
 }
 
+// TestCheckpointIDs: each backend lists the ids it holds a checkpoint
+// for, sorted, whatever else the store holds: an id leaves the list with
+// its last pruned step, a retire record adds none, and the journal's list
+// survives a reopen (a kill -9 leaves nothing else to route by).
+func TestCheckpointIDs(t *testing.T) {
+	for _, b := range allBackends() {
+		t.Run(b.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := b.open(t, dir)
+			ids := func(s Store) []string {
+				t.Helper()
+				got, err := s.CheckpointIDs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			if got := ids(s); len(got) != 0 {
+				t.Fatalf("empty store lists %q", got)
+			}
+			for _, put := range []struct {
+				id   string
+				step int
+			}{{"ue-b", 10}, {"ue-a", 10}, {"ue-b", 20}, {"ue-c", 5}} {
+				if err := s.PutCheckpoint(put.id, put.step, []byte(put.id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.RetireSession(testRecord(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DeleteCheckpoint("ue-c", 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DeleteCheckpoint("ue-b", 10); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"ue-a", "ue-b"}
+			if got := ids(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("CheckpointIDs = %q, want %q", got, want)
+			}
+			if b.reopen == nil {
+				return
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := b.reopen(t, dir)
+			defer r.Close()
+			if got := ids(r); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened CheckpointIDs = %q, want %q", got, want)
+			}
+		})
+	}
+}
+
 // TestSessionRecordEncodeDecode pins the record wire codec: every field
 // round-trips, and a truncated body is rejected as corrupt.
 func TestSessionRecordEncodeDecode(t *testing.T) {

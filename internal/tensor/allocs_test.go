@@ -58,3 +58,35 @@ func TestConv2DBackwardIntoAllocs(t *testing.T) {
 		t.Fatalf("Conv2DBackwardInto allocates %.0f times per call on one worker, want ≤ 5", n)
 	}
 }
+
+// TestConvReLUAvgPoolAllocs pins the fused UE pair on the same batch, read
+// through an index, with the one-pixel pooling: forward ≤ 2 (the shard
+// closure and the boxing of its one pooled scratch slice: start row,
+// convolution row and window sums) and backward ≤ 2 (the closure and the
+// boxing of the partials, which carry the upstream row and window values
+// beside them).
+func TestConvReLUAvgPoolAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	defer SetWorkers(Workers())
+	SetWorkers(1)
+	x, k, bias, spec := convAllocsBatch()
+	idx := make([]int32, 256)
+	for i := range idx {
+		idx[i] = int32(255 - i)
+	}
+	out, mask := New(256, 1, 1, 1), make([]bool, 256*40*40)
+	grad := Ones(256, 1, 1, 1)
+	gradK, gradB := New(k.Shape()...), make([]float64, 1)
+	forward := func() { ConvReLUAvgPoolInto(out, mask, x, idx, k, bias, spec, 40, 40) }
+	backward := func() { ConvReLUAvgPoolBackwardInto(gradK, gradB, x, idx, mask, grad, spec, 40, 40) }
+	forward() // warm the scratch pool
+	backward()
+	if n := testing.AllocsPerRun(20, forward); n > 2 {
+		t.Fatalf("ConvReLUAvgPoolInto allocates %.0f times per call on one worker, want ≤ 2", n)
+	}
+	if n := testing.AllocsPerRun(20, backward); n > 2 {
+		t.Fatalf("ConvReLUAvgPoolBackwardInto allocates %.0f times per call on one worker, want ≤ 2", n)
+	}
+}

@@ -90,7 +90,7 @@ func convForward(out, x, k *Tensor, bias []float64, spec Conv2DSpec, rows bool, 
 	ParallelFor(n, 2*cout*cin*kh*kw*oh*ow, func(shard, stride int) {
 		for ni := shard; ni < n; ni += stride {
 			if rows {
-				convSampleRows(xd, kd, od, bias, starts[shard*ow:][:ow], ni, ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
+				convSampleRows(xd, kd, od, bias, starts[shard*ow:][:ow], ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
 			} else {
 				convSampleDirect(xd, kd, od, bias, ni, cin, cout, h, w, kh, kw, oh, ow, spec)
 			}
@@ -217,10 +217,10 @@ func convBackward(gradX, gradK *Tensor, gradBias []float64, x, k, gradOut *Tenso
 					ni, cin, cout, h, w, kh, kw, oh, ow, spec)
 				continue
 			}
-			convGradKSampleRows(xd, god, gkd, gbd, ni, ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
+			convGradKSampleRows(xd, god, gkd, gbd, ni, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
 			if gxd != nil {
 				convSampleRows(god, kflip, gxd, nil, starts[shard*w:][:w],
-					ni, ni, cout, cin, oh, ow, kh, kw, h, w, kh-1-spec.PadH, kw-1-spec.PadW)
+					ni, cout, cin, oh, ow, kh, kw, h, w, kh-1-spec.PadH, kw-1-spec.PadW)
 			}
 		}
 	})
@@ -316,38 +316,65 @@ func convBackSampleDirect(xd, kd, gxd, god, gkd, gbd []float64,
 // flipKernel).
 
 // convSampleRows computes the output block of batch element ni of a
-// stride-1 convolution and writes it as sample no of od: no is ni for a
-// whole output tensor and 0 for a one-sample block (the fused kernels of
-// convpool.go). Pads may be negative (the input-gradient call).
-// start is a length-ow scratch row of the calling shard: it holds the
-// bias, and a row's first pass reads its starting values from there, so
-// the output is written once with its first terms instead of being
-// filled and re-read.
-func convSampleRows(xd, kd, od, bias, start []float64, ni, no, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
+// stride-1 convolution, one output row at a time (convOutRow). Pads may be
+// negative (the input-gradient call). start is a length-ow scratch row of
+// the calling shard: it holds the bias, and a row's first pass reads its
+// starting values from there, so the output is written once with its
+// first terms instead of being filled and re-read.
+func convSampleRows(xd, kd, od, bias, start []float64, ni, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
 	for co := 0; co < cout; co++ {
-		b := 0.0
-		if bias != nil {
-			b = bias[co]
-		}
-		for j := range start {
-			start[j] = b
-		}
+		fillBias(start, bias, co)
 		for oy := 0; oy < oh; oy++ {
-			orow := od[((no*cout+co)*oh+oy)*ow:][:ow]
-			kyLo, kyHi := max(0, padH-oy), min(kh, h+padH-oy) // kernel rows inside the image
-			if kyLo >= kyHi {
-				copy(orow, start)
-				continue
-			}
-			src := start
-			for ci := 0; ci < cin; ci++ {
-				for ky := kyLo; ky < kyHi; ky++ {
-					convRowTaps(orow, src, xd[((ni*cin+ci)*h+oy-padH+ky)*w:][:w], kd[((co*cin+ci)*kh+ky)*kw:][:kw], -padW)
-					src = orow
-				}
-			}
+			convOutRow(od[((ni*cout+co)*oh+oy)*ow:][:ow], start, xd, kd, ni, co, oy, cin, h, w, kh, kw, padH, padW)
 		}
 	}
+}
+
+// fillBias sets start to channel co's bias, or +0 without one.
+func fillBias(start, bias []float64, co int) {
+	b := 0.0
+	if bias != nil {
+		b = bias[co]
+	}
+	for j := range start {
+		start[j] = b
+	}
+}
+
+// convOutRow computes output row oy of channel co of a stride-1
+// convolution of sample ni into orow, from the starting values in start:
+// one convRowTaps pass per (cin, kh) kernel row inside the image. A 3×3
+// same kernel on the AVX2 path takes all nine taps of an input channel in
+// one pass of conv3x3RowAVX2 instead, wherever its three input rows lie in
+// the image; the sums are the same, term for term.
+func convOutRow(orow, start, xd, kd []float64, ni, co, oy, cin, h, w, kh, kw, padH, padW int) {
+	kyLo, kyHi := max(0, padH-oy), min(kh, h+padH-oy) // kernel rows inside the image
+	if kyLo >= kyHi {
+		copy(orow, start)
+		return
+	}
+	src := start
+	if kh == 3 && kw == 3 && kyLo == 0 && kyHi == 3 && same3(len(orow), w, padW) {
+		for ci := 0; ci < cin; ci++ {
+			img := xd[((ni*cin+ci)*h+oy-padH)*w:][:3*w]
+			conv3x3RowAVX2(orow, src, img[:w], img[w:2*w], img[2*w:], (*[9]float64)(kd[(co*cin+ci)*9:][:9]))
+			src = orow
+		}
+		return
+	}
+	for ci := 0; ci < cin; ci++ {
+		for ky := kyLo; ky < kyHi; ky++ {
+			convRowTaps(orow, src, xd[((ni*cin+ci)*h+oy-padH+ky)*w:][:w], kd[((co*cin+ci)*kh+ky)*kw:][:kw], -padW)
+			src = orow
+		}
+	}
+}
+
+// same3 reports whether the row kernels of a 3×3 same convolution take a
+// row: AVX2 is on, and an output row of ow columns has one edge column on
+// each side of an input row as wide (w ≥ 3, pad 1).
+func same3(ow, w, padW int) bool {
+	return ow == w && w >= 3 && padW == 1 && useAVX2.Load()
 }
 
 // interiorSpan returns the positions [lo, hi) of a length-n output row
@@ -487,20 +514,19 @@ func flipKernel(kd []float64, cin, cout, kh, kw int) []float64 {
 
 // convGradKSampleRows accumulates one sample's kernel- and bias-gradient
 // contributions of a stride-1 convolution into the shard buffers gkd/gbd:
-// sample ni of xd against sample ng of the upstream gradient god (ng is
-// ni for a whole gradient tensor, 0 for a one-sample block).
+// sample ni of xd against sample ni of the upstream gradient god.
 //
 // The direct loop skips g == 0 terms; the row kernels add them anyway.
 // That is bit-identical because a ±0 add is an identity on any
 // accumulator reachable from a +0 start, and it keeps the hot loops
 // branch-free. 3×3 kernels on the AVX2 path take convGradK3SampleRows.
-func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
+func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, cin, cout, h, w, kh, kw, oh, ow, padH, padW int) {
 	if kh == 3 && kw == 3 && cin > 0 && useAVX2.Load() {
-		convGradK3SampleRows(xd, god, gkd, gbd, ni, ng, cin, cout, h, w, oh, ow, padH, padW)
+		convGradK3SampleRows(xd, god, gkd, gbd, ni, cin, cout, h, w, oh, ow, padH, padW)
 		return
 	}
 	for co := 0; co < cout; co++ {
-		gmap := god[(ng*cout+co)*oh*ow:][:oh*ow]
+		gmap := god[(ni*cout+co)*oh*ow:][:oh*ow]
 		acc := gbd[co]
 		for _, gv := range gmap {
 			acc += gv
@@ -525,12 +551,12 @@ func convGradKSampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, k
 // terms in ascending (oy, ox), every row in the order left edge, interior,
 // right edge. The bias chain rides along in the first input channel's
 // walk, in ascending (oy, ox) as well.
-func convGradK3SampleRows(xd, god, gkd, gbd []float64, ni, ng, cin, cout, h, w, oh, ow, padH, padW int) {
+func convGradK3SampleRows(xd, god, gkd, gbd []float64, ni, cin, cout, h, w, oh, ow, padH, padW int) {
 	shift := -padW
 	lo, hi := interiorSpan(ow, w, 3, shift)
 	var acc [12]float64
 	for co := 0; co < cout; co++ {
-		gmap := god[(ng*cout+co)*oh*ow:][:oh*ow]
+		gmap := god[(ni*cout+co)*oh*ow:][:oh*ow]
 		b := gbd[co]
 		for ci := 0; ci < cin; ci++ {
 			gk := gkd[(co*cin+ci)*9:][:9]

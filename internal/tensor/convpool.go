@@ -3,33 +3,50 @@ package tensor
 import "fmt"
 
 // The fused UE kernels: stride-1 convolution, ReLU and non-overlapping
-// average pooling in one pass per sample, and the kernel- and bias-gradient
-// of that chain. They compute what Conv2DInto → ReLU → AvgPool2DInto and
-// AvgPool2DBackwardInto → ReLU' → Conv2DBackwardInto (nil gradX) compute,
-// bit for bit, without the four full-resolution tensors in between: a
-// sample's convolution output lives in a per-shard block that stays in L1
-// from the row kernels to the epilogue, and all that survives the forward
-// pass is the pooled output and one bool per convolution output, "was it
-// positive".
+// average pooling in one pass per output row, and the kernel- and
+// bias-gradient of that chain. They compute what Conv2DInto → ReLU →
+// AvgPool2DInto and AvgPool2DBackwardInto → ReLU' → Conv2DBackwardInto
+// (nil gradX) compute, bit for bit, without the four full-resolution
+// tensors in between: all that survives the forward pass is the pooled
+// output and one bool per convolution output, "was it positive".
 //
-// Pinned orders. The block is filled by convSampleRows, so each element
-// has Conv2DDirect's chain. A pooling window starts at +0 and adds its
-// ReLU outputs in ascending (dy, dx), AvgPool2DInto's order, then scales
-// by 1/(ph·pw); a clipped element's +0 term is left out, which is exact
-// because a sum of non-negative terms from +0 is never −0. The upstream
-// map of the backward pass is rebuilt per sample as mask ? g·inv : +0,
-// the values ReLU' of AvgPool2DBackwardInto's output holds, and goes
-// through convGradKSampleRows into per-shard partials that fold in shard
+// Frames are read where they lie. Both kernels take a frame store
+// (F,Cin,H,W) and an index from sample to frame: sample i is frame
+// idx[i], so a batch of overlapping sequences reads each frame from the
+// store instead of from a copied stack, and a caller that holds a stack
+// passes the identity index. A frame may appear under any number of
+// samples, in any order.
+//
+// Pinned orders. Each output row is computed by convOutRow into a
+// per-shard row, so each element has Conv2DDirect's chain. The row's
+// ReLU, signs and window sums follow at once, while the row is in
+// registers' reach: a pooling window starts at +0 and adds its ReLU
+// outputs in ascending (dy, dx), AvgPool2DInto's order, then scales by
+// 1/(ph·pw); a clipped element's +0 term is left out, which is exact
+// because a sum of non-negative terms from +0 is never −0. The window
+// sums of the rows of one band of windows are one accumulator per window,
+// carried from row to row, so the order is that of the whole-block walk.
+// In the backward pass each column's upstream value is mask ? g·inv : +0,
+// the value ReLU' of AvgPool2DBackwardInto's output holds, formed where
+// the kernel gradient reads it; the per-shard partials fold in shard
 // order, exactly as in convBackward.
 
-// convPoolGeometry validates a fused call: the convolution's geometry, the
-// pooled tensor (output or upstream gradient) and the mask length. k is
-// any tensor of the kernel's shape.
-func convPoolGeometry(pooled *Tensor, mask []bool, x, k *Tensor, bias []float64, spec Conv2DSpec, ph, pw int, op string) (n, cin, h, w, cout, kh, kw, oh, ow int) {
-	n, cin, h, w, cout, kh, kw = checkConvGeometry(x, k, bias, op)
+// convPoolGeometry validates a fused call: the convolution's geometry over
+// the frame store, the index into it, the pooled tensor (output or
+// upstream gradient) and the mask length. k is any tensor of the kernel's
+// shape.
+func convPoolGeometry(pooled *Tensor, mask []bool, frames *Tensor, idx []int32, k *Tensor, bias []float64, spec Conv2DSpec, ph, pw int, op string) (n, cin, h, w, cout, kh, kw, oh, ow int) {
+	var nf int
+	nf, cin, h, w, cout, kh, kw = checkConvGeometry(frames, k, bias, op)
 	if !spec.unitStride() {
 		panic(fmt.Sprintf("tensor: %s requires stride 1, got %+v", op, spec))
 	}
+	for i, f := range idx {
+		if f < 0 || int(f) >= nf {
+			panic(fmt.Sprintf("tensor: %s sample %d reads frame %d of a %d-frame store", op, i, f, nf))
+		}
+	}
+	n = len(idx)
 	oh, ow = spec.OutSize(h, w, kh, kw)
 	if ph <= 0 || pw <= 0 || oh%ph != 0 || ow%pw != 0 {
 		panic(fmt.Sprintf("tensor: %s window %dx%d incompatible with convolution output %dx%d", op, ph, pw, oh, ow))
@@ -46,105 +63,162 @@ func convPoolGeometry(pooled *Tensor, mask []bool, x, k *Tensor, bias []float64,
 }
 
 // ConvReLUAvgPoolInto computes AvgPool2D(ReLU(Conv2D(x, k, bias)), ph, pw)
-// for a stride-1 spec into out (N,Cout,OH/ph,OW/pw), overwriting it, and
+// for a stride-1 spec into out (N,Cout,OH/ph,OW/pw), overwriting it, where
+// x holds the N = len(idx) samples frames[idx[i]] of the frame store, and
 // records in mask (N·Cout·OH·OW, overwritten) which convolution outputs
 // were positive: what ConvReLUAvgPoolBackwardInto needs of this pass.
-func ConvReLUAvgPoolInto(out *Tensor, mask []bool, x, k *Tensor, bias []float64, spec Conv2DSpec, ph, pw int) {
-	n, cin, h, w, cout, kh, kw, oh, ow := convPoolGeometry(out, mask, x, k, bias, spec, ph, pw, "ConvReLUAvgPoolInto")
-	xd, kd, od := x.data, k.data, out.data
-	blk := cout * oh * ow
-	pooled := blk / (ph * pw)
-	// Per shard: one sample's convolution output, then the start row.
-	scratch := getSlice(NumShards * (blk + ow))
+func ConvReLUAvgPoolInto(out *Tensor, mask []bool, frames *Tensor, idx []int32, k *Tensor, bias []float64, spec Conv2DSpec, ph, pw int) {
+	n, cin, h, w, cout, kh, kw, oh, ow := convPoolGeometry(out, mask, frames, idx, k, bias, spec, ph, pw, "ConvReLUAvgPoolInto")
+	xd, kd, od := frames.data, k.data, out.data
+	blk, pooled := cout*oh*ow, cout*(oh/ph)*(ow/pw)
+	// Per shard: the starting row, the convolution row and the window sums
+	// of one band.
+	stride := shardStride(2*ow + ow/pw)
+	scratch := getSlice(NumShards * stride)
 	defer putSlice(scratch)
-	ParallelFor(n, 2*cout*cin*kh*kw*oh*ow, func(shard, stride int) {
-		conv := scratch[shard*(blk+ow):][:blk]
-		start := scratch[shard*(blk+ow)+blk:][:ow]
-		for ni := shard; ni < n; ni += stride {
-			convSampleRows(xd, kd, conv, bias, start, ni, 0, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
-			reluAvgPoolSample(od[ni*pooled:][:pooled], mask[ni*blk:][:blk], conv, ow, ph, pw)
+	ParallelFor(n, 2*cout*cin*kh*kw*oh*ow, func(shard, step int) {
+		s := scratch[shard*stride:]
+		start, row, sums := s[:ow], s[ow:2*ow], s[2*ow:][:ow/pw]
+		for i := shard; i < n; i += step {
+			convPoolSample(od[i*pooled:][:pooled], mask[i*blk:][:blk], xd, kd, bias, start, row, sums,
+				int(idx[i]), cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW, ph, pw)
 		}
 	})
 }
 
-// reluAvgPoolSample is the forward epilogue over one sample's maps, rows
-// of ow: the sign of every element into mask, the mean of every window's
-// ReLU outputs into out.
-func reluAvgPoolSample(out []float64, mask []bool, conv []float64, ow, ph, pw int) {
+// convPoolSample is the forward pass of one sample, frame f of xd, into its
+// pooled maps out and its signs.
+func convPoolSample(out []float64, signs []bool, xd, kd, bias, start, row, sums []float64, f, cin, cout, h, w, kh, kw, oh, ow, padH, padW, ph, pw int) {
 	inv := 1.0 / float64(ph*pw)
-	for y := 0; y*ow < len(conv); y += ph { // the maps' rows run on: oh is a multiple of ph
-		for x := 0; x < ow; x += pw {
-			acc := 0.0
-			for dy := 0; dy < ph; dy++ {
-				at := (y+dy)*ow + x
-				signs := mask[at:][:pw]
-				for dx, v := range conv[at:][:pw] {
-					pos := v > 0 // false for NaN, like ReLU's own test
-					signs[dx] = pos
-					if pos {
-						acc += v
-					}
-				}
+	nh, nw := oh/ph, ow/pw
+	for co := 0; co < cout; co++ {
+		fillBias(start, bias, co)
+		for by := 0; by < nh; by++ { // one band of windows, ph rows
+			clear(sums)
+			for oy := by * ph; oy < (by+1)*ph; oy++ {
+				convOutRow(row, start, xd, kd, f, co, oy, cin, h, w, kh, kw, padH, padW)
+				reluPoolRow(sums, signs[(co*oh+oy)*ow:][:ow], row, pw)
 			}
-			out[(y/ph)*(ow/pw)+x/pw] = acc * inv
+			maps := out[(co*nh+by)*nw:][:nw]
+			for x, acc := range sums {
+				maps[x] = acc * inv
+			}
 		}
+	}
+}
+
+// reluPoolRow is the forward epilogue of one convolution row: the sign of
+// every element into signs, its ReLU output into the sum of its window,
+// sums[x] for the pw columns from x·pw.
+func reluPoolRow(sums []float64, signs []bool, row []float64, pw int) {
+	for x := range sums {
+		acc := sums[x]
+		sg := signs[x*pw:][:pw]
+		for dx, v := range row[x*pw:][:pw] {
+			pos := v > 0 // false for NaN, like ReLU's own test
+			sg[dx] = pos
+			if pos {
+				acc += v
+			}
+		}
+		sums[x] = acc
 	}
 }
 
 // ConvReLUAvgPoolBackwardInto ACCUMULATES into gradK and gradBias the
-// gradients of a ConvReLUAvgPoolInto call on x that filled mask, given the
-// upstream gradient gradOut (N,Cout,OH/ph,OW/pw): the same contract, shard
-// partials and bits as Conv2DBackwardInto with a nil gradX. There is no
-// input gradient: the chain is an input layer.
-func ConvReLUAvgPoolBackwardInto(gradK *Tensor, gradBias []float64, x *Tensor, mask []bool, gradOut *Tensor, spec Conv2DSpec, ph, pw int) {
+// gradients of a ConvReLUAvgPoolInto call on the same frames and index
+// that filled mask, given the upstream gradient gradOut
+// (N,Cout,OH/ph,OW/pw): the same contract, shard partials and bits as
+// Conv2DBackwardInto with a nil gradX on the unpooled, masked gradient.
+// There is no input gradient: the chain is an input layer.
+func ConvReLUAvgPoolBackwardInto(gradK *Tensor, gradBias []float64, frames *Tensor, idx []int32, mask []bool, gradOut *Tensor, spec Conv2DSpec, ph, pw int) {
 	const op = "ConvReLUAvgPoolBackwardInto"
-	n, cin, h, w, cout, kh, kw, oh, ow := convPoolGeometry(gradOut, mask, x, gradK, nil, spec, ph, pw, op)
+	n, cin, h, w, cout, kh, kw, oh, ow := convPoolGeometry(gradOut, mask, frames, idx, gradK, nil, spec, ph, pw, op)
 	if len(gradBias) != cout {
 		panic(fmt.Sprintf("tensor: %s gradBias length %d != Cout %d", op, len(gradBias), cout))
 	}
-	xd, god := x.data, gradOut.data
-	blk := cout * oh * ow
-	pooled := blk / (ph * pw)
+	xd, god := frames.data, gradOut.data
+	blk, pooled := cout*oh*ow, cout*(oh/ph)*(ow/pw)
 	kSize := cout * cin * kh * kw
-	// One sample's upstream map per shard, then the per-shard partials,
-	// each block on cache lines of its own.
-	upStride, pStride := shardStride(blk), shardStride(kSize+cout)
-	scratch := getSlice(NumShards * (upStride + pStride))
+	// Per shard, on cache lines of its own: the kernel and bias partials
+	// (foldShardPartials reads them there), then one row of upstream
+	// values and the scaled gradients of one band of windows.
+	stride := shardStride(kSize + cout + ow + ow/pw)
+	scratch := getSlice(NumShards * stride)
 	defer putSlice(scratch)
-	ups, partials := scratch[:NumShards*upStride], scratch[NumShards*upStride:]
-	clear(partials)
+	clear(scratch)
 
-	ParallelFor(n, 4*kSize*oh*ow, func(shard, stride int) {
-		up := ups[shard*upStride:][:blk]
-		gkd := partials[shard*pStride:][:kSize]
-		gbd := partials[shard*pStride+kSize:][:cout]
-		for ni := shard; ni < n; ni += stride {
-			maskedUnpoolSample(up, mask[ni*blk:][:blk], god[ni*pooled:][:pooled], ow, ph, pw)
-			convGradKSampleRows(xd, up, gkd, gbd, ni, 0, cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW)
+	ParallelFor(n, 4*kSize*oh*ow, func(shard, step int) {
+		s := scratch[shard*stride:]
+		gkd, gbd := s[:kSize], s[kSize:][:cout]
+		grow, gw := s[kSize+cout:][:ow], s[kSize+cout+ow:][:ow/pw]
+		for i := shard; i < n; i += step {
+			convPoolGradSample(gkd, gbd, grow, gw, xd, god[i*pooled:][:pooled], mask[i*blk:][:blk],
+				int(idx[i]), cin, cout, h, w, kh, kw, oh, ow, spec.PadH, spec.PadW, ph, pw)
 		}
 	})
-	foldShardPartials(gradK.data, gradBias, partials, pStride)
+	foldShardPartials(gradK.data, gradBias, scratch, stride)
 }
 
-// maskedUnpoolSample rebuilds one sample's gradient with respect to the
-// convolution output: every window's g/(ph·pw) where the output was
-// positive, +0 where ReLU clipped it.
-func maskedUnpoolSample(up []float64, mask []bool, g []float64, ow, ph, pw int) {
+// convPoolGradSample accumulates one sample's kernel- and bias-gradient
+// contributions into the shard partials gkd/gbd: frame f of xd against
+// the sample's pooled gradient g and signs. Output rows run outermost, so
+// every accumulator takes its terms in ascending (oy, ox) and the bias
+// chain runs in the first input channel's walk, as in convGradK3SampleRows.
+// Where convPoolGradK3AVX2 takes a row it selects each column's upstream
+// value itself; elsewhere the row of values is written to grow for
+// convRowGradK. gw holds one band's g·inv, a value per window.
+func convPoolGradSample(gkd, gbd, grow, gw, xd, g []float64, signs []bool, f, cin, cout, h, w, kh, kw, oh, ow, padH, padW, ph, pw int) {
 	inv := 1.0 / float64(ph*pw)
-	for y := 0; y*ow < len(up); y += ph {
-		for x := 0; x < ow; x += pw {
-			gv := g[(y/ph)*(ow/pw)+x/pw] * inv
-			for dy := 0; dy < ph; dy++ {
-				at := (y+dy)*ow + x
-				dst := up[at:][:pw]
-				for dx, pos := range mask[at:][:pw] {
-					if pos {
-						dst[dx] = gv
-					} else {
-						dst[dx] = 0
+	nh, nw := oh/ph, ow/pw
+	three := kh == 3 && kw == 3 && same3(ow, w, padW)
+	var acc [12]float64 // a 3×3 kernel's rows, lane 3 of each scratch
+	for co := 0; co < cout; co++ {
+		b := gbd[co]
+		for ci := 0; ci < cin; ci++ {
+			gk := gkd[(co*cin+ci)*kh*kw:][:kh*kw]
+			rows, rs := gk, kw // kernel row ky is rows[ky·rs:][:kw]
+			if three {
+				copy(acc[0:3], gk[0:3])
+				copy(acc[4:7], gk[3:6])
+				copy(acc[8:11], gk[6:9])
+				rows, rs = acc[:], 4
+			}
+			img := xd[(f*cin+ci)*h*w:][:h*w]
+			for by := 0; by < nh; by++ { // one band of windows, ph rows
+				for x, gv := range g[(co*nh+by)*nw:][:nw] {
+					gw[x] = gv * inv
+				}
+				for oy := by * ph; oy < (by+1)*ph; oy++ {
+					m := signs[(co*oh+oy)*ow:][:ow]
+					iy := oy - padH // the input row under kernel row 0
+					if three && iy >= 0 && iy+3 <= h {
+						bi := convPoolGradK3AVX2(&acc, m, gw, pw, img[iy*w:][:w], img[(iy+1)*w:][:w], img[(iy+2)*w:][:w], b)
+						if ci == 0 {
+							b = bi
+						}
+						continue
+					}
+					for o, pos := range m {
+						grow[o] = 0
+						if pos {
+							grow[o] = gw[o/pw]
+						}
+					}
+					for ky := max(0, -iy); ky < min(kh, h-iy); ky++ {
+						convRowGradK(rows[ky*rs:][:kw], grow, img[(iy+ky)*w:][:w], -padW)
+					}
+					if ci == 0 {
+						b = sumInto(b, grow)
 					}
 				}
 			}
+			if three {
+				copy(gk[0:3], acc[0:3])
+				copy(gk[3:6], acc[4:7])
+				copy(gk[6:9], acc[8:11])
+			}
 		}
+		gbd[co] = b
 	}
 }

@@ -233,14 +233,23 @@ func TestWorkerCountInvariance(t *testing.T) {
 	type result struct {
 		mm, mmA, mmB, fwd, gX, gK, nilK *Tensor
 		gB, nilB                        []float64
-		pooled, poolK                   *Tensor
+		pooled, poolK, evalPooled       *Tensor
 		poolB                           []float64
 	}
 	tc := convCases()[0]
 	x, k, bias, gradOut := buildConvCase(tc, 47)
 	const pool = 4 // over the 40×40 convolution output
-	pooledGrad := Randn(rng, 1, tc.n, tc.cout, tc.h/pool, tc.w/pool)
-	mask := make([]bool, gradOut.Size())
+	// The fused pair reads x as a frame store: every frame in reverse
+	// order, then frame 1 twice more and frame 0 again, and an evaluation
+	// forward on a ragged prefix of that index.
+	var idx []int32
+	for f := tc.n - 1; f >= 0; f-- {
+		idx = append(idx, int32(f))
+	}
+	idx = append(idx, 1, 0, 1)
+	const evalN = 3
+	pooledGrad := Randn(rng, 1, len(idx), tc.cout, tc.h/pool, tc.w/pool)
+	mask := make([]bool, len(idx)*tc.cout*tc.h*tc.w)
 
 	runAll := func() result {
 		var r result
@@ -252,8 +261,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 		r.nilK, r.nilB = New(k.Shape()...), make([]float64, tc.cout)
 		Conv2DBackwardInto(nil, r.nilK, r.nilB, x, k, gradOut, tc.spec)
 		r.pooled, r.poolK, r.poolB = New(pooledGrad.Shape()...), New(k.Shape()...), make([]float64, tc.cout)
-		ConvReLUAvgPoolInto(r.pooled, mask, x, k, bias, tc.spec, pool, pool)
-		ConvReLUAvgPoolBackwardInto(r.poolK, r.poolB, x, mask, pooledGrad, tc.spec, pool, pool)
+		ConvReLUAvgPoolInto(r.pooled, mask, x, idx, k, bias, tc.spec, pool, pool)
+		ConvReLUAvgPoolBackwardInto(r.poolK, r.poolB, x, idx, mask, pooledGrad, tc.spec, pool, pool)
+		r.evalPooled = New(evalN, tc.cout, tc.h/pool, tc.w/pool)
+		ConvReLUAvgPoolInto(r.evalPooled, mask[:len(mask)/len(idx)*evalN], x, idx[:evalN], k, bias, tc.spec, pool, pool)
 		return r
 	}
 
@@ -279,6 +290,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			bitsEqual(t, "fused pooled", r.pooled, ref.pooled)
 			bitsEqual(t, "fused gradK", r.poolK, ref.poolK)
 			bitsEqualSlice(t, "fused gradBias", r.poolB, ref.poolB)
+			bitsEqual(t, "fused evaluation prefix", r.evalPooled, ref.evalPooled)
 		}
 	})
 }
@@ -495,8 +507,9 @@ func TestParallelForCheapStaysInline(t *testing.T) {
 }
 
 // TestConvReLUAvgPoolRejectsBadGeometry: the fused kernels take only
-// stride 1, windows that tile the convolution output, and a pooled tensor
-// and a mask of exactly the sizes that follow.
+// stride 1, windows that tile the convolution output, an index whose
+// every entry names a frame of the store, and a pooled tensor and a mask
+// of exactly the sizes that follow from the index.
 func TestConvReLUAvgPoolRejectsBadGeometry(t *testing.T) {
 	x, k := New(2, 1, 8, 8), New(1, 1, 3, 3)
 	same := Conv2DSpec{1, 1, 1, 1}
@@ -509,19 +522,31 @@ func TestConvReLUAvgPoolRejectsBadGeometry(t *testing.T) {
 		}()
 		f()
 	}
-	fwd := func(out *Tensor, mask int, spec Conv2DSpec, ph, pw int) func() {
-		return func() { ConvReLUAvgPoolInto(out, make([]bool, mask), x, k, nil, spec, ph, pw) }
+	idx := []int32{1, 0}
+	fwdAt := func(out *Tensor, mask int, idx []int32, spec Conv2DSpec, ph, pw int) func() {
+		return func() { ConvReLUAvgPoolInto(out, make([]bool, mask), x, idx, k, nil, spec, ph, pw) }
 	}
-	fwd(New(2, 1, 2, 4), 128, same, 4, 2)() // the valid call
+	fwd := func(out *Tensor, mask int, spec Conv2DSpec, ph, pw int) func() {
+		return fwdAt(out, mask, idx, spec, ph, pw)
+	}
+	fwd(New(2, 1, 2, 4), 128, same, 4, 2)()                     // the valid call
+	fwdAt(New(3, 1, 2, 4), 192, []int32{1, 1, 1}, same, 4, 2)() // one frame thrice
 	mustPanic("stride 2", fwd(New(2, 1, 1, 1), 32, Conv2DSpec{2, 2, 1, 1}, 4, 4))
 	mustPanic("window 3 over 8 rows", fwd(New(2, 1, 2, 4), 128, same, 3, 2))
 	mustPanic("pooled shape", fwd(New(2, 1, 4, 2), 128, same, 4, 2))
 	mustPanic("short mask", fwd(New(2, 1, 2, 4), 127, same, 4, 2))
+	mustPanic("pooled shape for the index", fwdAt(New(2, 1, 2, 4), 192, []int32{0, 1, 0}, same, 4, 2))
+	for _, f := range []int32{2, -1, math.MinInt32, math.MaxInt32} {
+		mustPanic(fmt.Sprintf("frame %d of 2", f), fwdAt(New(2, 1, 2, 4), 128, []int32{0, f}, same, 4, 2))
+		mustPanic(fmt.Sprintf("backward on frame %d of 2", f), func() {
+			ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), make([]float64, 1), x, []int32{f, 0}, make([]bool, 128), New(2, 1, 2, 4), same, 4, 2)
+		})
+	}
 	mustPanic("short upstream gradient", func() {
-		ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), make([]float64, 1), x, make([]bool, 128), New(1, 1, 2, 4), same, 4, 2)
+		ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), make([]float64, 1), x, idx, make([]bool, 128), New(1, 1, 2, 4), same, 4, 2)
 	})
 	mustPanic("nil gradBias", func() {
-		ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), nil, x, make([]bool, 128), New(2, 1, 2, 4), same, 4, 2)
+		ConvReLUAvgPoolBackwardInto(New(1, 1, 3, 3), nil, x, idx, make([]bool, 128), New(2, 1, 2, 4), same, 4, 2)
 	})
 }
 

@@ -5,8 +5,9 @@ import "sync/atomic"
 // AVX2 row kernels. On amd64 hosts with AVX2 the hottest row loops run
 // four float64 lanes wide in hand-written assembly (kernels_amd64.s):
 // rowAXPY4 and the rows of rowAXPYs under every RowMatMul and
-// RowMatMulTransBT, the three-tap block of convRowTaps, the interiors of a
-// 3×3 kernel gradient, and AdamRow. Each lane is one independent output
+// RowMatMulTransBT, the three-tap block of convRowTaps, the nine-tap row
+// of a 3×3 same convolution, the interiors of a 3×3 kernel gradient, the
+// fused UE layer's 3×3 kernel-gradient row, and AdamRow. Each lane is one independent output
 // element or accumulator, which receives its terms in the order the Go
 // loop gives them, multiplied and added as two rounded operations with
 // the operands in the Go loop's order (divisions and square roots round

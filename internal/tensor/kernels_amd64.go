@@ -57,3 +57,20 @@ func gradK3RowsAVX2(acc *[12]float64, g, in0, in1, in2 []float64, b float64) flo
 //
 //go:noescape
 func adamAVX2(w, g, m, v []float64, k *[8]float64)
+
+// conv3x3RowAVX2 is one output row of a 3×3 same convolution over one
+// input channel, edge columns included: what convRowTaps gives o over
+// three passes, one per input row, starting from s; len(o) = len(inr) ≥ 3
+// and len(s) ≥ len(o).
+//
+//go:noescape
+func conv3x3RowAVX2(o, s, in0, in1, in2 []float64, k *[9]float64)
+
+// convPoolGradK3AVX2 folds one output row of the fused layer into the
+// three kernel rows of a 3×3 same kernel gradient, edge columns included,
+// column j's upstream value being mask[j] ? gw[j/pw] : +0 (lane 3 of each
+// kernel row is scratch), and returns b plus those values: the bias chain.
+// len(mask) = len(inr) ≥ 3 and len(gw)·pw ≥ len(mask).
+//
+//go:noescape
+func convPoolGradK3AVX2(acc *[12]float64, mask []bool, gw []float64, pw int, in0, in1, in2 []float64, b float64) float64

@@ -19,4 +19,10 @@ func gradK3RowsAVX2(acc *[12]float64, g, in0, in1, in2 []float64, b float64) flo
 	panic(noAVX2)
 }
 
+func conv3x3RowAVX2(o, s, in0, in1, in2 []float64, k *[9]float64) { panic(noAVX2) }
+
+func convPoolGradK3AVX2(acc *[12]float64, mask []bool, gw []float64, pw int, in0, in1, in2 []float64, b float64) float64 {
+	panic(noAVX2)
+}
+
 func adamAVX2(w, g, m, v []float64, k *[8]float64) { panic(noAVX2) }

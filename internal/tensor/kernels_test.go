@@ -180,6 +180,10 @@ func checkRowKernels(t *testing.T, next func() float64, n, off, shift int) {
 		}
 	}
 
+	if shift == -1 {
+		checkSame3Kernels(t, next, n, off)
+	}
+
 	// The 3×3 kernel gradient of a two-channel image n wide, upstream
 	// gradient, kernel and bias partials all hostile.
 	if n == 0 {
@@ -195,10 +199,105 @@ func checkRowKernels(t *testing.T, next func() float64, n, off, shift int) {
 	god := offsetSlice(cout*oh*ow, off, next)
 	gk, gb := offsetSlice(cout*cin*9, off, next), offsetSlice(cout, off, next)
 	wk, wb := append([]float64(nil), gk...), append([]float64(nil), gb...)
-	withAVX2(false, func() { convGradKSampleRows(xd, god, wk, wb, 0, 0, cin, cout, h, n, 3, 3, oh, ow, padH, padW) })
-	withAVX2(true, func() { convGradKSampleRows(xd, god, gk, gb, 0, 0, cin, cout, h, n, 3, 3, oh, ow, padH, padW) })
+	withAVX2(false, func() { convGradKSampleRows(xd, god, wk, wb, 0, cin, cout, h, n, 3, 3, oh, ow, padH, padW) })
+	withAVX2(true, func() { convGradKSampleRows(xd, god, gk, gb, 0, cin, cout, h, n, 3, 3, oh, ow, padH, padW) })
 	bitsMatch(t, "gradK", gk, wk)
 	bitsMatch(t, "gradBias", gb, wb)
+}
+
+// checkSame3Kernels compares the kernels of a 3×3 same row, n wide, with
+// their Go twins: conv3x3RowAVX2 with three convRowTaps passes, into a
+// separate start row and in place; convPoolGradK3AVX2 with the unpooled,
+// masked row those passes' gradient twin, convRowGradK, reads, and its
+// bias chain with sumInto, at windows of one column, three and the whole
+// row; and the fused layer's per-sample forward and backward on a
+// two-channel image five rows high, whose top and bottom rows stay in Go.
+func checkSame3Kernels(t *testing.T, next func() float64, n, off int) {
+	t.Helper()
+	if n < 3 {
+		return
+	}
+	k9 := (*[9]float64)(offsetSlice(9, off, next))
+	rows := [][]float64{offsetSlice(n, off, next), offsetSlice(n, off, next), offsetSlice(n, off, next)}
+	src := offsetSlice(n, off, next)
+	for _, inPlace := range []bool{false, true} {
+		want, got := append([]float64(nil), src...), append([]float64(nil), src...)
+		wsrc, gsrc := src, src
+		if inPlace {
+			wsrc, gsrc = want, got
+		}
+		withAVX2(false, func() {
+			for r, in := range rows {
+				convRowTaps(want, wsrc, in, k9[3*r:3*r+3], -1)
+				wsrc = want
+			}
+		})
+		conv3x3RowAVX2(got, gsrc, rows[0], rows[1], rows[2], k9)
+		bitsMatch(t, "conv3x3RowAVX2", got, want)
+	}
+
+	for _, pw := range []int{1, 3, n} {
+		mask := make([]bool, n)
+		for o := range mask {
+			mask[o] = next() > 0
+		}
+		gw := offsetSlice((n+pw-1)/pw, off, next)
+		g := make([]float64, n)
+		for o, pos := range mask {
+			if pos {
+				g[o] = gw[o/pw]
+			}
+		}
+		var want, got [12]float64
+		for i := range want {
+			want[i] = next()
+		}
+		got = want
+		b := next()
+		for r, in := range rows {
+			convRowGradK(want[4*r:][:3], g, in, -1)
+		}
+		wb := sumInto(b, g)
+		gb := convPoolGradK3AVX2(&got, mask, gw, pw, rows[0], rows[1], rows[2], b)
+		for r := 0; r < 3; r++ {
+			bitsMatch(t, "convPoolGradK3AVX2", got[4*r:][:3], want[4*r:][:3])
+		}
+		bitsMatch(t, "convPoolGradK3AVX2 bias", []float64{gb}, []float64{wb})
+	}
+
+	const cin, cout, h = 2, 2, 5
+	xd := offsetSlice(cin*h*n, off, next)
+	kd, bias := offsetSlice(cout*cin*9, off, next), offsetSlice(cout, off, next)
+	for _, win := range [][2]int{{1, 1}, {h, n}} {
+		ph, pw := win[0], win[1]
+		pooled := cout * (h / ph) * (n / pw)
+		god := offsetSlice(pooled, off, next)
+		var outs [2][]float64
+		var signs [2][]bool
+		var gks, gbs [2][]float64
+		for i, avx := range []bool{false, true} {
+			outs[i], signs[i] = make([]float64, pooled), make([]bool, cout*h*n)
+			gks[i], gbs[i] = make([]float64, cout*cin*9), make([]float64, cout)
+			for j := range gks[i] {
+				gks[i][j] = float64(j)
+			}
+			scratch := make([]float64, 4*n+2)
+			withAVX2(avx, func() {
+				convPoolSample(outs[i], signs[i], xd, kd, bias, scratch[:n], scratch[n:2*n], scratch[2*n:][:n/pw],
+					0, cin, cout, h, n, 3, 3, h, n, 1, 1, ph, pw)
+				convPoolGradSample(gks[i], gbs[i], scratch[:n], scratch[n:][:n/pw], xd, god, signs[i],
+					0, cin, cout, h, n, 3, 3, h, n, 1, 1, ph, pw)
+			})
+		}
+		bitsMatch(t, "convPoolSample", outs[1], outs[0])
+		for o := range signs[0] {
+			if signs[0][o] != signs[1][o] {
+				t.Fatalf("convPoolSample: sign %d differs", o)
+			}
+		}
+		bitsMatch(t, "convPoolGradSample gradK", gks[1], gks[0])
+		bitsMatch(t, "convPoolGradSample gradBias", gbs[1], gbs[0])
+	}
 }
 
 // TestAVX2KernelsMatchGo: every AVX2 kernel equals its Go loop by
@@ -208,7 +307,8 @@ func checkRowKernels(t *testing.T, next func() float64, n, off, shift int) {
 // subnormals, so that NaN meets NaN in either operand of each add,
 // multiply and division (the payloads are pinned in uninstrumented builds
 // only: payloadsPinned). The kernels are those under RowMatMul,
-// RowMatMulTransBT, convRowTaps, the 3×3 kernel gradient and AdamRow.
+// RowMatMulTransBT, convRowTaps, the 3×3 kernel gradient, AdamRow, and
+// the 3×3 same rows of the convolution and of the fused UE layer.
 func TestAVX2KernelsMatchGo(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("the CPU has no AVX2")

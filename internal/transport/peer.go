@@ -38,12 +38,13 @@ type UEPeer struct {
 	OnRequest func(t MsgType, step uint32) error
 
 	data         *dataset.Dataset
+	frames       *tensor.Tensor // data's images, read in place
+	idx          []int32        // the latest request's sample-to-frame index, grow-only
 	adam         *opt.Adam
 	conn         io.ReadWriter
 	fr           *FrameReader
 	fw           *FrameWriter
-	arena        tensor.Arena // per-request batch-assembly scratch
-	shutdownStep uint32       // step field of the shutdown that ended Serve
+	shutdownStep uint32 // step field of the shutdown that ended Serve
 }
 
 // ShutdownStep reports the step field of the shutdown that ended a
@@ -62,11 +63,12 @@ func NewUEPeer(cfg split.Config, d *dataset.Dataset, conn io.ReadWriter) (*UEPee
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model := split.NewUEModel(rng, cfg, d)
 	u := &UEPeer{
-		Model: model,
-		Cfg:   cfg,
-		data:  d,
-		adam:  opt.NewAdam(model.Params(), cfg.LR, cfg.Beta1, cfg.Beta2),
-		conn:  conn,
+		Model:  model,
+		Cfg:    cfg,
+		data:   d,
+		frames: split.FrameStore(d),
+		adam:   opt.NewAdam(model.Params(), cfg.LR, cfg.Beta1, cfg.Beta2),
+		conn:   conn,
 	}
 	if conn != nil { // nil conn: an offline probe peer (checkpoint validation)
 		u.fr = NewFrameReader(conn)
@@ -87,22 +89,22 @@ func (u *UEPeer) RestoreState(r io.Reader) (int, error) {
 	return split.LoadTrainState(r, u.Cfg.Fingerprint(), split.HalfUE, u.Model.Params(), u.adam)
 }
 
-// imageBatch assembles the (B·L, 1, H, W) stack for the anchors into
-// the peer's arena (valid until the next request).
-func (u *UEPeer) imageBatch(anchors []int32) (*tensor.Tensor, error) {
-	d, L := u.data, u.Cfg.SeqLen
-	px := d.H * d.W
-	out := u.arena.GetUninit(len(anchors)*L, 1, d.H, d.W)
-	for b, k := range anchors {
-		if int(k) < L-1 || int(k) >= d.Len() {
+// frameIndex sets the peer's sample-to-frame index for the anchors'
+// sequences, sample b·L+t reading frame anchors[b]−L+1+t, and refuses an
+// anchor whose sequence does not lie in the dataset before any frame is
+// read. The index stays valid until the next request.
+func (u *UEPeer) frameIndex(anchors []int32) ([]int32, error) {
+	L := u.Cfg.SeqLen
+	u.idx = u.idx[:0]
+	for _, k := range anchors {
+		if int(k) < L-1 || int(k) >= u.data.Len() {
 			return nil, fmt.Errorf("transport: anchor %d outside usable range", k)
 		}
 		for t := 0; t < L; t++ {
-			frame := int(k) - L + 1 + t
-			copy(out.Data()[(b*L+t)*px:(b*L+t+1)*px], d.Image(frame))
+			u.idx = append(u.idx, k-int32(L)+1+int32(t))
 		}
 	}
-	return out, nil
+	return u.idx, nil
 }
 
 // Serve processes requests until a shutdown message or connection error.
@@ -137,12 +139,11 @@ func (u *UEPeer) Serve() error {
 			}
 
 		case MsgBatchRequest, MsgEvalRequest:
-			u.arena.Reset()
-			batch, err := u.imageBatch(msg.Anchors)
+			idx, err := u.frameIndex(msg.Anchors)
 			if err != nil {
 				return err
 			}
-			act := u.Model.Forward(batch)
+			act := u.Model.ForwardFrames(u.frames, idx)
 			reply := &Message{Type: MsgActivations, Step: reqStep, Tensor: act, Codec: u.Cfg.Codec}
 			if err := u.fw.WriteMessage(reply, ProtocolVersion); err != nil {
 				return fmt.Errorf("transport: UE write: %w", err)
@@ -157,9 +158,12 @@ func (u *UEPeer) Serve() error {
 				// runnext, and a P that always has such a successor serves
 				// the global queue only every 61st tick: whatever waits
 				// there (anything that called runtime.Gosched) used to get
-				// its turn from the GC cycles the UE half's 13 MB of layer
-				// buffers set off, and without them can wait out two whole
-				// short sessions. Not on training rounds: a round of an
+				// its turn from the GC cycles the UE half's per-request
+				// garbage set off. The UE half now keeps only pooled and
+				// grow-only buffers (a sign mask, a pooled output and a
+				// frame index; frames are read in place), so without this
+				// yield such a waiter can wait out two whole short
+				// sessions. Not on training rounds: a round of an
 				// 8×8-pixel session is 35 µs and the yield costs 16.
 				runtime.Gosched()
 				continue
@@ -196,8 +200,8 @@ func (u *UEPeer) Serve() error {
 	}
 }
 
-// release returns the peer's pooled frame buffers, arena storage and
-// layer scratch; the peer's protocol methods must not be used afterwards.
+// release returns the peer's pooled frame buffers and layer scratch; the
+// peer's protocol methods must not be used afterwards.
 func (u *UEPeer) release() {
 	if u.fr != nil {
 		u.fr.Release()
@@ -205,7 +209,6 @@ func (u *UEPeer) release() {
 	if u.fw != nil {
 		u.fw.Release()
 	}
-	u.arena.Release()
 	u.Model.Release()
 }
 
@@ -282,8 +285,8 @@ func NewBSPeer(cfg split.Config, d *dataset.Dataset, sp *dataset.Split, conn io.
 	return b, nil
 }
 
-// release returns the peer's pooled frame buffers, arena storage and
-// layer scratch; the peer's protocol methods must not be used afterwards.
+// release returns the peer's pooled frame buffers and layer scratch; the
+// peer's protocol methods must not be used afterwards.
 func (b *BSPeer) release() {
 	if b.fr != nil {
 		b.fr.Release()

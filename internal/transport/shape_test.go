@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -107,5 +109,73 @@ func TestUEPeerRejectsMisshapenGradient(t *testing.T) {
 		}
 		ueConn.Close()
 		bsConn.Close()
+	}
+}
+
+// TestUEPeerRefusesHostileAnchors: a request naming an anchor whose
+// sequence does not lie in the dataset — one short of the first full
+// sequence (L−2), one past the last frame (d.Len()), −1 and MinInt32 —
+// ends Serve with the range error, on a batch and on an evaluation
+// request alike, with a valid anchor ahead of it in the same request:
+// the frame index is checked whole before the layer reads a frame, and
+// nothing panics. The extreme valid anchors, L−1 and d.Len()−1, are
+// served. A healthy session of a server in the same process trains on
+// to detach meanwhile.
+func TestUEPeerRefusesHostileAnchors(t *testing.T) {
+	const steps = 12
+	srv, err := NewBSServer(ServerConfig{
+		MaxUE: 1, Steps: steps, EvalEvery: 6, ValAnchors: 8, Provision: cachedProvision(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	neighbour := make(chan struct{})
+	go func() {
+		defer close(neighbour)
+		runUERange(t, srv, 0, 1)
+	}()
+
+	cfg, d, _, err := tinySessionEnv(tinyHello(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := cfg.SeqLen
+	for _, typ := range []MsgType{MsgBatchRequest, MsgEvalRequest} {
+		for _, hostile := range []int32{int32(L - 2), int32(d.Len()), -1, math.MinInt32} {
+			ueConn, bsConn := net.Pipe()
+			ue, err := NewUEPeer(cfg, d, ueConn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- ue.Serve() }()
+			valid := []int32{int32(L - 1), int32(d.Len() - 1)}
+			if err := WriteMessage(bsConn, &Message{Type: MsgEvalRequest, Step: 1, Anchors: valid}); err != nil {
+				t.Fatal(err)
+			}
+			act, err := ReadMessage(bsConn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if act.Type != MsgActivations || act.Tensor.Dim(0) != len(valid)*L {
+				t.Fatalf("the valid anchors %v: %v of shape %v", valid, act.Type, act.Tensor.Shape())
+			}
+			if err := WriteMessage(bsConn, &Message{Type: typ, Step: 2, Anchors: []int32{int32(L), hostile}}); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("anchor %d outside usable range", hostile)
+			if err := <-done; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v with anchor %d: Serve returned %v, want %q", typ, hostile, err, want)
+			}
+			ueConn.Close()
+			bsConn.Close()
+		}
+	}
+
+	<-neighbour
+	s, ok := srv.SessionByID(tinyHello(0).SessionID)
+	if !ok || s.State != SessionDetached || s.Steps != steps {
+		t.Fatalf("healthy neighbour: %+v after the hostile requests, want detached after %d steps", s, steps)
 	}
 }
