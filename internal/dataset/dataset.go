@@ -99,7 +99,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	for k := 0; k < cfg.NumFrames; k++ {
 		t := float64(k) * d.FramePeriodS
 		sc.Advance(t)
-		copy(d.Images[k*h*w:(k+1)*h*w], sc.RenderDepth(t))
+		sc.RenderDepthInto(d.Images[k*h*w:(k+1)*h*w], t)
 		d.Powers[k] = sc.ReceivedPowerDBm(t)
 	}
 	return d, nil

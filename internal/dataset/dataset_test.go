@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/scene"
@@ -119,6 +122,59 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Images[i] != b.Images[i] {
 			t.Fatalf("pixel %d differs under same seed", i)
 		}
+	}
+}
+
+// TestGenerateGolden: a 240-frame Generate lands on the images and powers
+// of commit db4b7ff, where each frame was rendered into a fresh slice and
+// copied, by FNV-1a over their Float64bits (the same under
+// GODEBUG=cpu.fma=off there).
+func TestGenerateGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden recorded on amd64; other targets may fuse multiply-adds")
+	}
+	d, err := Generate(smallGen(7, 240))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		values []float64
+		want   uint64
+	}{{"images", d.Images, 0x40e5e1caf26a6f4b}, {"powers", d.Powers, 0x51875dd89409cf76}} {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range c.values {
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s hash %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGenerateRendersInPlace: Generate renders every frame straight into
+// its image slice. At 2400 frames it allocates its two output slices and
+// at most 64 KB and 120 objects besides (the scene's random sources, one
+// object per pedestrian that arrives, the walker lists' growth), where a
+// fresh frame and walker list per frame took 31 MB and 6280 objects more.
+func TestGenerateRendersInPlace(t *testing.T) {
+	const frames = 2400
+	cfg := smallGen(7, frames)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := Generate(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := uint64(8 * (len(d.Images) + len(d.Powers)))
+	if extra := after.TotalAlloc - before.TotalAlloc - outputs; extra > 64<<10 {
+		t.Errorf("Generate of %d frames allocated %d bytes beyond its outputs, want ≤ 64 KB", frames, extra)
+	}
+	if objs := after.Mallocs - before.Mallocs; objs > frames/20 {
+		t.Errorf("Generate of %d frames allocated %d objects, want ≤ %d", frames, objs, frames/20)
 	}
 }
 

@@ -123,18 +123,7 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 				if t+1 < T {
 					hNew, cNew = l.hs[(r+n)*hid:][:hid], l.cs[(r+n)*hid:][:hid]
 				}
-				tc := l.tanhC[r*hid:][:hid]
-				for j := 0; j < hid; j++ {
-					iv := sigmoid(z[j])
-					fv := sigmoid(z[hid+j])
-					gv := math.Tanh(z[2*hid+j])
-					ov := sigmoid(z[3*hid+j])
-					cv := fv*c[j] + iv*gv
-					tcv := math.Tanh(cv)
-					z[j], z[hid+j], z[2*hid+j], z[3*hid+j] = iv, fv, gv, ov
-					cNew[j], tc[j] = cv, tcv
-					hNew[j] = ov * tcv
-				}
+				tensor.LSTMGates(z, c, cNew, l.tanhC[r*hid:], hNew)
 				h, c = hNew, cNew
 			}
 		}
@@ -175,23 +164,8 @@ func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			for t := T - 1; t >= 0; t-- {
 				r := t*n + i
-				g, dz := l.gates[r*4*hid:][:4*hid], l.dz[r*4*hid:][:4*hid]
-				tc, cPrev := l.tanhC[r*hid:][:hid], l.cs[r*hid:][:hid]
-				for j := 0; j < hid; j++ {
-					iv, fv, gv, ov := g[j], g[hid+j], g[2*hid+j], g[3*hid+j]
-					tcv := tc[j]
-					dhv := dh[j]
-					dcv := dc[j] + dhv*ov*(1-tcv*tcv)
-					do := dhv * tcv
-					di := dcv * gv
-					df := dcv * cPrev[j]
-					dg := dcv * iv
-					dz[j] = di * iv * (1 - iv)
-					dz[hid+j] = df * fv * (1 - fv)
-					dz[2*hid+j] = dg * (1 - gv*gv)
-					dz[3*hid+j] = do * ov * (1 - ov)
-					dc[j] = dcv * fv // carried to step t-1
-				}
+				dz := l.dz[r*4*hid:][:4*hid]
+				tensor.LSTMGateGrads(dz, l.gates[r*4*hid:], l.tanhC[r*hid:], l.cs[r*hid:], dh, dc)
 				tensor.RowMatMulTransB(dxd[(i*T+t)*d:][:d], dz, wx)
 				tensor.RowMatMulTransBT(dh, dz, l.whT)
 			}
@@ -241,5 +215,3 @@ func (l *LSTM) Release() { tensor.Release(&l.buf, &l.out, &l.dx) }
 
 // Params returns the packed input, recurrent and bias parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

@@ -88,6 +88,8 @@ func oracleMatMulTransB(a, b []float64, m, k, n int) []float64 {
 	return out
 }
 
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
 func (o *lstmOracle) forward(x *tensor.Tensor) []float64 {
 	n, T, d, hid := x.Dim(0), x.Dim(1), o.d, o.hid
 	o.n, o.T = n, T
@@ -237,52 +239,146 @@ func sparseSeq(rng *rand.Rand, shape ...int) *tensor.Tensor {
 // oracle's by Float64bits, at the paper's shapes (one pixel + RF, 10×10
 // pixels + RF, RF only) and at small odd ones, with zeros in the inputs,
 // over three steps that accumulate into the same gradients, for every
-// worker count, on the Go and the AVX2 row kernels.
+// worker count, on the Go and the AVX2 row kernels. The hostile cases, at
+// hidden sizes 1, 3, 5, 32 and 33, scale the input weights so that gate
+// pre-activations pass ±354.5 and ±709 and put NaNs of distinct payloads
+// and ±Inf into weight columns and inputs: the gate kernel then hands
+// groups back to Go in the middle of rows.
 func TestLSTMMatchesPerTimestepOracle(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, c := range [][4]int{{64, 4, 2, 32}, {64, 4, 101, 32}, {64, 4, 1, 32}, {7, 3, 5, 6}, {1, 1, 1, 1}, {9, 5, 3, 7}} {
 		n, T, d, hid := c[0], c[1], c[2], c[3]
 		t.Run(fmt.Sprintf("N%d_T%d_D%d_H%d", n, T, d, hid), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000*n + d)))
-			ref := NewLSTM(rng, d, hid)
-			// The accumulators start at -0: adding the all-zero sum of the
-			// h_{-1} step turns that into +0, leaving the step out would not.
-			negZero := math.Copysign(0, -1)
-			oracle := newLSTMOracle(ref)
-			for _, g := range [][]float64{oracle.wxg, oracle.whg, oracle.bg} {
-				for i := range g {
-					g[i] = negZero
-				}
-			}
-			const steps = 3
-			var xs, grads [steps]*tensor.Tensor
-			var outs, dxs, wxg, whg, bg [steps][]float64
-			for s := 0; s < steps; s++ {
-				xs[s], grads[s] = sparseSeq(rng, n, T, d), sparseSeq(rng, n, hid)
-				outs[s] = append([]float64(nil), oracle.forward(xs[s])...)
-				dxs[s] = oracle.backward(grads[s])
-				wxg[s] = append([]float64(nil), oracle.wxg...)
-				whg[s] = append([]float64(nil), oracle.whg...)
-				bg[s] = append([]float64(nil), oracle.bg...)
-			}
-			bothKernelPaths(t, func(t *testing.T) {
-				for w := 1; w <= tensor.NumShards; w++ {
-					tensor.SetWorkers(w)
-					l := sameWeights(ref)
-					for _, p := range l.Params() {
-						p.Grad.Fill(negZero)
-					}
-					for s := 0; s < steps; s++ {
-						name := fmt.Sprintf("workers %d step %d", w, s)
-						sliceBitsEqual(t, name+" output", l.Forward(xs[s]).Data(), outs[s])
-						sliceBitsEqual(t, name+" dx", l.Backward(grads[s]).Data(), dxs[s])
-						sliceBitsEqual(t, name+" Wx.Grad", l.Wx.Grad.Data(), wxg[s])
-						sliceBitsEqual(t, name+" Wh.Grad", l.Wh.Grad.Data(), whg[s])
-						sliceBitsEqual(t, name+" B.Grad", l.B.Grad.Data(), bg[s])
-					}
-				}
-			})
+			checkLSTMOracle(t, n, T, d, hid, false)
 		})
+	}
+	for _, c := range [][4]int{{5, 3, 3, 1}, {7, 3, 4, 3}, {6, 4, 3, 5}, {16, 4, 2, 32}, {9, 3, 5, 33}} {
+		n, T, d, hid := c[0], c[1], c[2], c[3]
+		t.Run(fmt.Sprintf("hostile_N%d_T%d_D%d_H%d", n, T, d, hid), func(t *testing.T) {
+			checkLSTMOracle(t, n, T, d, hid, true)
+		})
+	}
+}
+
+// checkLSTMOracle is one case of TestLSTMMatchesPerTimestepOracle.
+func checkLSTMOracle(t *testing.T, n, T, d, hid int, hostile bool) {
+	rng := rand.New(rand.NewSource(int64(1000*n + d)))
+	ref := NewLSTM(rng, d, hid)
+	if hostile {
+		makeHostile(ref)
+	}
+	// The accumulators start at -0: adding the all-zero sum of the
+	// h_{-1} step turns that into +0, leaving the step out would not.
+	negZero := math.Copysign(0, -1)
+	oracle := newLSTMOracle(ref)
+	for _, g := range [][]float64{oracle.wxg, oracle.whg, oracle.bg} {
+		for i := range g {
+			g[i] = negZero
+		}
+	}
+	const steps = 3
+	var xs, grads [steps]*tensor.Tensor
+	var outs, dxs, wxg, whg, bg [steps][]float64
+	for s := 0; s < steps; s++ {
+		xs[s], grads[s] = sparseSeq(rng, n, T, d), sparseSeq(rng, n, hid)
+		if hostile {
+			hostileEntries(rng, xs[s].Data(), d)
+		}
+		outs[s] = append([]float64(nil), oracle.forward(xs[s])...)
+		dxs[s] = oracle.backward(grads[s])
+		wxg[s] = append([]float64(nil), oracle.wxg...)
+		whg[s] = append([]float64(nil), oracle.whg...)
+		bg[s] = append([]float64(nil), oracle.bg...)
+	}
+	// The oracle's loops are compiled with other operand orders than the
+	// layer's, so against it a NaN matches any NaN; the layer's two paths
+	// must agree on the payloads too, where the build pins them.
+	equal := sliceBitsEqual
+	if hostile {
+		equal = sliceBitsEqualAnyNaN
+	}
+	first := map[string][]float64{} // the first path's results
+	bothKernelPaths(t, func(t *testing.T) {
+		for w := 1; w <= tensor.NumShards; w++ {
+			tensor.SetWorkers(w)
+			l := sameWeights(ref)
+			for _, p := range l.Params() {
+				p.Grad.Fill(negZero)
+			}
+			for s := 0; s < steps; s++ {
+				name := fmt.Sprintf("workers %d step %d", w, s)
+				for _, r := range []struct {
+					name      string
+					got, want []float64
+				}{
+					{" output", l.Forward(xs[s]).Data(), outs[s]},
+					{" dx", l.Backward(grads[s]).Data(), dxs[s]},
+					{" Wx.Grad", l.Wx.Grad.Data(), wxg[s]},
+					{" Wh.Grad", l.Wh.Grad.Data(), whg[s]},
+					{" B.Grad", l.B.Grad.Data(), bg[s]},
+				} {
+					equal(t, name+r.name, r.got, r.want)
+					if prev, ok := first[name+r.name]; !ok {
+						first[name+r.name] = append([]float64(nil), r.got...)
+					} else if !raceEnabled {
+						sliceBitsEqual(t, name+r.name+" against the other path", r.got, prev)
+					}
+				}
+			}
+		}
+	})
+}
+
+// sliceBitsEqualAnyNaN is sliceBitsEqual with a NaN matching any NaN.
+func sliceBitsEqualAnyNaN(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: element %d differs: %x (%g) != %x (%g)", name, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// makeHostile scales every eighth column of l's input weights by 3000 and
+// the rest by 4, so that a group of four gate columns either stays in the
+// gate kernel's range or, about half the time, holds a pre-activation
+// past ±354.5 (tanh's exp argument past 709) or past σ's range. It puts
+// NaNs of distinct payloads and both signs and ±Inf into four columns of
+// input row 0, which hostileEntries keeps mostly zero: those columns turn
+// NaN or infinite at a few (row, step) only.
+func makeHostile(l *LSTM) {
+	wx := l.Wx.Value.Data()
+	cols := 4 * l.Hidden
+	for i := range wx {
+		if i%cols%8 == 0 {
+			wx[i] *= 3000
+		} else {
+			wx[i] *= 4
+		}
+	}
+	for k, bits := range []uint64{0x7ff8000000000d01, 0xfff80000000b0002, 0x7ff0000000000000, 0xfff0000000000000} {
+		wx[(1+5*k)%cols] = math.Float64frombits(bits)
+	}
+}
+
+// hostileEntries zeroes input 0 of the (N, T, d) sequence x at five steps
+// in six, and sets about one other entry in 60 to a NaN of a random
+// payload and sign or to ±Inf.
+func hostileEntries(rng *rand.Rand, x []float64, d int) {
+	for i := range x {
+		switch {
+		case i%d == 0 && rng.Intn(6) != 0:
+			x[i] = 0
+		case rng.Intn(60) != 0:
+		case rng.Intn(2) == 0:
+			x[i] = math.Float64frombits(0x7ff8000000000000 | rng.Uint64()&0x8007ffffffffffff)
+		default:
+			x[i] = math.Inf(1 - 2*rng.Intn(2))
+		}
 	}
 }
 

@@ -175,6 +175,15 @@ type Scene struct {
 	walkers     []*Pedestrian
 	nextArrival float64
 	shadowDB    float64 // AR(1) shadowing state
+
+	vis []visible // RenderDepthInto's scratch, reused across frames
+}
+
+// visible is a walker in front of the camera at render time.
+type visible struct {
+	pos  Vec3
+	w    *Pedestrian
+	dist float64
 }
 
 // New returns a scene with the given config; rng seeds the internal
@@ -281,8 +290,19 @@ func (s *Scene) ReceivedPowerDBm(t float64) float64 {
 // therefore appear as bright silhouettes against a dark background, the
 // usual depth-image visualisation (cf. the paper's Fig. 2).
 func (s *Scene) RenderDepth(t float64) []float64 {
+	img := make([]float64, s.cfg.ImageH*s.cfg.ImageW)
+	s.RenderDepthInto(img, t)
+	return img
+}
+
+// RenderDepthInto is RenderDepth into img, which must hold ImageH·ImageW
+// values; every value is overwritten. It allocates nothing once the
+// scene has rendered its largest crowd.
+func (s *Scene) RenderDepthInto(img []float64, t float64) {
 	c := s.cfg
-	img := make([]float64, c.ImageH*c.ImageW)
+	if len(img) != c.ImageH*c.ImageW {
+		panic(fmt.Sprintf("scene: depth image of %d values, want %d×%d", len(img), c.ImageH, c.ImageW))
+	}
 
 	// Background: far wall behind the BS.
 	wallDepth := c.CameraPos.X + 0.7
@@ -292,12 +312,7 @@ func (s *Scene) RenderDepth(t float64) []float64 {
 	}
 
 	// Painter's algorithm: render walkers far → near.
-	type visible struct {
-		pos  Vec3
-		w    *Pedestrian
-		dist float64
-	}
-	var vis []visible
+	vis := s.vis[:0]
 	for _, w := range s.walkers {
 		pos, ok := w.PositionAt(t)
 		if !ok {
@@ -309,6 +324,7 @@ func (s *Scene) RenderDepth(t float64) []float64 {
 		}
 		vis = append(vis, visible{pos, w, dist})
 	}
+	s.vis = vis
 	for i := 0; i < len(vis); i++ { // insertion sort by distance, desc
 		for j := i; j > 0 && vis[j].dist > vis[j-1].dist; j-- {
 			vis[j], vis[j-1] = vis[j-1], vis[j]
@@ -356,7 +372,6 @@ func (s *Scene) RenderDepth(t float64) []float64 {
 			}
 		}
 	}
-	return img
 }
 
 // normDepth maps a metric depth to the [0, 1] image value (near = bright).

@@ -23,6 +23,12 @@ const (
 	goldenUEConvHash uint64 = 0xe820849b818155c0
 )
 
+// The UE conv hash the same 20 steps give where math.Exp takes its
+// multiply-then-add path (amd64 without FMA, or GODEBUG=cpu.fma=off),
+// recorded under GODEBUG=cpu.fma=off on commit db4b7ff, the last before
+// the LSTM's gates ran in AVX2. The loss keeps goldenLossBits.
+const goldenUEConvHashNoFMA uint64 = 0x24f24eaf33478dad
+
 // ueConvHash is FNV-1a over the Float64bits of the UE convolution's
 // kernel, then its bias.
 func ueConvHash(params []*nn.Param) uint64 {
@@ -54,12 +60,42 @@ func TestTrainStepGolden(t *testing.T) {
 			if tensor.SetAVX2(path.avx) != path.avx {
 				t.Skip("the CPU has no AVX2")
 			}
-			checkTrainStepGolden(t)
+			checkTrainStepGolden(t, goldenUEConvHash)
 		})
 	}
 }
 
-func checkTrainStepGolden(t *testing.T) {
+// TestTrainStepGoldenWithoutFMA: where math.Exp takes its
+// multiply-then-add path, TestTrainStepGolden's values cannot hold, on
+// any commit (the scene and the gates call math.Exp); the run lands on
+// that path's values instead, on the Go and on the AVX2 row kernels. It
+// fails if the LSTM's vector exp, which copies the FMA path, runs there:
+// the tensor package's start-up probe must have switched it off.
+func TestTrainStepGoldenWithoutFMA(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden recorded on amd64; other targets may fuse multiply-adds")
+	}
+	// On this argument math.Exp's FMA path gives …7b23, the other …7b22.
+	if math.Float64bits(math.Exp(math.Float64frombits(0x3fe54c95d5e5d937))) != 0x3fff21675c627b22 {
+		t.Skip("math.Exp takes its FMA path: TestTrainStepGolden pins this run")
+	}
+	defer tensor.SetAVX2(true)
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if tensor.SetAVX2(path.avx) != path.avx {
+				t.Skip("the CPU has no AVX2")
+			}
+			checkTrainStepGolden(t, goldenUEConvHashNoFMA)
+		})
+	}
+}
+
+// checkTrainStepGolden runs the 20 golden steps and compares the loss with
+// goldenLossBits and the UE conv parameters' hash with convHash.
+func checkTrainStepGolden(t *testing.T, convHash uint64) {
 	gen := dataset.DefaultGenConfig()
 	gen.NumFrames = 600
 	gen.Seed = 1
@@ -83,7 +119,7 @@ func checkTrainStepGolden(t *testing.T) {
 	if got := math.Float64bits(loss); got != goldenLossBits {
 		t.Errorf("loss after %d steps: bits %#x (%g), want %#x", goldenSteps, got, loss, goldenLossBits)
 	}
-	if got := ueConvHash(model.UE.Params()); got != goldenUEConvHash {
-		t.Errorf("UE conv kernel+bias hash %#x, want %#x", got, goldenUEConvHash)
+	if got := ueConvHash(model.UE.Params()); got != convHash {
+		t.Errorf("UE conv kernel+bias hash %#x, want %#x", got, convHash)
 	}
 }

@@ -74,3 +74,30 @@ func conv3x3RowAVX2(o, s, in0, in1, in2 []float64, k *[9]float64)
 //
 //go:noescape
 func convPoolGradK3AVX2(acc *[12]float64, mask []bool, gw []float64, pw int, in0, in1, in2 []float64, b float64) float64
+
+// cpuHasFMA reports whether the CPU has FMA3 (CPUID leaf 1 ECX bit 12);
+// only the vector exp uses it, and only where cpuHasAVX2 holds.
+func cpuHasFMA() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	return ecx1&(1<<12) != 0
+}
+
+// expAVX2 is math.Exp's FMA path four lanes at a time: dst[j] = exp(x[j])
+// for x[j] in [−708, 709], where that path needs none of its special
+// cases; len(x) ≥ len(dst), a multiple of 4.
+//
+//go:noescape
+func expAVX2(dst, x []float64)
+
+// lstmGatesAVX2 runs LSTMGates' columns four at a time from column j (a
+// multiple of 4) and returns the first column of the first group it hands
+// back untouched, an exp argument being outside [−708, 709], or
+// len(c)&^3 when it reached the end.
+//
+//go:noescape
+func lstmGatesAVX2(z, c, cNew, tc, h []float64, j int) int
+
+// lstmGateGradsAVX2 is LSTMGateGrads over columns [0, len(dh)&^3).
+//
+//go:noescape
+func lstmGateGradsAVX2(dz, g, tc, cPrev, dh, dc []float64)

@@ -722,3 +722,290 @@ pgradrightg:
 	VMOVSD X6, ret+144(FP)
 	VZEROUPPER
 	RET
+
+// The LSTM's gate epilogue (gates.go) and the vector exp under it.
+//
+// gatek holds each constant four times, one 32-byte row each: exp's
+// reduction and series (exp_amd64.s's), 1 and 2, exp's exponent bias,
+// the absolute-value and sign masks, the range bounds, and tanh's
+// branch points and rational coefficients (tanh.go's).
+#define QUAD(off, v) DATA gatek<>+(off)(SB)/8, v; DATA gatek<>+(off+8)(SB)/8, v; DATA gatek<>+(off+16)(SB)/8, v; DATA gatek<>+(off+24)(SB)/8, v
+
+QUAD(0, $1.4426950408889634073599246810018920)       // log2(e)
+QUAD(32, $0.69314718055966295651160180568695068359375) // upper half of ln 2
+QUAD(64, $0.28235290563031577122588448175013436025525412068e-12) // lower half
+QUAD(96, $0.0625)
+QUAD(128, $2.4801587301587301587e-5)
+QUAD(160, $1.9841269841269841270e-4)
+QUAD(192, $1.3888888888888888889e-3)
+QUAD(224, $8.3333333333333333333e-3)
+QUAD(256, $4.1666666666666666667e-2)
+QUAD(288, $1.6666666666666666667e-1)
+QUAD(320, $0.5)
+QUAD(352, $1.0)
+QUAD(384, $2.0)
+QUAD(416, $1023)                  // exponent bias, as an integer
+QUAD(448, $0x7fffffffffffffff)    // |x| mask
+QUAD(480, $0x8000000000000000)    // sign mask
+QUAD(512, $-709.0)                // σ's z ≥ −709: its exp argument ≤ 709
+QUAD(544, $708.0)                 // σ's z ≤ 708: its exp argument ≥ −708
+QUAD(576, $354.5)                 // tanh's |x| ≤ 354.5: exp(2|x|) ≤ exp(709)
+QUAD(608, $0.625)
+QUAD(640, $0x404601e678fc457b)    // 0.5·MAXLOG
+QUAD(672, $-9.64399179425052238628e-1)
+QUAD(704, $-9.92877231001918586564e1)
+QUAD(736, $-1.61468768441708447952e3)
+QUAD(768, $1.12811678491632931402e2)
+QUAD(800, $2.23548839060100448583e3)
+QUAD(832, $4.84406305325125486048e3)
+GLOBL gatek<>(SB), RODATA, $864
+
+// EXP4 sets x = exp(x) in four lanes, each x in [−708, 709]: the avxfma
+// branch of math.Exp's exp_amd64.s, instruction for instruction. k is
+// rounded from x·log2(e) as CVTSD2SL rounds it, the two-part ln 2
+// reduction and the series are fused where that branch fuses them, and
+// 2^k is built in the exponent field; in that range none of the branch's
+// special cases (non-finite, overflow, subnormal result) applies. t and p
+// are scratch, k the X form of a third.
+#define EXP4(x, t, p, k) \
+	VMULPD       gatek<>+0(SB), x, t \
+	VCVTPD2DQY   t, k \
+	VCVTDQ2PD    k, t \
+	VFNMADD231PD gatek<>+32(SB), t, x \
+	VFNMADD231PD gatek<>+64(SB), t, x \
+	VMULPD       gatek<>+96(SB), x, x \
+	VMOVUPD      gatek<>+128(SB), p \
+	VFMADD213PD  gatek<>+160(SB), x, p \
+	VFMADD213PD  gatek<>+192(SB), x, p \
+	VFMADD213PD  gatek<>+224(SB), x, p \
+	VFMADD213PD  gatek<>+256(SB), x, p \
+	VFMADD213PD  gatek<>+288(SB), x, p \
+	VFMADD213PD  gatek<>+320(SB), x, p \
+	VFMADD213PD  gatek<>+352(SB), x, p \
+	VMULPD       p, x, x \
+	VADDPD       gatek<>+384(SB), x, p \
+	VMULPD       p, x, x \
+	VADDPD       gatek<>+384(SB), x, p \
+	VMULPD       p, x, x \
+	VADDPD       gatek<>+384(SB), x, p \
+	VMULPD       p, x, x \
+	VADDPD       gatek<>+384(SB), x, p \
+	VFMADD213PD  gatek<>+352(SB), p, x \
+	VPMOVSXDQ    k, t \
+	VPADDQ       gatek<>+416(SB), t, t \
+	VPSLLQ       $52, t, t \
+	VMULPD       t, x, x
+
+// SIG4 sets x = 1/(1+exp(−x)), the gates' sigmoid, for x in [−709, 708];
+// Y14 holds 1.
+#define SIG4(x, t, p, k) \
+	VXORPD gatek<>+480(SB), x, x \
+	EXP4(x, t, p, k) \
+	VADDPD x, Y14, x \
+	VDIVPD x, Y14, x
+
+// TANH4 sets x = tanh(x) for |x| ≤ 354.5 as math.Tanh computes it: all
+// three of its branches, blended. ±1 where |x| > 0.5·MAXLOG; where
+// |x| ≥ 0.625, 1 − 2/(exp(2|x|)+1), negated by x's sign bit; elsewhere
+// x + ((x·s)·P(s))/Q(s) with s = x·x, except that x = ±0 gives x itself.
+// Y13 holds 2 and Y14 holds 1; a, e, t, p, s and r are scratch, k the X
+// form of another.
+#define TANH4(x, a, e, t, p, k, s, r) \
+	VANDPD    gatek<>+448(SB), x, a \
+	VADDPD    a, a, e \
+	EXP4(e, t, p, k) \
+	VADDPD    Y14, e, e \
+	VDIVPD    e, Y13, e \
+	VSUBPD    e, Y14, e \
+	VANDPD    gatek<>+480(SB), x, t \
+	VXORPD    t, e, e \
+	VMULPD    x, x, s \
+	VMULPD    gatek<>+672(SB), s, p \
+	VADDPD    gatek<>+704(SB), p, p \
+	VMULPD    s, p, p \
+	VADDPD    gatek<>+736(SB), p, p \
+	VADDPD    gatek<>+768(SB), s, r \
+	VMULPD    s, r, r \
+	VADDPD    gatek<>+800(SB), r, r \
+	VMULPD    s, r, r \
+	VADDPD    gatek<>+832(SB), r, r \
+	VMULPD    s, x, s \
+	VMULPD    p, s, s \
+	VDIVPD    r, s, s \
+	VADDPD    s, x, s \
+	VCMPPD    $0x1d, gatek<>+608(SB), a, r \
+	VBLENDVPD r, e, s, s \
+	VCMPPD    $0x1e, gatek<>+640(SB), a, r \
+	VORPD     Y14, t, e \
+	VBLENDVPD r, e, s, s \
+	VXORPD    r, r, r \
+	VCMPPD    $0x00, r, x, r \
+	VBLENDVPD r, x, s, x
+
+// func expAVX2(dst, x []float64)
+TEXT ·expAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	XORQ AX, AX
+
+exploop:
+	CMPQ    AX, CX
+	JAE     expdone
+	VMOVUPD (SI)(AX*8), Y0
+	EXP4(Y0, Y1, Y2, X3)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     exploop
+
+expdone:
+	VZEROUPPER
+	RET
+
+// func lstmGatesAVX2(z, c, cNew, tc, h []float64, j int) int
+//
+// LSTMGates from column j, four columns a group. A group first checks
+// every exp argument it will need, σ's three and tanh(g)'s, then forms
+// c' = f·c + i·g and checks 2|c'|, tanh(c')'s; it stores nothing until
+// both checks have passed, so a group that fails one (NaN, ±Inf or out
+// of range) is returned untouched for the Go loop to finish.
+TEXT ·lstmGatesAVX2(SB), NOSPLIT, $0-136
+	MOVQ z_base+0(FP), DI
+	MOVQ c_base+24(FP), SI
+	MOVQ c_len+32(FP), CX
+	MOVQ cNew_base+48(FP), R8
+	MOVQ tc_base+72(FP), R9
+	MOVQ h_base+96(FP), R10
+	MOVQ j+120(FP), AX
+	LEAQ (DI)(CX*8), R11 // f block
+	LEAQ (R11)(CX*8), R12 // g block
+	LEAQ (R12)(CX*8), R13 // o block
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	VMOVUPD gatek<>+384(SB), Y13
+	VMOVUPD gatek<>+352(SB), Y14
+
+gatesloop:
+	CMPQ      AX, DX
+	JAE       gatesdone
+	VMOVUPD   (DI)(AX*8), Y0
+	VMOVUPD   (R11)(AX*8), Y1
+	VMOVUPD   (R12)(AX*8), Y2
+	VMOVUPD   (R13)(AX*8), Y3
+	VCMPPD    $0x1d, gatek<>+512(SB), Y0, Y4
+	VCMPPD    $0x12, gatek<>+544(SB), Y0, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    $0x1d, gatek<>+512(SB), Y1, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    $0x12, gatek<>+544(SB), Y1, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    $0x1d, gatek<>+512(SB), Y3, Y5
+	VANDPD    Y5, Y4, Y4
+	VCMPPD    $0x12, gatek<>+544(SB), Y3, Y5
+	VANDPD    Y5, Y4, Y4
+	VANDPD    gatek<>+448(SB), Y2, Y5
+	VCMPPD    $0x12, gatek<>+576(SB), Y5, Y5
+	VANDPD    Y5, Y4, Y4
+	VMOVMSKPD Y4, BX
+	CMPQ      BX, $15
+	JNE       gatesdone
+	SIG4(Y0, Y4, Y5, X6)
+	SIG4(Y1, Y4, Y5, X6)
+	SIG4(Y3, Y4, Y5, X6)
+	TANH4(Y2, Y4, Y5, Y6, Y7, X8, Y9, Y10)
+	VMULPD    (SI)(AX*8), Y1, Y12
+	VMULPD    Y2, Y0, Y4
+	VADDPD    Y4, Y12, Y12
+	VANDPD    gatek<>+448(SB), Y12, Y4
+	VCMPPD    $0x12, gatek<>+576(SB), Y4, Y4
+	VMOVMSKPD Y4, BX
+	CMPQ      BX, $15
+	JNE       gatesdone
+	VMOVUPD   Y0, (DI)(AX*8)
+	VMOVUPD   Y1, (R11)(AX*8)
+	VMOVUPD   Y2, (R12)(AX*8)
+	VMOVUPD   Y3, (R13)(AX*8)
+	VMOVUPD   Y12, (R8)(AX*8)
+	TANH4(Y12, Y4, Y5, Y6, Y7, X8, Y9, Y10)
+	VMOVUPD   Y12, (R9)(AX*8)
+	VMULPD    Y12, Y3, Y4
+	VMOVUPD   Y4, (R10)(AX*8)
+	ADDQ      $4, AX
+	JMP       gatesloop
+
+gatesdone:
+	MOVQ AX, ret+128(FP)
+	VZEROUPPER
+	RET
+
+// func lstmGateGradsAVX2(dz, g, tc, cPrev, dh, dc []float64)
+//
+// LSTMGateGrads over the whole groups of four columns, every multiply
+// and subtraction with the first source the compiled Go loop gives it:
+// dc' = (dh·o)·(1−tc·tc) + dc; dz_i = (1−i)·((dc'·g)·i);
+// dz_f = ((cPrev·dc')·f)·(1−f); dz_g = (1−g·g)·(i·dc');
+// dz_o = ((dh·tc)·o)·(1−o); dc = dc'·f. The gate blocks sit BX, 2·BX
+// and R12 = 3·BX bytes past the input gate's.
+TEXT ·lstmGateGradsAVX2(SB), NOSPLIT, $0-144
+	MOVQ dz_base+0(FP), DI
+	MOVQ g_base+24(FP), SI
+	MOVQ tc_base+48(FP), R8
+	MOVQ cPrev_base+72(FP), R9
+	MOVQ dh_base+96(FP), R10
+	MOVQ dh_len+104(FP), BX
+	MOVQ dc_base+120(FP), R11
+	MOVQ BX, CX
+	SHRQ $2, CX
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), R12
+	VMOVUPD gatek<>+352(SB), Y14
+
+gradsloop:
+	TESTQ   CX, CX
+	JZ      gradsdone
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(BX*1), Y1
+	VMOVUPD (SI)(BX*2), Y2
+	VMOVUPD (SI)(R12*1), Y3
+	VMOVUPD (R8), Y4
+	VMOVUPD (R10), Y5
+	VMULPD  Y3, Y5, Y6
+	VMULPD  Y4, Y4, Y7
+	VSUBPD  Y7, Y14, Y7
+	VMULPD  Y7, Y6, Y6
+	VADDPD  (R11), Y6, Y6
+	VMULPD  Y4, Y5, Y5
+	VMULPD  Y2, Y6, Y7
+	VMULPD  Y0, Y7, Y7
+	VSUBPD  Y0, Y14, Y8
+	VMULPD  Y7, Y8, Y8
+	VMOVUPD Y8, (DI)
+	VMOVUPD (R9), Y7
+	VMULPD  Y6, Y7, Y7
+	VMULPD  Y1, Y7, Y7
+	VSUBPD  Y1, Y14, Y8
+	VMULPD  Y8, Y7, Y7
+	VMOVUPD Y7, (DI)(BX*1)
+	VMULPD  Y6, Y0, Y7
+	VMULPD  Y2, Y2, Y8
+	VSUBPD  Y8, Y14, Y8
+	VMULPD  Y7, Y8, Y8
+	VMOVUPD Y8, (DI)(BX*2)
+	VMULPD  Y3, Y5, Y5
+	VSUBPD  Y3, Y14, Y8
+	VMULPD  Y8, Y5, Y5
+	VMOVUPD Y5, (DI)(R12*1)
+	VMULPD  Y1, Y6, Y6
+	VMOVUPD Y6, (R11)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	DECQ    CX
+	JMP     gradsloop
+
+gradsdone:
+	VZEROUPPER
+	RET

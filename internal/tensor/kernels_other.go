@@ -26,3 +26,11 @@ func convPoolGradK3AVX2(acc *[12]float64, mask []bool, gw []float64, pw int, in0
 }
 
 func adamAVX2(w, g, m, v []float64, k *[8]float64) { panic(noAVX2) }
+
+func cpuHasFMA() bool { return false }
+
+func expAVX2(dst, x []float64) { panic(noAVX2) }
+
+func lstmGatesAVX2(z, c, cNew, tc, h []float64, j int) int { panic(noAVX2) }
+
+func lstmGateGradsAVX2(dz, g, tc, cPrev, dh, dc []float64) { panic(noAVX2) }

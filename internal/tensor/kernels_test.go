@@ -183,6 +183,9 @@ func checkRowKernels(t *testing.T, next func() float64, n, off, shift int) {
 	if shift == -1 {
 		checkSame3Kernels(t, next, n, off)
 	}
+	if shift == 0 {
+		checkGateKernels(t, gateValues(next), next, n, off)
+	}
 
 	// The 3×3 kernel gradient of a two-channel image n wide, upstream
 	// gradient, kernel and bias partials all hostile.
@@ -300,6 +303,155 @@ func checkSame3Kernels(t *testing.T, next func() float64, n, off int) {
 	}
 }
 
+// gateEdges are the values at which the gate kernel changes what it does:
+// tanh's branch points, the bounds of the exp arguments it checks, the
+// values just past them, and both zeros.
+var gateEdges = []float64{
+	0.625, -0.625, math.Nextafter(0.625, 0),
+	0.5 * 8.8029691931113054295988e+01, -0.5 * 8.8029691931113054295988e+01,
+	354.5, -354.5, math.Nextafter(354.5, 400), math.Nextafter(-354.5, -400),
+	708, -709, math.Nextafter(708, 800), math.Nextafter(-709, -800),
+	0, math.Copysign(0, -1),
+}
+
+// gateValues adapts next to the gate rows. Hostile values would send
+// nearly every group of four back to Go, so finite values are folded into
+// (−400, 400), which spans tanh's three branches and the range bounds;
+// a NaN or ±Inf is kept on every 29th draw only, and every 31st draw is
+// one of gateEdges. Most groups then run on the kernel and some fall
+// back mid-row, a few after their first check (a cell past ±354.5).
+func gateValues(next func() float64) func() float64 {
+	k := 0
+	return func() float64 {
+		k++
+		v := next()
+		switch {
+		case k%31 == 0:
+			return gateEdges[k/31%len(gateEdges)]
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			if k%29 == 0 {
+				return v
+			}
+			return float64(k%9) - 4
+		}
+		return math.Mod(v, 400)
+	}
+}
+
+// checkGateKernels compares LSTMGates and LSTMGateGrads on each path over
+// one row of hidden size n: the forward on pre-activations and cells from
+// gate, the backward on operands from next, NaNs in either operand of
+// every multiply.
+func checkGateKernels(t *testing.T, gate, next func() float64, n, off int) {
+	t.Helper()
+	zero := func() float64 { return 0 }
+	clone := func(s []float64) []float64 {
+		c := offsetSlice(len(s), off, zero)
+		copy(c, s)
+		return c
+	}
+	z, c := offsetSlice(4*n, off, gate), offsetSlice(n, off, gate)
+	var fwd [2][4][]float64
+	for i, avx := range []bool{false, true} {
+		zi := clone(z)
+		cNew, tc, h := offsetSlice(n, off, zero), offsetSlice(n, off, zero), offsetSlice(n, off, zero)
+		withAVX2(avx, func() { LSTMGates(zi, c, cNew, tc, h) })
+		fwd[i] = [4][]float64{zi, cNew, tc, h}
+	}
+	for k, name := range []string{"gates", "cell", "tanh(cell)", "hidden"} {
+		bitsMatch(t, "LSTMGates "+name, fwd[1][k], fwd[0][k])
+	}
+
+	g, tc, cPrev, dh := offsetSlice(4*n, off, next), offsetSlice(n, off, next), offsetSlice(n, off, next), offsetSlice(n, off, next)
+	dc := offsetSlice(n, off, next)
+	var bwd [2][2][]float64
+	for i, avx := range []bool{false, true} {
+		dz, dci := offsetSlice(4*n, off, zero), clone(dc)
+		withAVX2(avx, func() { LSTMGateGrads(dz, g, tc, cPrev, dh, dci) })
+		bwd[i] = [2][]float64{dz, dci}
+	}
+	bitsMatch(t, "LSTMGateGrads dz", bwd[1][0], bwd[0][0])
+	bitsMatch(t, "LSTMGateGrads dc", bwd[1][1], bwd[0][1])
+}
+
+// TestExpAVX2MatchesMathExp: the vector exp equals math.Exp by
+// Float64bits over its whole range [−708, 709], and the gate kernel built
+// on it is on exactly where math.Exp takes the FMA path the vector exp
+// copies. math.Exp's path is read off the first probe argument, on which
+// the FMA path gives …7b23 and the multiply-then-add path …7b22; under
+// GODEBUG=cpu.fma=off the test checks that the probe switched the kernel
+// off, and stops there.
+func TestExpAVX2MatchesMathExp(t *testing.T) {
+	if !cpuHasAVX2() || !cpuHasFMA() {
+		t.Skip("the CPU has no AVX2 and FMA")
+	}
+	fused := math.Float64bits(math.Exp(math.Float64frombits(expProbeBits[0]))) == 0x3fff21675c627b23
+	if fused != expOK {
+		t.Fatalf("math.Exp takes the FMA path: %v, but the probe says %v", fused, expOK)
+	}
+	if !expOK {
+		t.Skip("math.Exp takes its multiply-then-add path; the probe has switched the gate kernel off")
+	}
+	rng := rand.New(rand.NewSource(20261020))
+	xs := []float64{-708, 709, 0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-300, math.Ln2, -math.Ln2}
+	for _, b := range expProbeBits {
+		xs = append(xs, math.Float64frombits(b))
+	}
+	for k := -1021; k <= 1022; k++ { // both sides of every rounding edge of k = x·log2(e)
+		edge := (float64(k) + 0.5) * math.Ln2
+		xs = append(xs, math.Nextafter(edge, -1000), edge, math.Nextafter(edge, 1000))
+	}
+	for len(xs) < 1<<20 {
+		xs = append(xs, rng.Float64()*1417-708, rng.NormFloat64()*math.Ldexp(1, rng.Intn(12)-6))
+	}
+	n := len(xs) &^ 3
+	xs = xs[:n]
+	got := make([]float64, n)
+	expAVX2(got, xs)
+	for i, x := range xs {
+		if x < -708 || x > 709 {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+			t.Fatalf("exp(%v = %#016x) is %#016x, math.Exp gives %#016x", x, math.Float64bits(x),
+				math.Float64bits(got[i]), math.Float64bits(math.Exp(x)))
+		}
+	}
+}
+
+// TestLSTMGateKernelsMatchGo: LSTMGates and LSTMGateGrads give their Go
+// loops' bits on 20 000 rows of hidden size 1…40. Pre-activations and
+// cells are normal variates of scales 1/8…512; a fifth of the rows also
+// carry NaNs of random payloads and both signs, ±Inf, subnormals, ±0,
+// the gate kernel's edges (gateEdges) and ±354.5's neighbourhood, so that
+// whole groups fall back to Go before and after the kernel's second check.
+func TestLSTMGateKernelsMatchGo(t *testing.T) {
+	if !cpuHasAVX2() {
+		t.Skip("the CPU has no AVX2")
+	}
+	rng := rand.New(rand.NewSource(39))
+	for row := 0; row < 20000; row++ {
+		hostile := row%5 == 0
+		scale := math.Ldexp(1, rng.Intn(13)-3)
+		next := func() float64 {
+			if hostile && rng.Intn(12) == 0 {
+				switch rng.Intn(4) {
+				case 0:
+					return math.Float64frombits(0x7ff0000000000001 | rng.Uint64()&0x800fffffffffffff)
+				case 1:
+					return math.Float64frombits(specialBits[rng.Intn(len(specialBits))])
+				case 2:
+					return gateEdges[rng.Intn(len(gateEdges))]
+				default:
+					return math.Copysign(354.5+rng.Float64()-0.5, rng.Float64()-0.5)
+				}
+			}
+			return rng.NormFloat64() * scale
+		}
+		checkGateKernels(t, next, next, 1+row%40, row%4)
+	}
+}
+
 // TestAVX2KernelsMatchGo: every AVX2 kernel equals its Go loop by
 // Float64bits on every row length 0…140 (every vector tail), at four
 // offsets into the backing array and three row shifts, over values a third
@@ -307,8 +459,9 @@ func checkSame3Kernels(t *testing.T, next func() float64, n, off int) {
 // subnormals, so that NaN meets NaN in either operand of each add,
 // multiply and division (the payloads are pinned in uninstrumented builds
 // only: payloadsPinned). The kernels are those under RowMatMul,
-// RowMatMulTransBT, convRowTaps, the 3×3 kernel gradient, AdamRow, and
-// the 3×3 same rows of the convolution and of the fused UE layer.
+// RowMatMulTransBT, convRowTaps, the 3×3 kernel gradient, AdamRow, the
+// 3×3 same rows of the convolution and of the fused UE layer, and the
+// LSTM's gate rows (on values gateValues folds into the kernel's range).
 func TestAVX2KernelsMatchGo(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("the CPU has no AVX2")
